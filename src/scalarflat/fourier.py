@@ -32,10 +32,20 @@ _BACKENDS = (SPECTRAL, FINITE_DIFFERENCE)
 
 
 def thread_workers() -> int:
-    """Worker count for FFT calls; capped by the SCALARFLAT_THREADS variable."""
+    """Worker count for FFT calls.
+
+    The SCALARFLAT_THREADS variable sets it (values below one mean one);
+    unset or empty, it is the number of CPUs this process may run on.
+    """
     cap = os.environ.get("SCALARFLAT_THREADS")
     if cap:
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ValueError(
+                f"SCALARFLAT_THREADS={cap!r} is not an integer worker count") from None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -159,19 +169,42 @@ def poisson_inverse(rho: np.ndarray) -> np.ndarray:
 # two complex dimensions (4-d grids, axes (0, 1, 2, 3) = (x1, y1, x2, y2))
 
 @lru_cache(maxsize=8)
-def _symbols_4d(n: int):
+def half_symbols_4d(n: int):
+    """Real symbols (m11, m22, Re m12, Im m12) of the mixed second derivatives
+    d^2 / (dz^i dzbar^j) on the rfftn half-spectrum of an n^4 grid.
+
+    Every symbol is real and even in k, so a real field's derivatives come
+    from one rfftn and one irfftn per symbol: d11 and d22 directly, and
+    d12 = irfftn(Re m12 * F) + i irfftn(Im m12 * F).  m11 and m22 are
+    broadcastable, the m12 parts dense; the arrays are read-only.
+    """
     kz = wavenumbers_no_nyquist(n)
     zx1 = kz[:, None, None, None]
     zy1 = kz[None, :, None, None]
     zx2 = kz[None, None, :, None]
-    zy2 = kz[None, None, None, :]
+    zy2 = kz[None, None, None, : n // 2 + 1]
     pi2 = np.pi ** 2
-    # d1 d1bar and d2 d2bar have real broadcastable symbols
-    m11 = -pi2 * (zx1 ** 2 + zy1 ** 2)
-    m22 = -pi2 * (zx2 ** 2 + zy2 ** 2)
-    # d1 d2bar couples the two complex directions; complex symbol, even in k
-    m12 = (-pi2 * (zx1 * zx2 + zy1 * zy2)) + 1j * (pi2 * (zy1 * zx2 - zx1 * zy2))
-    return m11, m22, np.ascontiguousarray(m12)
+    table = (-pi2 * (zx1 ** 2 + zy1 ** 2),
+             -pi2 * (zx2 ** 2 + zy2 ** 2),
+             -pi2 * (zx1 * zx2 + zy1 * zy2),
+             pi2 * (zy1 * zx2 - zx1 * zy2))
+    for symbol in table:
+        symbol.setflags(write=False)
+    return table
+
+
+def _ddbar4_real(field: np.ndarray):
+    m11, m22, m12_re, m12_im = half_symbols_4d(field.shape[0])
+    workers = thread_workers()
+    spec = _fft.rfftn(field, workers=workers)
+
+    def inverse(symbol):
+        return _fft.irfftn(symbol * spec, s=field.shape, workers=workers)
+
+    d12 = np.empty(field.shape, dtype=complex)
+    d12.real = inverse(m12_re)
+    d12.imag = inverse(m12_im)
+    return inverse(m11), inverse(m22), d12
 
 
 def ddbar4_components(field: np.ndarray, backend: str = SPECTRAL):
@@ -179,7 +212,8 @@ def ddbar4_components(field: np.ndarray, backend: str = SPECTRAL):
 
     Returns (d11, d22, d12) with dij = d^2 field / (dz^i dzbar^j); the missing
     d21 is conj(d12) for real input and is never materialized.  d11 and d22
-    are returned real for real input.
+    are returned real for real input.  The spectral backend transforms a
+    complex field as its real and imaginary parts.
     """
     _check_backend(backend)
     if field.ndim != 4:
@@ -196,17 +230,27 @@ def ddbar4_components(field: np.ndarray, backend: str = SPECTRAL):
     n = field.shape[0]
     if field.shape != (n, n, n, n):
         raise ValueError(f"expected an equal-resolution 4-d grid, got shape {field.shape}")
-    m11, m22, m12 = _symbols_4d(n)
+    if np.iscomplexobj(field):
+        re, im = _ddbar4_real(field.real), _ddbar4_real(field.imag)
+        return tuple(a + 1j * b for a, b in zip(re, im))
+    return _ddbar4_real(field)
+
+
+def gauduchon_form4(g11: np.ndarray, g22: np.ndarray, g21: np.ndarray) -> np.ndarray:
+    """The single component of ddbar(omega) for a metric on the 4-grid:
+
+        d1 d1bar g22 + d2 d2bar g11 - 2 Re(d1 d2bar g21)
+
+    from the real diagonal entries and the complex entry g21.  By linearity
+    the three terms are summed in the half-spectrum: four rfftn, one irfftn.
+    """
+    m11, m22, m12_re, m12_im = half_symbols_4d(g11.shape[0])
     workers = thread_workers()
-    spec = _fft.fftn(field, workers=workers)
-    d11 = _fft.ifftn(m11 * spec, workers=workers)
-    d22 = _fft.ifftn(m22 * spec, workers=workers)
-    d12 = _fft.ifftn(m12 * spec, workers=workers)
-    if np.isrealobj(field):
-        return d11.real, d22.real, d12
-    return d11, d22, d12
 
+    def spec(x):
+        return _fft.rfftn(x, workers=workers)
 
-def trace_symbols_4d(n: int):
-    """Expose the (m11, m22, m12) multiplier triple for solver construction."""
-    return _symbols_4d(n)
+    # Re d1 d2bar (a + ib) = irfftn(Re m12 * F[a] - Im m12 * F[b])
+    total = (m11 * spec(g22) + m22 * spec(g11)
+             - 2.0 * (m12_re * spec(g21.real) - m12_im * spec(g21.imag)))
+    return _fft.irfftn(total, s=g11.shape, workers=workers)

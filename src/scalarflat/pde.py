@@ -10,9 +10,11 @@ solves
 for a zero-mean potential f and verifies that the rescaled metric
 e^(f/2) * omega has pointwise scalar curvature at the roundoff floor.  The
 trace operator is discretized exactly as g^{i jbar} d^2 f / (dz^i dzbar^j)
-with spectral derivatives and the pointwise metric inverse; the linear
-system is solved by BiCGStab preconditioned with the constant-coefficient
-periodic inverse, wrapped in outer defect-correction rounds that always
+with spectral derivatives and the pointwise metric inverse, applied with
+real-to-complex transforms.  The linear system is solved by BiCGStab,
+preconditioned by the periodic inverse of the mean-coefficient operator
+applied after a diagonal (Jacobi) scaling by the pointwise trace of the
+metric inverse, and wrapped in outer defect-correction rounds that always
 measure the true residual.
 """
 
@@ -97,17 +99,26 @@ def is_gauduchon(metric: MetricModel4T,
         d1 d1bar g22 + d2 d2bar g11 - d1 d2bar g21 - d2 d1bar g12.
     """
     g = metric.g
-    d11_of_g22 = fourier.ddbar4_components(g[..., 1, 1].real, backend)[0]
-    d22_of_g11 = fourier.ddbar4_components(g[..., 0, 0].real, backend)[1]
-    cross = fourier.ddbar4_components(g[..., 1, 0], backend)[2]
-    w = d11_of_g22 + d22_of_g11 - 2.0 * cross.real
+    if backend == fourier.SPECTRAL:
+        w = fourier.gauduchon_form4(g[..., 0, 0].real, g[..., 1, 1].real, g[..., 1, 0])
+    else:
+        d11_of_g22 = fourier.ddbar4_components(g[..., 1, 1].real, backend)[0]
+        d22_of_g11 = fourier.ddbar4_components(g[..., 0, 0].real, backend)[1]
+        cross = fourier.ddbar4_components(g[..., 1, 0], backend)[2]
+        w = d11_of_g22 + d22_of_g11 - 2.0 * cross.real
     residual = float(np.max(np.abs(w)))
     return residual < tol, residual
 
 
 class TraceOperator:
-    """Discrete tr_omega ddbar: f -> sum_ij g^{i jbar} d^2 f / (dz^i dzbar^j),
-    with a constant-coefficient periodic inverse as preconditioner."""
+    """Discrete tr_omega ddbar: f -> sum_ij g^{i jbar} d^2 f / (dz^i dzbar^j).
+
+    apply takes one rfftn and four irfftn (m11, m22, Re m12, Im m12 of the
+    half-spectrum symbol table).  precondition is a Jacobi-scaled periodic
+    inverse: r -> irfftn(inv_mean_symbol * rfftn(r / D)) with
+    D = (w11 + w22) / mean(w11 + w22), the exact inverse on resolved modes
+    when the metric is conformally flat.
+    """
 
     def __init__(self, metric: MetricModel4T):
         n = metric.resolution
@@ -116,32 +127,33 @@ class TraceOperator:
         self.w11 = np.ascontiguousarray(inv[..., 0, 0].real)
         self.w22 = np.ascontiguousarray(inv[..., 1, 1].real)
         # pairing of g^{1 2bar} = conj(inverse_01) with d1 d2bar f and its
-        # conjugate collapses to 2 (Re inv_01 * Re d12 + Im inv_01 * Im d12)
-        self.cr = np.ascontiguousarray(inv[..., 0, 1].real)
-        self.ci = np.ascontiguousarray(inv[..., 0, 1].imag)
-        m11, m22, m12 = fourier.trace_symbols_4d(n)
-        self._m11, self._m22, self._m12 = m11, m22, m12
+        # conjugate collapses to 2 (Re inv_01 * Re d12 + Im inv_01 * Im d12);
+        # cr2 and ci2 carry the factor 2
+        self.cr2 = 2.0 * inv[..., 0, 1].real
+        self.ci2 = 2.0 * inv[..., 0, 1].imag
+        self._symbols = fourier.half_symbols_4d(n)
+        m11, m22, m12_re, m12_im = self._symbols
         mean_symbol = (self.w11.mean() * m11 + self.w22.mean() * m22
-                       + 2.0 * (self.cr.mean() * m12.real + self.ci.mean() * m12.imag))
-        mean_symbol = np.broadcast_to(mean_symbol, self.shape)
-        inv_symbol = np.zeros(self.shape)
+                       + self.cr2.mean() * m12_re + self.ci2.mean() * m12_im)
+        inv_symbol = np.zeros(mean_symbol.shape)
         nonzero = mean_symbol != 0.0
         inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
         self._inv_symbol = inv_symbol
+        diagonal = self.w11 + self.w22
+        self._inv_scale = diagonal.mean() / diagonal    # 1 / D
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         workers = fourier.thread_workers()
-        spec = _fft.fftn(f, workers=workers)
-        d11 = _fft.ifftn(self._m11 * spec, workers=workers).real
-        d22 = _fft.ifftn(self._m22 * spec, workers=workers).real
-        d12 = _fft.ifftn(self._m12 * spec, workers=workers)
-        return (self.w11 * d11 + self.w22 * d22
-                + 2.0 * (self.cr * d12.real + self.ci * d12.imag))
+        spec = _fft.rfftn(f, workers=workers)
+        out = np.zeros(self.shape)
+        for weight, symbol in zip((self.w11, self.w22, self.cr2, self.ci2), self._symbols):
+            out += weight * _fft.irfftn(symbol * spec, s=self.shape, workers=workers)
+        return out
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         workers = fourier.thread_workers()
-        return _fft.ifftn(self._inv_symbol * _fft.fftn(r, workers=workers),
-                          workers=workers).real
+        spec = _fft.rfftn(r * self._inv_scale, workers=workers)
+        return _fft.irfftn(self._inv_symbol * spec, s=self.shape, workers=workers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,9 +217,9 @@ def conformal_scalar_flat(metric: MetricModel4T, n: int = 2,
     stalls = 0
     rmax = float(np.max(np.abs(defect)))
 
-    a_op = LinearOperator((size, size),
+    a_op = LinearOperator((size, size), dtype=float,
                           matvec=lambda v: op.apply(v.reshape(shape)).ravel())
-    m_op = LinearOperator((size, size),
+    m_op = LinearOperator((size, size), dtype=float,
                           matvec=lambda v: op.precondition(v.reshape(shape)).ravel())
 
     while rmax >= tol:

@@ -1,6 +1,7 @@
 import numpy as np
 
 from scalarflat import MetricModel4T
+from scalarflat.fourier import wavenumbers_no_nyquist
 
 
 def coords4(n):
@@ -38,3 +39,14 @@ def kahler_test_potential(n, amplitude):
     x1, _, _, y2 = coords4(n)
     return np.broadcast_to(amplitude * np.sin(2 * np.pi * x1) * np.cos(2 * np.pi * y2),
                            (n, n, n, n)).copy()
+
+
+def complex_symbols_4d(n):
+    """Reference full-spectrum symbols (m11, m22, m12) of d^2 / (dz^i dzbar^j)
+    for complex FFTs; m12 is complex."""
+    kz = wavenumbers_no_nyquist(n)
+    x1, y1 = kz[:, None, None, None], kz[None, :, None, None]
+    x2, y2 = kz[None, None, :, None], kz[None, None, None, :]
+    pi2 = np.pi ** 2
+    return (-pi2 * (x1 ** 2 + y1 ** 2), -pi2 * (x2 ** 2 + y2 ** 2),
+            -pi2 * (x1 * x2 + y1 * y2) + 1j * pi2 * (y1 * x2 - x1 * y2))

@@ -142,6 +142,16 @@ def test_missing_metric_file_exits_2(capsys):
     assert code == 2
 
 
+def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.02))
+    manifest = save_metric(metric, tmp_path / "metric")
+    monkeypatch.setenv("SCALARFLAT_THREADS", "abc")
+    code, payload = run_json(capsys, ["curvature", "--metric", str(manifest)])
+    assert code == 2
+    assert payload["error"] == "ValueError"
+    assert "SCALARFLAT_THREADS" in payload["message"] and "abc" in payload["message"]
+
+
 def test_output_is_byte_deterministic(capsys):
     run(["classify", "split", "--genus", "6", "--deg-l", "5"])
     first = capsys.readouterr().out

@@ -1,6 +1,8 @@
+import os
+
 import numpy as np
 import pytest
-from conftest import trig_field4
+from conftest import complex_symbols_4d, trig_field4
 
 from scalarflat import fourier
 from scalarflat.geom_core import grid_coordinates
@@ -82,3 +84,43 @@ def test_thread_workers_env_cap(monkeypatch):
     assert fourier.thread_workers() == 2
     monkeypatch.delenv("SCALARFLAT_THREADS")
     assert fourier.thread_workers() >= 1
+
+
+def test_thread_workers_rejects_non_integer(monkeypatch):
+    monkeypatch.setenv("SCALARFLAT_THREADS", "abc")
+    with pytest.raises(ValueError, match="SCALARFLAT_THREADS='abc'"):
+        fourier.thread_workers()
+
+
+def test_thread_workers_zero_means_one(monkeypatch):
+    monkeypatch.setenv("SCALARFLAT_THREADS", "0")
+    assert fourier.thread_workers() == 1
+
+
+def test_thread_workers_unset_follows_affinity(monkeypatch):
+    monkeypatch.delenv("SCALARFLAT_THREADS", raising=False)
+    if hasattr(os, "sched_getaffinity"):
+        expected = len(os.sched_getaffinity(0))
+    else:
+        expected = os.cpu_count() or 1
+    assert fourier.thread_workers() == expected
+
+
+def _complex_ddbar4(field):
+    spec = np.fft.fftn(field)
+    return tuple(np.fft.ifftn(m * spec) for m in complex_symbols_4d(field.shape[0]))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_ddbar4_real_transforms_match_complex_reference(n):
+    rng = np.random.default_rng(n)
+    real = rng.standard_normal((n,) * 4)
+    field = real + 1j * rng.standard_normal((n,) * 4)
+    for f in (real, field):
+        got = fourier.ddbar4_components(f)
+        want = _complex_ddbar4(f)
+        scale = max(float(np.max(np.abs(w))) for w in want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * scale
+    d11, d22, d12 = fourier.ddbar4_components(real)
+    assert d11.dtype.kind == "f" and d22.dtype.kind == "f" and d12.dtype.kind == "c"
