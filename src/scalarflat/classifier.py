@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DescriptorError, NagataViolation
 from .geom_core import ClassificationReport
-from .positivity import kx_certificate_split
+from .positivity import anti_kx_rc_flag, in_certified_range, split_margin
 
 # fired-case identifiers, one per proof branch of the ruled-surface theorem
 CASE_HIRZEBRUCH = "Hirzebruch"
@@ -81,87 +81,78 @@ def classify_ruled(g: int, m: int, certificate: dict | None = None) -> Classific
     validate_m(m, g)
     if g == 0:
         # every such surface is a Hirzebruch model with twist k = -m >= 0
-        attach = certificate or {
+        fired, attach = CASE_HIRZEBRUCH, {
             "obstruction": "anti-canonical bundle is effective, so the canonical "
                            "bundle is not RC-positive",
             "anticanonical_sections": hirzebruch_anticanonical_h0(-m),
         }
-        return ClassificationReport("no", "no", "PositiveReals", CASE_HIRZEBRUCH, attach)
-    if g == 1:
-        attach = certificate or {
+    elif g == 1:
+        fired, attach = CASE_ELLIPTIC, {
             "obstruction": "over an elliptic base the anti-canonical bundle is "
                            "pseudo-effective in all three bundle types "
                            "(indecomposable of degree zero or not, decomposable), "
                            "so the canonical bundle is not RC-positive",
         }
-        return ClassificationReport("no", "no", "PositiveReals", CASE_ELLIPTIC, attach)
-    if m <= 2 - 2 * g:
-        attach = certificate or {
+    elif m <= 2 - 2 * g:
+        fired, attach = CASE_1, {
             "obstruction": "tautological bundle effective and anti-canonical "
                            "bundle pseudo-effective, so the canonical bundle is "
                            "not RC-positive",
         }
-        return ClassificationReport("no", "no", "PositiveReals", CASE_1, attach)
-    if m <= 0:
-        fired = CASE_2
-        attach = certificate or {
+    elif m <= 0:
+        fired, attach = CASE_2, {
             "construction": "dual bundle is nef of degree -m in [0, 2g-2); both "
                             "canonical and anti-canonical bundles are RC-positive",
         }
     elif m < 2 * g - 2:
-        fired = CASE_3
-        attach = certificate or {
+        fired, attach = CASE_3, {
             "construction": "bundle is nef of degree m in (0, 2g-2); both "
                             "canonical and anti-canonical bundles are RC-positive",
         }
     else:
-        fired = CASE_4
-        attach = certificate or {
+        fired, attach = CASE_4, {
             "construction": "stable ample bundle; the canonical twist is unitary "
                             "flat and the tautological contribution is negative, "
                             "so both canonical and anti-canonical bundles are "
                             "RC-positive",
         }
-    return ClassificationReport("yes", "unknown", "AllReals", fired, attach)
+    # cases (2)-(4) construct RC-positive metrics on the canonical bundle; the
+    # other branches are obstructions to exactly that
+    kx_rc = fired in (CASE_2, CASE_3, CASE_4)
+    image = total_scalar_image(kx_rc, anti_kx_rc_flag(g)[0], ricci_flat=False)
+    return ClassificationReport("yes" if kx_rc else "no", "unknown" if kx_rc else "no",
+                                image, fired, certificate or attach)
 
 
 def classify_split(g: int, deg_l: int, n: int) -> ClassificationReport:
     """Verdicts for the split projective-bundle model P((L + trivial^(n-1))^*).
 
-    For n = 2 this delegates to the ruled-surface criterion with m = -|deg L|
-    and adds the Kahler verdict: scalar-flat Kahler metrics exist exactly in
-    the polystable case deg L = 0 (with g >= 2); for 0 < |deg L| < 2g - 2 the
-    surface has scalar-flat Hermitian but no scalar-flat Kahler metrics.
+    Hermitian "yes" exactly in_certified_range, with the closed-form
+    split_margin attached.  Scalar-flat Kahler metrics exist exactly in the
+    polystable case deg L = 0 (with g >= 2); for 0 < |deg L| < (2g-2)/(n-1)
+    the model has scalar-flat Hermitian but no scalar-flat Kahler metrics.
 
-    For n > 2 the constructive certificate covers |deg L| < (2g-2)/(n-1)
-    strictly; the verdict is "no" outside that range with the total-scalar
-    image left unknown.
+    For n = 2 the fired case (and every verdict outside the range) comes from
+    the ruled-surface criterion with m = -|deg L|.  For n > 2 the verdict is
+    "no" outside the range with the total-scalar image left unknown.
     """
     if n < 2:
         raise DescriptorError(f"fiber rank n must be at least 2, got {n}")
-    d = abs(int(deg_l))
-    if n == 2:
-        base = classify_ruled(g, m_split_rank2(deg_l))
-        if base.scalar_flat_hermitian == "yes":
-            cert = kx_certificate_split(g, d, 2, resolution=16)
-            kahler = "yes" if d == 0 else "no"
-            attach = {"margin": cert.margin, "strategy": cert.strategy}
-            if d == 0:
-                attach["polystable"] = True
-            return ClassificationReport("yes", kahler, "AllReals", base.fired_case, attach)
-        return base
-    positive_range = g >= 2 and d * (n - 1) < 2 * g - 2
-    if positive_range:
-        cert = kx_certificate_split(g, d, n, resolution=16)
-        kahler = "yes" if d == 0 else "no"
-        attach = {"margin": cert.margin, "strategy": cert.strategy}
-        if d == 0:
-            attach["polystable"] = True
-        return ClassificationReport("yes", kahler, "AllReals", "higher-rank split", attach)
-    return ClassificationReport(
-        "no", "no", "unknown", "higher-rank split (outside certified range)",
-        {"obstruction": f"|deg L| = {d} is not strictly below "
-                        f"(2g-2)/(n-1) = {(2 * g - 2) / (n - 1):g}"})
+    m = m_split_rank2(deg_l)
+    validate_m(m, g)
+    d = -m
+    if not in_certified_range(g, d, n):
+        if n == 2:
+            return classify_ruled(g, m)
+        return ClassificationReport(
+            "no", "no", "unknown", "higher-rank split (outside certified range)",
+            {"obstruction": f"|deg L| = {d} is not strictly below "
+                            f"(2g-2)/(n-1) = {(2 * g - 2) / (n - 1):g}"})
+    attach = {"margin": split_margin(g, d, n), "strategy": "constant"}
+    if d == 0:
+        attach["polystable"] = True
+    fired = classify_ruled(g, m).fired_case if n == 2 else "higher-rank split"
+    return ClassificationReport("yes", "no" if d else "yes", "AllReals", fired, attach)
 
 
 def hirzebruch_anticanonical_h0(k: int) -> int:
@@ -191,8 +182,6 @@ class RuledSurfaceDescriptor:
     n: int = 2
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise DescriptorError(f"genus must be nonnegative, got {self.genus}")
         if self.n < 2:
             raise DescriptorError(f"fiber rank n must be at least 2, got {self.n}")
         if self.m is None and self.split_deg is None:
@@ -209,17 +198,30 @@ class RuledSurfaceDescriptor:
         return self.m if self.m is not None else m_split_rank2(self.split_deg)
 
 
-SURFACE_CLASSES = ("Enriques", "BiElliptic", "K3", "Torus", "Kodaira",
-                   "RationalMinimal", "Hirzebruch", "Ruled", "Inoue", "Hopf",
-                   "VII0_b2_positive")
+_TORSION_CANONICAL = ("{} surfaces have torsion canonical bundle (a power of the "
+                      "canonical bundle is trivial), hence Chern Ricci-flat metrics")
+_EFFECTIVE_ANTICANONICAL = ("{} surfaces have effective anti-canonical bundle, so "
+                            "the canonical bundle is not RC-positive")
 
-_KODAIRA_OF_CLASS = {
-    "Enriques": 0.0, "BiElliptic": 0.0, "K3": 0.0, "Torus": 0.0, "Kodaira": 0.0,
-    "RationalMinimal": -math.inf, "Hirzebruch": -math.inf, "Ruled": -math.inf,
-    "Inoue": -math.inf, "Hopf": -math.inf, "VII0_b2_positive": -math.inf,
+#: class -> (Kodaira dimension, gate verdict, gate reason with "{}" for the
+#: class name); Ruled has no fixed verdict, its gate is the (g, m) criterion
+SURFACE_CLASSES = {
+    "Enriques": (0.0, "admits", _TORSION_CANONICAL),
+    "BiElliptic": (0.0, "admits", _TORSION_CANONICAL),
+    "K3": (0.0, "admits", _TORSION_CANONICAL),
+    "Torus": (0.0, "admits", _TORSION_CANONICAL),
+    "Kodaira": (0.0, "admits", _TORSION_CANONICAL),
+    "RationalMinimal": (-math.inf, "rejected", _EFFECTIVE_ANTICANONICAL),
+    "Hirzebruch": (-math.inf, "rejected", _EFFECTIVE_ANTICANONICAL),
+    "Ruled": (-math.inf, None, None),
+    "Inoue": (-math.inf, "rejected", "Inoue surfaces have semi-positive but not "
+                                     "unitary-flat canonical bundle"),
+    "Hopf": (-math.inf, "rejected",
+             "Hopf surfaces have semi-positive anti-canonical bundle"),
+    "VII0_b2_positive": (-math.inf, "possible_unknown",
+                         "class VII_0 surfaces with positive second Betti number "
+                         "are not completely classified; existence is open"),
 }
-
-_TORSION_CANONICAL = ("Enriques", "BiElliptic", "K3", "Torus", "Kodaira")
 
 
 @dataclass(frozen=True)
@@ -249,10 +251,11 @@ class MinimalSurfaceDescriptor:
                                   "is 0 or -inf")
         if self.surface_class not in SURFACE_CLASSES:
             raise DescriptorError(f"unknown surface class {self.surface_class!r}")
-        if _KODAIRA_OF_CLASS[self.surface_class] != self.kodaira_dim:
+        kodaira_dim = SURFACE_CLASSES[self.surface_class][0]
+        if kodaira_dim != self.kodaira_dim:
             raise DescriptorError(
                 f"class {self.surface_class} has Kodaira dimension "
-                f"{_KODAIRA_OF_CLASS[self.surface_class]}, not {self.kodaira_dim}")
+                f"{kodaira_dim}, not {self.kodaira_dim}")
         if self.surface_class == "Ruled":
             if self.genus is None or self.m is None:
                 raise DescriptorError("Ruled descriptors need genus and m")
@@ -263,7 +266,7 @@ class MinimalSurfaceDescriptor:
                  m: int | None = None) -> "MinimalSurfaceDescriptor":
         if surface_class not in SURFACE_CLASSES:
             raise DescriptorError(f"unknown surface class {surface_class!r}")
-        return cls(kodaira_dim=_KODAIRA_OF_CLASS[surface_class],
+        return cls(kodaira_dim=SURFACE_CLASSES[surface_class][0],
                    surface_class=surface_class, genus=genus, m=m)
 
 
@@ -283,7 +286,8 @@ class GateResult:
 def minimal_surface_gate(descriptor: MinimalSurfaceDescriptor) -> GateResult:
     """Scalar-flat Hermitian gate over the minimal-surface classes.
 
-    Kodaira dimension 1 or 2 is rejected outright.  The five Kodaira-zero
+    Kodaira dimension 1 or 2 is rejected outright; every other class reads
+    its verdict and reason from SURFACE_CLASSES.  The five Kodaira-zero
     classes admit (torsion canonical bundle).  Rational minimal and
     Hirzebruch surfaces are rejected (effective anti-canonical bundle), as
     are Inoue surfaces (canonical bundle semi-positive but not unitary flat)
@@ -296,26 +300,9 @@ def minimal_surface_gate(descriptor: MinimalSurfaceDescriptor) -> GateResult:
                           "positive Kodaira dimension forbids a zero-total-scalar "
                           "Gauduchon metric")
     cls_name = descriptor.surface_class
-    if cls_name in _TORSION_CANONICAL:
-        return GateResult("admits",
-                          f"{cls_name} surfaces have torsion canonical bundle "
-                          "(a power of the canonical bundle is trivial), hence "
-                          "Chern Ricci-flat metrics")
-    if cls_name in ("RationalMinimal", "Hirzebruch"):
-        return GateResult("rejected",
-                          f"{cls_name} surfaces have effective anti-canonical "
-                          "bundle, so the canonical bundle is not RC-positive")
-    if cls_name == "Inoue":
-        return GateResult("rejected",
-                          "Inoue surfaces have semi-positive but not unitary-flat "
-                          "canonical bundle")
-    if cls_name == "Hopf":
-        return GateResult("rejected",
-                          "Hopf surfaces have semi-positive anti-canonical bundle")
-    if cls_name == "VII0_b2_positive":
-        return GateResult("possible_unknown",
-                          "class VII_0 surfaces with positive second Betti number "
-                          "are not completely classified; existence is open")
+    _kodaira_dim, verdict, reason = SURFACE_CLASSES[cls_name]
+    if verdict is not None:
+        return GateResult(verdict, reason.format(cls_name))
     # Ruled
     report = classify_ruled(descriptor.genus, descriptor.m)
     verdict = "admits" if report.scalar_flat_hermitian == "yes" else "rejected"

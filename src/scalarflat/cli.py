@@ -112,16 +112,22 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rc_check(args) -> int:
-    certificate = positivity.kx_certificate_split(
-        args.genus, args.deg_l, args.n, strategy=args.strategy,
-        resolution=args.resolution)
+def _certify(genus: int, deg_l: int, n: int, resolution: int,
+             tol: float = positivity.RC_TOLERANCE) -> tuple[dict, dict | None]:
+    """Constant certificate plus, when it is issued, the eigenvalue scan of
+    the curvature form it certifies."""
+    certificate = positivity.kx_certificate_split(genus, deg_l, n, resolution=resolution)
     scan = None
     if certificate.issued:
         form = positivity.kx_curvature_form(certificate)
-        curve = CurveModel.flat(args.genus, resolution=args.resolution)
-        scan = positivity.rc_scan(form, curve, tolerance=args.tol).to_dict()
-    _emit({"certificate": certificate.to_dict(), "rc_scan": scan})
+        curve = CurveModel.flat(genus, resolution=resolution)
+        scan = positivity.rc_scan(form, curve, tolerance=tol).to_dict()
+    return certificate.to_dict(), scan
+
+
+def _cmd_rc_check(args) -> int:
+    certificate, scan = _certify(args.genus, args.deg_l, args.n, args.resolution, args.tol)
+    _emit({"certificate": certificate, "rc_scan": scan})
     return EXIT_OK
 
 
@@ -179,16 +185,9 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_report(args) -> int:
     classification = classify_split(args.genus, args.deg_l, args.n)
-    certificate = None
-    scan = None
-    d = abs(args.deg_l)
-    if args.genus >= 2 and d * (args.n - 1) < 2 * args.genus - 2:
-        cert = positivity.kx_certificate_split(args.genus, d, args.n,
-                                               resolution=args.resolution)
-        certificate = cert.to_dict()
-        if cert.issued:
-            curve = CurveModel.flat(args.genus, resolution=args.resolution)
-            scan = positivity.rc_scan(positivity.kx_curvature_form(cert), curve).to_dict()
+    certificate = scan = None
+    if positivity.in_certified_range(args.genus, args.deg_l, args.n):
+        certificate, scan = _certify(args.genus, abs(args.deg_l), args.n, args.resolution)
     _emit({"classification": classification.to_dict(),
            "certificate": certificate, "rc_scan": scan})
     return EXIT_OK

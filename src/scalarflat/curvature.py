@@ -51,6 +51,33 @@ def require_real(values: np.ndarray, context: str) -> np.ndarray:
     return values.real
 
 
+def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
+    """Hermitian part of a field of matrices over its last two axes; raises
+    DescriptorError naming `what` for a non-finite entry or an asymmetry above
+    HERMITIAN_INPUT_TOL (relative to the largest entry)."""
+    field = np.asarray(field, dtype=complex)
+    if not np.all(np.isfinite(field)):
+        raise DescriptorError(f"{what} entries must be finite")
+    adjoint = np.conj(np.swapaxes(field, -1, -2))
+    asym = float(np.max(np.abs(field - adjoint)))
+    if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))):
+        raise DescriptorError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
+    adjoint += field
+    adjoint *= 0.5
+    return adjoint
+
+
+def _hermitian_2x2(a11, a22, a12) -> np.ndarray:
+    """(..., 2, 2) Hermitian field with diagonal a11, a22 and upper entry a12."""
+    out = np.zeros(np.broadcast_shapes(np.shape(a11), np.shape(a22), np.shape(a12))
+                   + (2, 2), dtype=complex)
+    out[..., 0, 0] = a11
+    out[..., 1, 1] = a22
+    out[..., 0, 1] = a12
+    out[..., 1, 0] = np.conj(a12)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # bundle curvature over a curve chart
 
@@ -68,9 +95,7 @@ def chern_curvature_matrix(h: np.ndarray, backend: str = fourier.SPECTRAL) -> np
     h = np.asarray(h, dtype=complex)
     if h.ndim != 4 or h.shape[2] != h.shape[3]:
         raise ValueError(f"expected an (n, n, r, r) matrix field, got shape {h.shape}")
-    asym = float(np.max(np.abs(h - np.conj(np.swapaxes(h, 2, 3)))))
-    if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(h)))):
-        raise DescriptorError(f"metric field is not Hermitian (asymmetry {asym:.3e})")
+    h = hermitian_part(h, "metric field")
     eigenvalues = np.linalg.eigvalsh(h)
     if float(eigenvalues.min()) <= 0.0:
         raise DescriptorError(
@@ -165,13 +190,7 @@ class MetricModel4T:
         n = g.shape[0]
         if g.shape[:4] != (n, n, n, n):
             raise DescriptorError(f"expected an equal-resolution grid, got {g.shape[:4]}")
-        if not np.all(np.isfinite(g)):
-            raise DescriptorError("metric entries must be finite")
-        adjoint = np.conj(np.swapaxes(g, 4, 5))
-        asym = float(np.max(np.abs(g - adjoint)))
-        if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(g)))):
-            raise DescriptorError(f"metric is not Hermitian (asymmetry {asym:.3e})")
-        g = 0.5 * (g + adjoint)
+        g = hermitian_part(g, "metric")
         g11 = g[..., 0, 0].real
         g22 = g[..., 1, 1].real
         det = g11 * g22 - np.abs(g[..., 0, 1]) ** 2
@@ -195,20 +214,14 @@ class MetricModel4T:
 
     @classmethod
     def flat(cls, resolution: int) -> "MetricModel4T":
-        g = np.zeros((resolution,) * 4 + (2, 2), dtype=complex)
-        g[..., 0, 0] = 1.0
-        g[..., 1, 1] = 1.0
-        return cls(g)
+        return cls(_hermitian_2x2(1.0, 1.0, np.zeros((resolution,) * 4)))
 
     @classmethod
     def conformal(cls, exponent: np.ndarray) -> "MetricModel4T":
         """Metric e^u * (flat) for a real exponent field u."""
         u = np.asarray(exponent, dtype=float)
         factor = np.exp(u)
-        g = np.zeros(u.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = factor
-        g[..., 1, 1] = factor
-        return cls(g)
+        return cls(_hermitian_2x2(factor, factor, np.zeros(u.shape)))
 
     @classmethod
     def from_kahler_potential(cls, phi: np.ndarray,
@@ -216,12 +229,7 @@ class MetricModel4T:
         """Perturbation of the flat metric by the complex Hessian of a potential."""
         phi = np.asarray(phi, dtype=float)
         d11, d22, d12 = fourier.ddbar4_components(phi, backend)
-        g = np.zeros(phi.shape + (2, 2), dtype=complex)
-        g[..., 0, 0] = 1.0 + d11
-        g[..., 1, 1] = 1.0 + d22
-        g[..., 0, 1] = d12
-        g[..., 1, 0] = np.conj(d12)
-        return cls(g)
+        return cls(_hermitian_2x2(1.0 + d11, 1.0 + d22, d12))
 
     def rescaled(self, exponent: np.ndarray) -> "MetricModel4T":
         """Conformally rescaled metric e^w * g for a real field w."""
@@ -241,13 +249,7 @@ class RicciField:
         ric = np.asarray(self.ric, dtype=complex)
         if ric.ndim != 6 or ric.shape[4:] != (2, 2):
             raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {ric.shape}")
-        if not np.all(np.isfinite(ric)):
-            raise DescriptorError("Ricci components must be finite")
-        adjoint = np.conj(np.swapaxes(ric, 4, 5))
-        asym = float(np.max(np.abs(ric - adjoint)))
-        if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(ric)))):
-            raise DescriptorError(f"Ricci field is not Hermitian (asymmetry {asym:.3e})")
-        object.__setattr__(self, "ric", _freeze(0.5 * (ric + adjoint)))
+        object.__setattr__(self, "ric", _freeze(hermitian_part(ric, "Ricci field")))
 
 
 def _ricci_components(metric: MetricModel4T, backend: str):
@@ -264,13 +266,7 @@ def _ricci_components(metric: MetricModel4T, backend: str):
 
 def chern_ricci(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> RicciField:
     """Chern-Ricci curvature: ric_ij = -d^2 log det(g) / (dz^i dzbar^j)."""
-    r11, r22, r12 = _ricci_components(metric, backend)
-    ric = np.zeros(metric.g.shape, dtype=complex)
-    ric[..., 0, 0] = r11
-    ric[..., 1, 1] = r22
-    ric[..., 0, 1] = r12
-    ric[..., 1, 0] = np.conj(r12)
-    return RicciField(ric)
+    return RicciField(_hermitian_2x2(*_ricci_components(metric, backend)))
 
 
 def chern_scalar(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> np.ndarray:
@@ -410,13 +406,12 @@ def load_metric(manifest_path) -> MetricModel4T:
     for component in _COMPONENT_FILES:
         fname = manifest["components"][component]
         parts[component] = _read_grid_csv(directory / fname, component)
-    n = manifest["resolution"]
-    g = np.zeros((n, n, n, n, 2, 2), dtype=complex)
-    g[..., 0, 0] = parts["11"]
-    g[..., 1, 1] = parts["22"]
-    g[..., 0, 1] = parts["12re"] + 1j * parts["12im"]
-    g[..., 1, 0] = np.conj(g[..., 0, 1])
-    return MetricModel4T(g)
+        if parts[component].shape[0] != manifest["resolution"]:
+            raise DescriptorError(
+                f"{directory / fname}: grid resolution {parts[component].shape[0]} "
+                f"disagrees with the manifest's {manifest['resolution']}")
+    return MetricModel4T(_hermitian_2x2(parts["11"], parts["22"],
+                                       parts["12re"] + 1j * parts["12im"]))
 
 
 def save_field4(path, values: np.ndarray, label: str = "f") -> None:

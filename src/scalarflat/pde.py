@@ -160,7 +160,7 @@ class TraceOperator:
 class ConformalSolution:
     """Conformal potential with its verification data.
 
-    residual is max |s| of the rescaled metric e^(f/n) omega recomputed from
+    residual is max |s| of the rescaled metric e^(f/2) omega recomputed from
     scratch; solve_residual is max |s_G - tr ddbar f| of the linear solve."""
 
     f: np.ndarray
@@ -176,23 +176,23 @@ class ConformalSolution:
         object.__setattr__(self, "f", _freeze(f))
 
 
-def conformal_scalar_flat(metric: MetricModel4T, n: int = 2,
+def conformal_scalar_flat(metric: MetricModel4T,
                           tol: float = SOLVE_TOL,
                           max_iterations: int = 10000,
                           check_compat: bool = True,
                           verify_tol: float = VERIFY_TOL,
                           backend: str = fourier.SPECTRAL) -> ConformalSolution:
-    """Produce f with s(e^(f/n) omega) = 0 from a zero-total-scalar Gauduchon
-    metric.
+    """Produce f with s(e^(f/2) omega) = 0 from a zero-total-scalar Gauduchon
+    metric in complex dimension two.
 
     Solves s_G = tr_omega ddbar f to the requested max-norm residual, then
-    rescales and recomputes the scalar curvature of e^(f/n) omega as an
+    rescales and recomputes the scalar curvature of e^(f/2) omega as an
     independent end-to-end check.  check_compat=False skips the Gauduchon and
     total-scalar gates (test hook); incompatible data then surfaces as
-    ConvergenceError instead of returning garbage.
+    ConvergenceError instead of returning garbage.  Iterations count the
+    BiCGStab steps begun: a full step applies the preconditioner twice, a
+    step that converges at its half step (unseen by scipy's callback) once.
     """
-    if n != 2:
-        raise ValueError("the honest-metric engine works in complex dimension 2")
     if check_compat:
         flag, residual = is_gauduchon(metric, backend)
         if not flag:
@@ -217,10 +217,15 @@ def conformal_scalar_flat(metric: MetricModel4T, n: int = 2,
     stalls = 0
     rmax = float(np.max(np.abs(defect)))
 
+    preconditioned = [0]    # preconditioner applications in the current round
+
+    def precondition(v):
+        preconditioned[0] += 1
+        return op.precondition(v.reshape(shape)).ravel()
+
     a_op = LinearOperator((size, size), dtype=float,
                           matvec=lambda v: op.apply(v.reshape(shape)).ravel())
-    m_op = LinearOperator((size, size), dtype=float,
-                          matvec=lambda v: op.precondition(v.reshape(shape)).ravel())
+    m_op = LinearOperator((size, size), dtype=float, matvec=precondition)
 
     while rmax >= tol:
         if rounds >= _MAX_ROUNDS or stalls >= 2:
@@ -233,12 +238,11 @@ def conformal_scalar_flat(metric: MetricModel4T, n: int = 2,
                 f"at residual {rmax:.3e} (target {tol:.1e})")
         defect_l2 = float(np.linalg.norm(defect.ravel()))
         inner_rtol = min(3e-2, max(1e-9, 0.3 * tol / max(defect_l2, 1e-300)))
-        counter = [0]
+        preconditioned[0] = 0
         update, _info = bicgstab(
             a_op, defect.ravel(), M=m_op, rtol=inner_rtol, atol=0.0,
-            maxiter=min(_INNER_MAXITER, max_iterations - iterations),
-            callback=lambda _xk: counter.__setitem__(0, counter[0] + 1))
-        iterations += counter[0]
+            maxiter=min(_INNER_MAXITER, max_iterations - iterations))
+        iterations += (preconditioned[0] + 1) // 2
         rounds += 1
         candidate = f + update.reshape(shape)
         candidate -= candidate.mean()
@@ -256,7 +260,7 @@ def conformal_scalar_flat(metric: MetricModel4T, n: int = 2,
             stalls = 0
 
     solve_residual = rmax
-    rescaled = metric.rescaled(f / n)
+    rescaled = metric.rescaled(f / 2.0)
     end_to_end = float(np.max(np.abs(chern_scalar(rescaled, backend))))
     if end_to_end > verify_tol:
         raise ConvergenceError(

@@ -38,6 +38,18 @@ def default_fiber_samples(count: int = DEFAULT_FIBER_SAMPLES) -> np.ndarray:
     return np.linspace(0.0, 1.0, count)
 
 
+def in_certified_range(g: int, deg_l: int, n: int) -> bool:
+    """Existence condition for the split model P((L + trivial^(n-1))^*):
+    g >= 2 and (n-1) |deg L| < 2g - 2, tested in integers."""
+    return g >= 2 and (n - 1) * abs(deg_l) < 2 * g - 2
+
+
+def split_margin(g: int, deg_l: int, n: int) -> float:
+    """Closed-form margin pi (2g - 2 - (n-1) |deg L|) of the constant certificate,
+    in the float order of its grid minimum gamma - (n-1) kappa (bit-equal)."""
+    return np.pi * (2 * g - 2) - (n - 1) * (np.pi * abs(deg_l))
+
+
 @dataclass(frozen=True)
 class RCReport:
     """Result of a pointwise max-eigenvalue scan of a block (1,1)-form."""
@@ -91,9 +103,9 @@ class Certificate:
     a split projective-bundle model.
 
     margin is the grid minimum of gamma - (n-1) * kappa; the certificate is
-    issued when the margin is positive and kappa is pointwise nonnegative
-    (the regime in which that minimum bounds the base eigenvalue from below
-    over the whole fiber)."""
+    issued when kappa is pointwise nonnegative (the regime in which that
+    minimum bounds the base eigenvalue from below over the whole fiber) and
+    the margin is positive, or for the constant strategy in_certified_range."""
 
     genus: int
     deg_l: int
@@ -138,10 +150,11 @@ def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
     RC-positive, for a genus-g base and deg L = deg_l >= 0.
 
     The constant strategy takes kappa = pi * deg_l and gamma = pi (2g - 2),
-    so the margin is pi (2g - 2 - (n-1) deg_l) and the certificate is issued
-    exactly when that is positive.  The prescribed strategy accepts target
-    densities with the correct integrals and re-verifies positivity
-    pointwise, failing with a witness otherwise.
+    so the margin is split_margin and the certificate is issued exactly
+    in_certified_range, which roundoff in the margin cannot flip on the
+    boundary.  The prescribed strategy accepts target densities with the
+    correct integrals and re-verifies positivity pointwise, failing with a
+    witness otherwise.
     """
     if g < 2:
         raise DescriptorError(f"certificate construction needs genus >= 2, got {g}")
@@ -171,7 +184,7 @@ def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
     margin = float(np.min(combined))
 
     witness = None
-    issued = margin > 0.0
+    issued = in_certified_range(g, deg_l, n) if strategy == "constant" else margin > 0.0
     kappa_min = float(np.min(kappa))
     if kappa_min < 0.0:
         # semi-positivity of kappa is part of the construction; without it the

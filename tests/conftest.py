@@ -1,7 +1,12 @@
 import numpy as np
+from hypothesis import settings
 
 from scalarflat import MetricModel4T
 from scalarflat.fourier import wavenumbers_no_nyquist
+
+# property tests draw the same examples on every run, so tier-1 is reproducible
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def coords4(n):

@@ -107,6 +107,12 @@ def test_classify_split_higher_rank():
         classify_split(2, 1, 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_split_rejects_negative_genus_for_every_rank(n):
+    with pytest.raises(DescriptorError, match="genus must be nonnegative"):
+        classify_split(-1, 0, n)
+
+
 def test_total_scalar_image_table():
     assert total_scalar_image(True, True, False) == "AllReals"
     assert total_scalar_image(False, True, False) == "PositiveReals"

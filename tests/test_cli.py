@@ -61,6 +61,28 @@ def test_rc_check(capsys):
     assert code == 2
 
 
+def test_rc_check_on_the_boundary_issues_nothing(capsys):
+    # (n-1) |deg L| = 2g - 2 with a float margin of +2.8e-14
+    argv = ["--genus", "34", "--deg-l", "22", "--n", "4"]
+    code, payload = run_json(capsys, ["rc-check"] + argv)
+    assert code == 0
+    assert payload["certificate"]["margin"] > 0.0
+    assert not payload["certificate"]["issued"]
+    assert payload["rc_scan"] is None
+    code, payload = run_json(capsys, ["classify", "split"] + argv)
+    assert code == 0
+    assert payload["scalar_flat_hermitian"] == "no"
+
+
+@pytest.mark.parametrize("command", [["classify", "split"], ["report"]])
+def test_negative_genus_exits_2_for_every_rank(capsys, command):
+    for n in ("2", "3", "4"):
+        code, payload = run_json(capsys, command + ["--genus", "-1", "--deg-l", "0",
+                                                    "--n", n])
+        assert code == 2
+        assert payload["error"] == "DescriptorError"
+
+
 def test_report_combines_pipeline(capsys):
     code, payload = run_json(capsys, ["report", "--genus", "6", "--deg-l", "5",
                                       "--n", "2", "--resolution", "16"])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import coords4, kahler_test_potential, random_metric, trig_field4
@@ -106,6 +108,17 @@ def test_curvature_matrix_rejects_bad_input():
     bad[..., 0, 0] += 1j  # not Hermitian
     with pytest.raises(DescriptorError):
         chern_curvature_matrix(bad)
+
+
+def test_curvature_matrix_rejects_non_finite_entries():
+    h = diag_metric_field(16, [np.zeros((16, 16)), np.zeros((16, 16))])
+    inf_diagonal = h.copy()
+    inf_diagonal[3, 5, 0, 0] = np.inf
+    nan_pair = h.copy()
+    nan_pair[3, 5, 0, 1] = nan_pair[3, 5, 1, 0] = np.nan
+    for bad in (inf_diagonal, nan_pair):
+        with pytest.raises(DescriptorError, match="finite"):
+            chern_curvature_matrix(bad)
 
 
 def _split_bundle(curve, degrees_and_fields):
@@ -314,3 +327,12 @@ def test_metric_csv_round_trip(tmp_path):
     manifest = save_metric(metric, tmp_path / "metric")
     loaded = load_metric(manifest)
     assert np.max(np.abs(loaded.g - metric.g)) < 1e-15
+
+
+def test_metric_manifest_resolution_must_match_its_grids(tmp_path):
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    doc = json.loads(manifest.read_text())
+    doc["resolution"] = 9
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DescriptorError, match="resolution 8"):
+        load_metric(manifest)

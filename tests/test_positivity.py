@@ -13,7 +13,7 @@ from scalarflat import (
     rc_scan,
 )
 from scalarflat.geom_core import grid_coordinates
-from scalarflat.positivity import default_fiber_samples
+from scalarflat.positivity import default_fiber_samples, in_certified_range, split_margin
 
 
 def test_rc_scan_zero_form():
@@ -88,6 +88,34 @@ def test_certificate_failure_consistency():
             for n in (2, 3):
                 cert = kx_certificate_split(g, deg_l, n, resolution=16)
                 assert cert.issued == ((n - 1) * deg_l < 2 * g - 2)
+
+
+def boundary_triples(max_genus):
+    """Every (g, deg L, n) on the excluded boundary (n-1) deg L = 2g - 2, g < max_genus."""
+    return [(g, (2 * g - 2) // k, k + 1) for g in range(2, max_genus)
+            for k in range(1, 2 * g - 1) if (2 * g - 2) % k == 0]
+
+
+def test_constant_certificate_is_never_issued_on_the_boundary():
+    # the grid margin pi (2g-2) - (n-1) (pi d) is +2.8e-14, not 0, at (34, 22, 4)
+    # and five more of these triples; issuance follows the integer range test
+    triples = boundary_triples(60)
+    assert len(triples) == 391
+    assert kx_certificate_split(34, 22, 4, resolution=8).margin > 0.0
+    for g, deg_l, n in triples:
+        assert not in_certified_range(g, deg_l, n)
+        cert = kx_certificate_split(g, deg_l, n, resolution=8)
+        assert not cert.issued, (g, deg_l, n, cert.margin)
+        assert cert.witness["violation"] == "margin not positive"
+
+
+def test_split_margin_matches_the_constant_grid_minimum_bit_for_bit():
+    for g in range(2, 40, 3):
+        for deg_l in range(0, 60, 7):
+            for n in (2, 3, 4, 5):
+                cert = kx_certificate_split(g, deg_l, n, resolution=8)
+                assert split_margin(g, deg_l, n) == cert.margin
+                assert split_margin(g, -deg_l, n) == cert.margin
 
 
 def test_certificate_margin_monotonicity():
