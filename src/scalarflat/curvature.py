@@ -14,7 +14,10 @@ curvature integral(s omega^2) is computed as 8 * mean(s * det g).
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +61,8 @@ def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
     field = np.asarray(field, dtype=complex)
     if not np.all(np.isfinite(field)):
         raise DescriptorError(f"{what} entries must be finite")
-    adjoint = np.conj(np.swapaxes(field, -1, -2))
+    # C order, so the result is laid out like a fresh field and can be frozen in place
+    adjoint = np.conj(np.swapaxes(field, -1, -2), order="C")
     asym = float(np.max(np.abs(field - adjoint)))
     if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))):
         raise DescriptorError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
@@ -203,9 +207,10 @@ class MetricModel4T:
         inverse[..., 1, 1] = g11 / det
         inverse[..., 0, 1] = -g[..., 0, 1] / det
         inverse[..., 1, 0] = -g[..., 1, 0] / det
-        object.__setattr__(self, "g", _freeze(g))
-        object.__setattr__(self, "det", _freeze(det))
-        object.__setattr__(self, "inverse", _freeze(inverse))
+        # all three arrays were created above, so they are frozen without a copy
+        for name, field in (("g", g), ("det", det), ("inverse", inverse)):
+            field.setflags(write=False)
+            object.__setattr__(self, name, field)
         object.__setattr__(self, "_derived", {})
 
     @property
@@ -353,20 +358,49 @@ _COMPONENT_FILES = {
     "12re": "g12_re.csv",
     "12im": "g12_im.csv",
 }
+#: binary twin of a metric's CSVs: each grid, plus the sha256 of its CSV
+_TWIN_FILE = "metric.npz"
+#: what np.load raises on a twin that is missing, truncated or not an npz
+_TWIN_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
 
 
-def _write_grid_csv(path: Path, values: np.ndarray, component: str) -> None:
+def _write_grid_csv(path: Path, values: np.ndarray, component: str) -> str:
+    """Write a real (n, n, n, n) grid byte for byte as np.savetxt writes its
+    (n^3, n) flattening with delimiter "," and header "N=n component=..",
+    one x1-slab at a time; returns the sha256 of the bytes written."""
     n = values.shape[0]
-    flat = values.reshape(n ** 3, n)
-    header = f"N={n} component={component}"
-    np.savetxt(path, flat, delimiter=",", header=header)
+    if values.shape != (n, n, n, n):
+        raise ValueError(f"expected an (n, n, n, n) grid, got shape {values.shape}")
+    slab_format = (",".join(["%.18e"] * n) + "\n") * (n * n)
+    digest = hashlib.sha256()
+    with open(path, "wb") as handle:
+        for text in itertools.chain(
+                [f"# N={n} component={component}\n"],
+                (slab_format % tuple(slab.ravel().tolist()) for slab in values)):
+            data = text.encode("ascii")
+            digest.update(data)
+            handle.write(data)
+    return digest.hexdigest()
 
 
-def _read_grid_csv(path: Path, component: str) -> np.ndarray:
+def _file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for block in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _read_grid_csv(path: Path, component: str, grid: np.ndarray | None = None) -> np.ndarray:
+    """The (n, n, n, n) grid of a CSV written by _write_grid_csv.  `grid`, if
+    given, is a copy of the file's values known to match its bytes, and
+    stands in for the parse; the header check runs either way."""
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
     if f"component={component}" not in first:
         raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
+    if grid is not None:
+        return grid
     flat = np.loadtxt(path, delimiter=",", comments="#")
     n = flat.shape[1]
     if flat.shape != (n ** 3, n):
@@ -374,9 +408,48 @@ def _read_grid_csv(path: Path, component: str) -> np.ndarray:
     return flat.reshape(n, n, n, n)
 
 
+def _read_twin(path: Path, resolution: int) -> dict[str, tuple[str, np.ndarray]]:
+    """component -> (sha256 of its CSV, grid) from the binary twin at `path`,
+    keeping only float64 grids at the manifest's resolution; empty for a
+    twin that cannot be read (missing, truncated, not an npz archive)."""
+    try:
+        twin = np.load(path, allow_pickle=False)
+        if not isinstance(twin, np.lib.npyio.NpzFile):
+            return {}
+        with twin:
+            entries = {c: (str(twin[f"{c}_sha256"]), twin[c]) for c in _COMPONENT_FILES}
+    except _TWIN_ERRORS:
+        return {}
+    return {c: (digest, grid) for c, (digest, grid) in entries.items()
+            if grid.dtype == np.dtype(float) and grid.shape == (resolution,) * 4}
+
+
+def _manifest_fields(manifest, path: Path) -> tuple[int, dict[str, str], str | None]:
+    """(resolution, component -> CSV file name, twin file name or None) of a
+    metric manifest; DescriptorError for a missing or mistyped field."""
+    if not isinstance(manifest, dict):
+        raise DescriptorError(f"{path}: a metric manifest must be a JSON object")
+    resolution = manifest.get("resolution")
+    if not isinstance(resolution, int) or isinstance(resolution, bool):
+        raise DescriptorError(f"{path}: 'resolution' must be an integer, got {resolution!r}")
+    components = manifest.get("components")
+    if not isinstance(components, dict):
+        raise DescriptorError(f"{path}: 'components' must map each component to a CSV file")
+    files = {}
+    for component in _COMPONENT_FILES:
+        files[component] = components.get(component)
+        if not isinstance(files[component], str):
+            raise DescriptorError(
+                f"{path}: 'components' names no CSV file for component {component!r}")
+    binary = manifest.get("binary")
+    if "binary" in manifest and not isinstance(binary, str):
+        raise DescriptorError(f"{path}: 'binary' must be a file name, got {binary!r}")
+    return resolution, files, binary
+
+
 def save_metric(metric: MetricModel4T, directory) -> Path:
-    """Write metric components as CSV grids plus a JSON manifest; returns the
-    manifest path."""
+    """Write metric components as CSV grids, their binary twin and a JSON
+    manifest; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     g = metric.g
@@ -386,10 +459,13 @@ def save_metric(metric: MetricModel4T, directory) -> Path:
         "12re": g[..., 0, 1].real,
         "12im": g[..., 0, 1].imag,
     }
-    manifest = {"resolution": metric.resolution, "components": {}}
+    manifest = {"resolution": metric.resolution, "components": {}, "binary": _TWIN_FILE}
+    digests = {}
     for component, fname in _COMPONENT_FILES.items():
-        _write_grid_csv(directory / fname, fields[component], component)
+        digests[f"{component}_sha256"] = _write_grid_csv(
+            directory / fname, fields[component], component)
         manifest["components"][component] = fname
+    np.savez(directory / _TWIN_FILE, **fields, **digests)
     manifest_path = directory / "metric.json"
     with open(manifest_path, "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2)
@@ -398,18 +474,27 @@ def save_metric(metric: MetricModel4T, directory) -> Path:
 
 
 def load_metric(manifest_path) -> MetricModel4T:
+    """Read a metric written by save_metric.  The CSVs are authoritative: a
+    grid comes from the binary twin only when the sha256 of its CSV on disk
+    equals the digest the twin stores for it (the twin then holds exactly the
+    values the CSV parses to); otherwise the CSV is parsed."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, "r", encoding="utf-8") as handle:
         manifest = json.load(handle)
+    resolution, files, binary = _manifest_fields(manifest, manifest_path)
     directory = manifest_path.parent
+    twin = _read_twin(directory / binary, resolution) if binary is not None else {}
     parts = {}
-    for component in _COMPONENT_FILES:
-        fname = manifest["components"][component]
-        parts[component] = _read_grid_csv(directory / fname, component)
-        if parts[component].shape[0] != manifest["resolution"]:
+    for component, fname in files.items():
+        path = directory / fname
+        digest, grid = twin.get(component, (None, None))
+        if grid is not None and _file_sha256(path) != digest:
+            grid = None
+        parts[component] = _read_grid_csv(path, component, grid)
+        if parts[component].shape[0] != resolution:
             raise DescriptorError(
-                f"{directory / fname}: grid resolution {parts[component].shape[0]} "
-                f"disagrees with the manifest's {manifest['resolution']}")
+                f"{path}: grid resolution {parts[component].shape[0]} "
+                f"disagrees with the manifest's {resolution}")
     return MetricModel4T(_hermitian_2x2(parts["11"], parts["22"],
                                        parts["12re"] + 1j * parts["12im"]))
 

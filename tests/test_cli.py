@@ -164,6 +164,26 @@ def test_missing_metric_file_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.pop("resolution"),
+    lambda doc: doc.update(resolution="8"),
+    lambda doc: doc.update(resolution=8.0),
+    lambda doc: doc.pop("components"),
+    lambda doc: doc["components"].pop("12im"),
+    lambda doc: doc.update(binary=5),
+], ids=["no resolution", "string resolution", "float resolution", "no components",
+        "missing component", "non-string binary"])
+def test_malformed_manifest_exits_2(tmp_path, capsys, edit):
+    manifest = save_metric(MetricModel4T.flat(4), tmp_path / "metric")
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    code, payload = run_json(capsys, ["curvature", "--metric", str(manifest)])
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert str(manifest) in payload["message"]
+
+
 def test_malformed_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.02))
     manifest = save_metric(metric, tmp_path / "metric")

@@ -1,4 +1,5 @@
-"""Byte-identical CLI outputs for valid and invalid input.
+"""Byte-identical CLI outputs for valid and invalid input, and byte-identical
+files from the metric and solve pipeline.
 
 golden_cli_digests.json holds, for a fixed sweep of theory queries, the
 sha256 of each query's exit code and stdout as a reference commit printed
@@ -6,6 +7,13 @@ them.  A change that should not alter behaviour must reproduce every digest.
 Regenerate the file only from the reference commit's source tree:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+GOLDEN_FILES pins the CSV interchange format the same way: the sha256 of
+the CSVs and manifest save_metric writes for one fixed metric and of the
+potential CSV `solve` writes from them.  The binary twin is left out: its
+zip entries carry write times.  The digests depend on the
+floating-point results of the numpy and scipy builds in use (recorded with
+numpy 2.4.6 and scipy 1.17.1 on x86_64).
 """
 
 import contextlib
@@ -15,9 +23,30 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+from conftest import kahler_test_potential
+
+from scalarflat import MetricModel4T
 from scalarflat.cli import run
+from scalarflat.curvature import save_metric
 
 GOLDEN = Path(__file__).with_name("golden_cli_digests.json")
+
+#: sha256 of each file written for the mild Kahler metric at N=8; metric.json
+#: is the manifest that names the binary twin, the others date from before it
+GOLDEN_FILES = {
+    "metric/g11.csv": "1969fff195cb55cfc06dcbb6e2873a2ab7703aa5e7ba1bc0bf4deb6e9eeca9c4",
+    "metric/g22.csv": "0e023e114083f877218600faf3bcc2ec92a0e1f08b67b8389dfaadb045ace8db",
+    "metric/g12_re.csv": "3a3febb30414e1d78987c036997a6edac1da297d07fc1829da4b67264724b38a",
+    "metric/g12_im.csv": "2b0264abe4c688ae74ec06c6aad615ec0e468382c3bb7d15a45a2c1f42d7069b",
+    "metric/metric.json": "15325cd6fb5b560c456bdf563b5df6e02ef9a09b219b5747f1abde9c22738445",
+    "solution.f.csv": "d7f7cfcd8eed82aab18069090a9c2cf213a9097262cab5fcaa376c818a7dd950",
+}
+#: sha256 of exit code and stdout of `curvature` and `solve` on those files
+GOLDEN_STDOUT = {
+    "curvature": "2bc6a01fcb246ae96a381c34a0ab5c77baeb01e2103318d3169509a5fad00f0d",
+    "solve": "1f8b855f70bfe6b04e84db63c2a2e179c3b1b85bf5ccebb3c3aae4b299111d44",
+}
 
 
 def sweep() -> list[list[str]]:
@@ -71,6 +100,20 @@ def test_cli_outputs_match_the_golden_digests():
     for argv in queries:
         assert digest(argv) == golden[" ".join(argv)], \
             f"output of `scalarflat {' '.join(argv)}` differs from the reference"
+
+
+def test_metric_and_solution_files_match_the_golden_digests(tmp_path):
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
+    manifest = str(save_metric(metric, tmp_path / "metric"))
+    stdout = {
+        "curvature": digest(["curvature", "--metric", manifest]),
+        "solve": digest(["solve", "scalar-flat", "--metric", manifest,
+                         "--out", str(tmp_path / "solution.json")]),
+    }
+    files = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+             for name in GOLDEN_FILES}
+    assert files == GOLDEN_FILES
+    assert stdout == GOLDEN_STDOUT
 
 
 if __name__ == "__main__":
