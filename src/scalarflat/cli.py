@@ -211,7 +211,7 @@ def run(argv) -> int:
     try:
         return handlers[args.command](args)
     except (DescriptorError, DegreeError, NagataViolation, SolvabilityError,
-            FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+            OSError, json.JSONDecodeError, ValueError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INVALID
     except NumericalInconsistencyError as exc:

@@ -229,11 +229,10 @@ class MetricModel4T:
         return cls(_hermitian_2x2(factor, factor, np.zeros(u.shape)))
 
     @classmethod
-    def from_kahler_potential(cls, phi: np.ndarray,
-                              backend: str = fourier.SPECTRAL) -> "MetricModel4T":
+    def from_kahler_potential(cls, phi: np.ndarray) -> "MetricModel4T":
         """Perturbation of the flat metric by the complex Hessian of a potential."""
         phi = np.asarray(phi, dtype=float)
-        d11, d22, d12 = fourier.ddbar4_components(phi, backend)
+        d11, d22, d12 = fourier.ddbar4_components(phi)
         return cls(_hermitian_2x2(1.0 + d11, 1.0 + d22, d12))
 
     def rescaled(self, exponent: np.ndarray) -> "MetricModel4T":
@@ -257,30 +256,28 @@ class RicciField:
         object.__setattr__(self, "ric", _freeze(hermitian_part(ric, "Ricci field")))
 
 
-def _ricci_components(metric: MetricModel4T, backend: str):
+def _ricci_components(metric: MetricModel4T):
     """(R11, R22, R12) of -ddbar log det g, memoized on the metric."""
-    key = ("ricci-components", backend)
-    cached = metric._derived.get(key)
+    cached = metric._derived.get("ricci-components")
     if cached is None:
         log_det = np.log(metric.det)
-        d11, d22, d12 = fourier.ddbar4_components(log_det, backend)
+        d11, d22, d12 = fourier.ddbar4_components(log_det)
         cached = (-d11, -d22, -d12)
-        metric._derived[key] = cached
+        metric._derived["ricci-components"] = cached
     return cached
 
 
-def chern_ricci(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> RicciField:
+def chern_ricci(metric: MetricModel4T) -> RicciField:
     """Chern-Ricci curvature: ric_ij = -d^2 log det(g) / (dz^i dzbar^j)."""
-    return RicciField(_hermitian_2x2(*_ricci_components(metric, backend)))
+    return RicciField(_hermitian_2x2(*_ricci_components(metric)))
 
 
-def chern_scalar(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> np.ndarray:
+def chern_scalar(metric: MetricModel4T) -> np.ndarray:
     """Chern scalar curvature s = g^{i jbar} ric_{i jbar} (real field)."""
-    key = ("scalar", backend)
-    cached = metric._derived.get(key)
+    cached = metric._derived.get("scalar")
     if cached is not None:
         return cached
-    r11, r22, r12 = _ricci_components(metric, backend)
+    r11, r22, r12 = _ricci_components(metric)
     inv = metric.inverse
     w11 = inv[..., 0, 0].real
     w22 = inv[..., 1, 1].real
@@ -288,17 +285,17 @@ def chern_scalar(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> np.n
     cross = inv[..., 0, 1]
     s = w11 * r11 + w22 * r22 + 2.0 * (cross.real * r12.real + cross.imag * r12.imag)
     s = require_real(s, "chern_scalar")
-    metric._derived[key] = _freeze(s)
-    return metric._derived[key]
+    metric._derived["scalar"] = _freeze(s)
+    return metric._derived["scalar"]
 
 
-def total_scalar(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> float:
+def total_scalar(metric: MetricModel4T) -> float:
     """Total Chern scalar curvature integral(s omega^2) over the 4-torus.
 
     Also evaluates the wedge expression 2 integral(Ric ^ omega) and raises
     NumericalInconsistencyError if the two disagree beyond tolerance.
     """
-    trace_route, wedge_route = total_scalar_routes(metric, backend)
+    trace_route, wedge_route = total_scalar_routes(metric)
     if abs(trace_route - wedge_route) > TOTAL_SCALAR_CROSS_TOL:
         raise NumericalInconsistencyError(
             f"total scalar cross-check failed: trace route {trace_route!r} vs "
@@ -306,12 +303,11 @@ def total_scalar(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> floa
     return trace_route
 
 
-def total_scalar_routes(metric: MetricModel4T,
-                        backend: str = fourier.SPECTRAL) -> tuple[float, float]:
+def total_scalar_routes(metric: MetricModel4T) -> tuple[float, float]:
     """Both defining expressions of the total scalar curvature."""
-    s = chern_scalar(metric, backend)
+    s = chern_scalar(metric)
     trace_route = 8.0 * float(np.mean(s * metric.det))
-    r11, r22, r12 = _ricci_components(metric, backend)
+    r11, r22, r12 = _ricci_components(metric)
     g = metric.g
     wedge = (r11 * g[..., 1, 1].real + r22 * g[..., 0, 0].real
              - 2.0 * (r12 * np.conj(g[..., 0, 1])).real)
@@ -319,14 +315,13 @@ def total_scalar_routes(metric: MetricModel4T,
     return trace_route, wedge_route
 
 
-def conformal_ricci(ric: RicciField, f: np.ndarray, n: int,
-                    backend: str = fourier.SPECTRAL) -> RicciField:
+def conformal_ricci(ric: RicciField, f: np.ndarray, n: int) -> RicciField:
     """Ricci curvature after the conformal change omega -> e^f omega in
     complex dimension n: returns ric - n * ddbar f componentwise."""
     f = np.asarray(f, dtype=float)
     if f.shape != ric.ric.shape[:4]:
         raise ValueError(f"conformal factor shape {f.shape} does not match {ric.ric.shape[:4]}")
-    d11, d22, d12 = fourier.ddbar4_components(f, backend)
+    d11, d22, d12 = fourier.ddbar4_components(f)
     out = np.array(ric.ric)
     out[..., 0, 0] -= n * d11
     out[..., 1, 1] -= n * d22
@@ -335,10 +330,10 @@ def conformal_ricci(ric: RicciField, f: np.ndarray, n: int,
     return RicciField(out)
 
 
-def curvature_report(metric: MetricModel4T, backend: str = fourier.SPECTRAL) -> dict:
+def curvature_report(metric: MetricModel4T) -> dict:
     """Machine-readable scalar-curvature report for a metric."""
-    s = chern_scalar(metric, backend)
-    trace_route, wedge_route = total_scalar_routes(metric, backend)
+    s = chern_scalar(metric)
+    trace_route, wedge_route = total_scalar_routes(metric)
     return {
         "min": float(s.min()),
         "max": float(s.max()),

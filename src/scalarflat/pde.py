@@ -29,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 from . import fourier
 from .curvature import MetricModel4T, chern_scalar, total_scalar, total_scalar_routes
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
-from .geom_core import LineBundleModel, _freeze, integrate
+from .geom_core import MIN_RESOLUTION, LineBundleModel, _freeze, integrate
 
 #: compatibility gate on mean(rho) for the Poisson solve
 POISSON_MEAN_TOL = 1e-8
@@ -39,14 +39,14 @@ GAUDUCHON_TOL = 1e-8
 TOTAL_SCALAR_GATE = 1e-6
 #: default equation-residual target of the conformal solve (max norm)
 SOLVE_TOL = 1e-10
-#: default verification bound on max |s| of the rescaled metric
+#: verification bound on max |s| of the rescaled metric
 VERIFY_TOL = 1e-6
 
 _MAX_ROUNDS = 24
 _INNER_MAXITER = 250
 
 
-def poisson_periodic(rho: np.ndarray, mean_tol: float = POISSON_MEAN_TOL) -> np.ndarray:
+def poisson_periodic(rho: np.ndarray) -> np.ndarray:
     """Solve Laplacian(u) = rho on the periodic unit cube; u has zero mean.
 
     The Fredholm compatibility condition mean(rho) = 0 is enforced up front;
@@ -55,10 +55,10 @@ def poisson_periodic(rho: np.ndarray, mean_tol: float = POISSON_MEAN_TOL) -> np.
     """
     rho = np.asarray(rho, dtype=float)
     mean = float(np.mean(rho))
-    if abs(mean) > mean_tol:
+    if abs(mean) > POISSON_MEAN_TOL:
         raise SolvabilityError(
             f"Poisson data has mean {mean!r}; the periodic problem is solvable "
-            f"only for zero-mean sources (tolerance {mean_tol})")
+            f"only for zero-mean sources (tolerance {POISSON_MEAN_TOL})")
     return fourier.poisson_inverse(rho)
 
 
@@ -88,9 +88,7 @@ def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndar
     return fourier.poisson_inverse(4.0 * diff)
 
 
-def is_gauduchon(metric: MetricModel4T,
-                 backend: str = fourier.SPECTRAL,
-                 tol: float = GAUDUCHON_TOL) -> tuple[bool, float]:
+def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
     """Check ddbar(omega) = 0 on the 4-grid (complex dimension two).
 
     Returns (flag, residual) where residual is the max norm of the single
@@ -99,15 +97,9 @@ def is_gauduchon(metric: MetricModel4T,
         d1 d1bar g22 + d2 d2bar g11 - d1 d2bar g21 - d2 d1bar g12.
     """
     g = metric.g
-    if backend == fourier.SPECTRAL:
-        w = fourier.gauduchon_form4(g[..., 0, 0].real, g[..., 1, 1].real, g[..., 1, 0])
-    else:
-        d11_of_g22 = fourier.ddbar4_components(g[..., 1, 1].real, backend)[0]
-        d22_of_g11 = fourier.ddbar4_components(g[..., 0, 0].real, backend)[1]
-        cross = fourier.ddbar4_components(g[..., 1, 0], backend)[2]
-        w = d11_of_g22 + d22_of_g11 - 2.0 * cross.real
+    w = fourier.gauduchon_form4(g[..., 0, 0].real, g[..., 1, 1].real, g[..., 1, 0])
     residual = float(np.max(np.abs(w)))
-    return residual < tol, residual
+    return residual < GAUDUCHON_TOL, residual
 
 
 class TraceOperator:
@@ -179,9 +171,7 @@ class ConformalSolution:
 def conformal_scalar_flat(metric: MetricModel4T,
                           tol: float = SOLVE_TOL,
                           max_iterations: int = 10000,
-                          check_compat: bool = True,
-                          verify_tol: float = VERIFY_TOL,
-                          backend: str = fourier.SPECTRAL) -> ConformalSolution:
+                          check_compat: bool = True) -> ConformalSolution:
     """Produce f with s(e^(f/2) omega) = 0 from a zero-total-scalar Gauduchon
     metric in complex dimension two.
 
@@ -192,20 +182,26 @@ def conformal_scalar_flat(metric: MetricModel4T,
     ConvergenceError instead of returning garbage.  Iterations count the
     BiCGStab steps begun: a full step applies the preconditioner twice, a
     step that converges at its half step (unseen by scipy's callback) once.
+    Resolutions below MIN_RESOLUTION raise DescriptorError (at N = 2 every
+    mode lies in the operator's {0, Nyquist} null set).
     """
+    if metric.resolution < MIN_RESOLUTION:
+        raise DescriptorError(
+            f"conformal solve needs resolution at least {MIN_RESOLUTION}, "
+            f"got {metric.resolution}")
     if check_compat:
-        flag, residual = is_gauduchon(metric, backend)
+        flag, residual = is_gauduchon(metric)
         if not flag:
             raise SolvabilityError(
                 f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
                 "the conformal equation is solvable only in the Gauduchon gauge")
-        total = total_scalar(metric, backend)
+        total = total_scalar(metric)
         if abs(total) > TOTAL_SCALAR_GATE:
             raise SolvabilityError(
                 f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
                 "no conformal rescaling can reach a scalar-flat metric")
 
-    s_g = chern_scalar(metric, backend)
+    s_g = chern_scalar(metric)
     op = TraceOperator(metric)
     shape = op.shape
     size = int(np.prod(shape))
@@ -261,17 +257,16 @@ def conformal_scalar_flat(metric: MetricModel4T,
 
     solve_residual = rmax
     rescaled = metric.rescaled(f / 2.0)
-    end_to_end = float(np.max(np.abs(chern_scalar(rescaled, backend))))
-    if end_to_end > verify_tol:
+    end_to_end = float(np.max(np.abs(chern_scalar(rescaled))))
+    if end_to_end > VERIFY_TOL:
         raise ConvergenceError(
             f"rescaled metric has max |s| = {end_to_end:.3e}, above the "
-            f"verification bound {verify_tol:.1e}")
+            f"verification bound {VERIFY_TOL:.1e}")
     return ConformalSolution(f=f, residual=end_to_end, solve_residual=solve_residual,
                              iterations=iterations, rounds=rounds)
 
 
-def conformal_total_scalar_identity_check(metric: MetricModel4T, f: np.ndarray,
-                                          backend: str = fourier.SPECTRAL) -> float:
+def conformal_total_scalar_identity_check(metric: MetricModel4T, f: np.ndarray) -> float:
     """Discrepancy between the two total-scalar expressions after rescaling.
 
     For omega_f = e^f omega Gauduchon (a precondition that is checked), the
@@ -284,12 +279,12 @@ def conformal_total_scalar_identity_check(metric: MetricModel4T, f: np.ndarray,
     if f.shape != metric.g.shape[:4]:
         raise ValueError(f"conformal factor shape {f.shape} does not match the grid")
     rescaled = metric.rescaled(f)
-    flag, residual = is_gauduchon(rescaled, backend)
+    flag, residual = is_gauduchon(rescaled)
     if not flag:
         raise SolvabilityError(
             f"e^f omega is not Gauduchon (residual {residual:.3e}); the "
             "integration-by-parts identity requires the Gauduchon gauge")
-    wedge_rescaled = total_scalar_routes(rescaled, backend)[1]
-    s = chern_scalar(metric, backend)
+    wedge_rescaled = total_scalar_routes(rescaled)[1]
+    s = chern_scalar(metric)
     weighted = 8.0 * float(np.mean(np.exp(f) * s * metric.det))
     return abs(wedge_rescaled - weighted)

@@ -194,9 +194,10 @@ def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
         witness = {"violation": "kappa negative", "grid": [int(i), int(j)],
                    "value": kappa_min}
     elif not issued:
+        # on the excluded boundary roundoff can leave the float margin positive
         i, j = np.unravel_index(int(np.argmin(combined)), combined.shape)
-        witness = {"violation": "margin not positive", "grid": [int(i), int(j)],
-                   "value": margin}
+        violation = "outside certified range" if margin > 0.0 else "margin not positive"
+        witness = {"violation": violation, "grid": [int(i), int(j)], "value": margin}
 
     return Certificate(genus=g, deg_l=deg_l, n=n, strategy=strategy,
                        kappa_field=kappa, gamma_field=gamma, margin=margin,

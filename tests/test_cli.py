@@ -74,6 +74,20 @@ def test_rc_check_on_the_boundary_issues_nothing(capsys):
     assert payload["scalar_flat_hermitian"] == "no"
 
 
+def test_boundary_witness_names_the_range_when_the_margin_is_positive(capsys):
+    code, payload = run_json(capsys, ["rc-check", "--genus", "34", "--deg-l", "22",
+                                      "--n", "4", "--resolution", "8"])
+    assert code == 0
+    witness = payload["certificate"]["witness"]
+    assert witness["value"] > 0.0
+    assert witness["violation"] == "outside certified range"
+    # where the boundary margin is exactly zero the witness says so
+    code, payload = run_json(capsys, ["rc-check", "--genus", "2", "--deg-l", "2",
+                                      "--resolution", "8"])
+    assert code == 0
+    assert payload["certificate"]["witness"]["violation"] == "margin not positive"
+
+
 @pytest.mark.parametrize("command", [["classify", "split"], ["report"]])
 def test_negative_genus_exits_2_for_every_rank(capsys, command):
     for n in ("2", "3", "4"):
@@ -162,6 +176,27 @@ def test_solve_exhausted_budget_exits_4(tmp_path, capsys):
 def test_missing_metric_file_exits_2(capsys):
     code, payload = run_json(capsys, ["curvature", "--metric", "no/such/metric.json"])
     assert code == 2
+
+
+@pytest.mark.parametrize("where", ["metric dir", "manifest is a dir"])
+def test_metric_path_naming_a_directory_exits_2(tmp_path, capsys, where):
+    if where == "metric dir":
+        path = tmp_path
+    else:
+        path = tmp_path / "metric.json"
+        path.mkdir()
+    code, payload = run_json(capsys, ["curvature", "--metric", str(path)])
+    assert code == 2
+    assert payload["error"] == "IsADirectoryError"
+
+
+def test_solve_below_minimum_resolution_exits_2(tmp_path, capsys):
+    manifest = save_metric(MetricModel4T.flat(2), tmp_path / "metric")
+    code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
+                                      "--out", str(tmp_path / "solution.json")])
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert not (tmp_path / "solution.json").exists()
 
 
 @pytest.mark.parametrize("edit", [

@@ -20,6 +20,7 @@ from scalarflat import (
     conformal_total_scalar_identity_check,
     is_gauduchon,
     make_line_bundle,
+    pde,
     poisson_periodic,
     prescribe_curvature,
 )
@@ -211,6 +212,19 @@ def test_conformal_solver_matches_volume_normalization_oracle():
     oracle = -(log_det - log_det.mean())
     gap = _project_onto_resolved_modes(solution.f) - _project_onto_resolved_modes(oracle)
     assert np.max(np.abs(gap)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_conformal_solver_rejects_resolution_below_minimum(n, monkeypatch):
+    # at N = 2 every mode is in the {0, Nyquist} null set; the check precedes the gates
+    def gate(metric):
+        raise AssertionError("a gate ran before the resolution check")
+
+    monkeypatch.setattr(pde, "is_gauduchon", gate)
+    metric = MetricModel4T.flat(n)
+    for check_compat in (True, False):
+        with pytest.raises(DescriptorError, match="resolution"):
+            conformal_scalar_flat(metric, check_compat=check_compat)
 
 
 def test_conformal_solver_iteration_budget():

@@ -5,11 +5,14 @@ import io
 import json
 
 import numpy as np
+from conftest import random_metric
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scalarflat import chern_curvature_matrix, classify_split, kx_certificate_split
 from scalarflat.cli import run
+from scalarflat.curvature import TOTAL_SCALAR_CROSS_TOL, total_scalar_routes
+from scalarflat.fourier import half_symbols_4d
 from scalarflat.positivity import in_certified_range
 
 genera = st.integers(min_value=0, max_value=80)
@@ -56,3 +59,20 @@ def test_chern_curvature_matrix_is_hermitian(seed, r):
     curvature = chern_curvature_matrix(h)
     assert np.all(np.isfinite(curvature))
     assert np.array_equal(curvature, np.conj(np.swapaxes(curvature, 2, 3)))
+
+
+@given(st.integers(min_value=2, max_value=24))
+def test_mixed_symbols_factor_exactly(n):
+    # (d1 d1bar)(d2 d2bar) == (d1 d2bar)(d2 d1bar) as Fourier multipliers
+    m11, m22, m12_re, m12_im = half_symbols_4d(n)
+    lhs = m11 * m22
+    rhs = m12_re ** 2 + m12_im ** 2
+    assert np.allclose(lhs, rhs, rtol=1e-14, atol=0.0)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=10),
+       st.floats(min_value=0.0, max_value=0.3))
+def test_total_scalar_routes_agree_on_random_metrics(seed, n, amplitude):
+    metric = random_metric(n, np.random.default_rng(seed), amplitude)
+    trace_route, wedge_route = total_scalar_routes(metric)
+    assert abs(trace_route - wedge_route) <= TOTAL_SCALAR_CROSS_TOL
