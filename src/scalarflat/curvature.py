@@ -72,13 +72,14 @@ def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
 
 
 def _hermitian_2x2(a11, a22, a12) -> np.ndarray:
-    """(..., 2, 2) Hermitian field with diagonal a11, a22 and upper entry a12."""
+    """Read-only (..., 2, 2) Hermitian field, diagonal a11, a22, upper entry a12."""
     out = np.zeros(np.broadcast_shapes(np.shape(a11), np.shape(a22), np.shape(a12))
                    + (2, 2), dtype=complex)
     out[..., 0, 0] = a11
     out[..., 1, 1] = a22
     out[..., 0, 1] = a12
     out[..., 1, 0] = np.conj(a12)
+    out.setflags(write=False)
     return out
 
 
@@ -176,71 +177,99 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
 # ---------------------------------------------------------------------------
 # honest Hermitian metrics on the discretized complex 2-torus
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MetricModel4T:
     """Hermitian metric on the periodic 4-grid: a positive 2x2 Hermitian
-    matrix at every point, with cached determinant and inverse fields.
+    matrix at every point, stored as (n, n, n, n) fields over axes
+    (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex), its
+    determinant and its inverse entries (inv12 = -g12 / det is the upper one).
 
-    g has shape (n, n, n, n, 2, 2) over axes (x1, y1, x2, y2).  Instances are
+    MetricModel4T(g) takes an (n, n, n, n, 2, 2) field, and the g and inverse
+    properties build such fields anew on each access.  Instances are
     immutable; a private memo stores derived curvature fields (recomputing
     one concurrently is harmless, results are identical)."""
 
-    g: np.ndarray
+    g11: np.ndarray
+    g22: np.ndarray
+    g12: np.ndarray
+    det: np.ndarray
+    inv11: np.ndarray
+    inv22: np.ndarray
+    inv12: np.ndarray
 
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=complex)
+    def __init__(self, g: np.ndarray):
+        g = np.asarray(g, dtype=complex)
         if g.ndim != 6 or g.shape[4:] != (2, 2):
             raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {g.shape}")
-        n = g.shape[0]
-        if g.shape[:4] != (n, n, n, n):
-            raise DescriptorError(f"expected an equal-resolution grid, got {g.shape[:4]}")
         g = hermitian_part(g, "metric")
-        g11 = g[..., 0, 0].real
-        g22 = g[..., 1, 1].real
-        det = g11 * g22 - np.abs(g[..., 0, 1]) ** 2
+        # copies, so the instance keeps no view of the 2x2 field
+        self.__post_init__(g[..., 0, 0].real.copy(), g[..., 1, 1].real.copy(),
+                           g[..., 0, 1].copy())
+
+    @classmethod
+    def _from_components(cls, g11, g22, g12) -> "MetricModel4T":
+        """Metric from fresh entry fields, frozen in place (no 2x2 validation)."""
+        metric = cls.__new__(cls)
+        metric.__post_init__(g11, g22, g12)
+        return metric
+
+    def __post_init__(self, g11, g22, g12):
+        if g11.ndim != 4 or g11.shape != (g11.shape[0],) * 4:
+            raise DescriptorError(f"expected an equal-resolution grid, got {g11.shape}")
+        if not all(np.isfinite(entry).all() for entry in (g11, g22, g12)):
+            raise DescriptorError("metric entries must be finite")
+        det = g11 * g22 - np.abs(g12) ** 2
         if float(g11.min()) <= 0.0 or float(det.min()) <= 0.0:
             raise DescriptorError(
                 "metric is not positive definite "
                 f"(min leading entry {g11.min():.3e}, min determinant {det.min():.3e})")
-        inverse = np.empty_like(g)
-        inverse[..., 0, 0] = g22 / det
-        inverse[..., 1, 1] = g11 / det
-        inverse[..., 0, 1] = -g[..., 0, 1] / det
-        inverse[..., 1, 0] = -g[..., 1, 0] / det
-        # all three arrays were created above, so they are frozen without a copy
-        for name, field in (("g", g), ("det", det), ("inverse", inverse)):
+        fields = {"g11": g11, "g22": g22, "g12": g12, "det": det,
+                  "inv11": g22 / det, "inv22": g11 / det, "inv12": -g12 / det}
+        for name, field in fields.items():
             field.setflags(write=False)
             object.__setattr__(self, name, field)
         object.__setattr__(self, "_derived", {})
 
     @property
+    def g(self) -> np.ndarray:
+        """The (n, n, n, n, 2, 2) metric field, built anew on each access."""
+        return _hermitian_2x2(self.g11, self.g22, self.g12)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """The (n, n, n, n, 2, 2) inverse field, built anew on each access."""
+        return _hermitian_2x2(self.inv11, self.inv22, self.inv12)
+
+    @property
     def resolution(self) -> int:
-        return int(self.g.shape[0])
+        return int(self.det.shape[0])
 
     @classmethod
     def flat(cls, resolution: int) -> "MetricModel4T":
-        return cls(_hermitian_2x2(1.0, 1.0, np.zeros((resolution,) * 4)))
+        one = np.ones((resolution,) * 4)
+        return cls._from_components(one, one, np.zeros(one.shape, dtype=complex))
 
     @classmethod
     def conformal(cls, exponent: np.ndarray) -> "MetricModel4T":
         """Metric e^u * (flat) for a real exponent field u."""
-        u = np.asarray(exponent, dtype=float)
-        factor = np.exp(u)
-        return cls(_hermitian_2x2(factor, factor, np.zeros(u.shape)))
+        factor = np.exp(np.asarray(exponent, dtype=float))
+        return cls._from_components(factor, factor, np.zeros(factor.shape, dtype=complex))
 
     @classmethod
     def from_kahler_potential(cls, phi: np.ndarray) -> "MetricModel4T":
         """Perturbation of the flat metric by the complex Hessian of a potential."""
         phi = np.asarray(phi, dtype=float)
         d11, d22, d12 = fourier.ddbar4_components(phi)
-        return cls(_hermitian_2x2(1.0 + d11, 1.0 + d22, d12))
+        return cls._from_components(1.0 + d11, 1.0 + d22, d12)
 
     def rescaled(self, exponent: np.ndarray) -> "MetricModel4T":
         """Conformally rescaled metric e^w * g for a real field w."""
         w = np.asarray(exponent, dtype=float)
-        if w.shape != self.g.shape[:4]:
-            raise ValueError(f"exponent shape {w.shape} does not match grid {self.g.shape[:4]}")
-        return MetricModel4T(self.g * np.exp(w)[..., None, None])
+        if w.shape != self.det.shape:
+            raise ValueError(f"exponent shape {w.shape} does not match grid {self.det.shape}")
+        factor = np.exp(w)
+        return MetricModel4T._from_components(self.g11 * factor, self.g22 * factor,
+                                              self.g12 * factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,12 +307,10 @@ def chern_scalar(metric: MetricModel4T) -> np.ndarray:
     if cached is not None:
         return cached
     r11, r22, r12 = _ricci_components(metric)
-    inv = metric.inverse
-    w11 = inv[..., 0, 0].real
-    w22 = inv[..., 1, 1].real
-    # g^{1 2bar} = conj(inverse_01); its pairing with r12 contributes twice the real part
-    cross = inv[..., 0, 1]
-    s = w11 * r11 + w22 * r22 + 2.0 * (cross.real * r12.real + cross.imag * r12.imag)
+    # g^{1 2bar} = conj(inv12); its pairing with r12 contributes twice the real part
+    cross = metric.inv12
+    s = (metric.inv11 * r11 + metric.inv22 * r22
+         + 2.0 * (cross.real * r12.real + cross.imag * r12.imag))
     s = require_real(s, "chern_scalar")
     metric._derived["scalar"] = _freeze(s)
     return metric._derived["scalar"]
@@ -308,9 +335,8 @@ def total_scalar_routes(metric: MetricModel4T) -> tuple[float, float]:
     s = chern_scalar(metric)
     trace_route = 8.0 * float(np.mean(s * metric.det))
     r11, r22, r12 = _ricci_components(metric)
-    g = metric.g
-    wedge = (r11 * g[..., 1, 1].real + r22 * g[..., 0, 0].real
-             - 2.0 * (r12 * np.conj(g[..., 0, 1])).real)
+    wedge = (r11 * metric.g22 + r22 * metric.g11
+             - 2.0 * (r12 * np.conj(metric.g12)).real)
     wedge_route = 8.0 * float(np.mean(wedge))
     return trace_route, wedge_route
 
@@ -321,13 +347,7 @@ def conformal_ricci(ric: RicciField, f: np.ndarray, n: int) -> RicciField:
     f = np.asarray(f, dtype=float)
     if f.shape != ric.ric.shape[:4]:
         raise ValueError(f"conformal factor shape {f.shape} does not match {ric.ric.shape[:4]}")
-    d11, d22, d12 = fourier.ddbar4_components(f)
-    out = np.array(ric.ric)
-    out[..., 0, 0] -= n * d11
-    out[..., 1, 1] -= n * d22
-    out[..., 0, 1] -= n * d12
-    out[..., 1, 0] -= n * np.conj(d12)
-    return RicciField(out)
+    return RicciField(ric.ric - n * _hermitian_2x2(*fourier.ddbar4_components(f)))
 
 
 def curvature_report(metric: MetricModel4T) -> dict:
@@ -447,13 +467,8 @@ def save_metric(metric: MetricModel4T, directory) -> Path:
     manifest; returns the manifest path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    g = metric.g
-    fields = {
-        "11": g[..., 0, 0].real,
-        "22": g[..., 1, 1].real,
-        "12re": g[..., 0, 1].real,
-        "12im": g[..., 0, 1].imag,
-    }
+    fields = {"11": metric.g11, "22": metric.g22,
+              "12re": metric.g12.real, "12im": metric.g12.imag}
     manifest = {"resolution": metric.resolution, "components": {}, "binary": _TWIN_FILE}
     digests = {}
     for component, fname in _COMPONENT_FILES.items():
@@ -490,14 +505,11 @@ def load_metric(manifest_path) -> MetricModel4T:
             raise DescriptorError(
                 f"{path}: grid resolution {parts[component].shape[0]} "
                 f"disagrees with the manifest's {resolution}")
-    return MetricModel4T(_hermitian_2x2(parts["11"], parts["22"],
-                                       parts["12re"] + 1j * parts["12im"]))
+    return MetricModel4T._from_components(parts["11"], parts["22"],
+                                          parts["12re"] + 1j * parts["12im"])
 
 
 def save_field4(path, values: np.ndarray, label: str = "f") -> None:
     """Write a real 4-d grid field as CSV (same layout as metric components)."""
     _write_grid_csv(Path(path), np.asarray(values, dtype=float), label)
 
-
-def load_field4(path, label: str = "f") -> np.ndarray:
-    return _read_grid_csv(Path(path), label)

@@ -235,22 +235,3 @@ def ddbar4_components(field: np.ndarray, backend: str = SPECTRAL):
         return tuple(a + 1j * b for a, b in zip(re, im))
     return _ddbar4_real(field)
 
-
-def gauduchon_form4(g11: np.ndarray, g22: np.ndarray, g21: np.ndarray) -> np.ndarray:
-    """The single component of ddbar(omega) for a metric on the 4-grid:
-
-        d1 d1bar g22 + d2 d2bar g11 - 2 Re(d1 d2bar g21)
-
-    from the real diagonal entries and the complex entry g21.  By linearity
-    the three terms are summed in the half-spectrum: four rfftn, one irfftn.
-    """
-    m11, m22, m12_re, m12_im = half_symbols_4d(g11.shape[0])
-    workers = thread_workers()
-
-    def spec(x):
-        return _fft.rfftn(x, workers=workers)
-
-    # Re d1 d2bar (a + ib) = irfftn(Re m12 * F[a] - Im m12 * F[b])
-    total = (m11 * spec(g22) + m22 * spec(g11)
-             - 2.0 * (m12_re * spec(g21.real) - m12_im * spec(g21.imag)))
-    return _fft.irfftn(total, s=g11.shape, workers=workers)

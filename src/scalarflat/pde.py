@@ -9,13 +9,16 @@ solves
 
 for a zero-mean potential f and verifies that the rescaled metric
 e^(f/2) * omega has pointwise scalar curvature at the roundoff floor.  The
-trace operator is discretized exactly as g^{i jbar} d^2 f / (dz^i dzbar^j)
+trace operator L is discretized exactly as g^{i jbar} d^2 f / (dz^i dzbar^j)
 with spectral derivatives and the pointwise metric inverse, applied with
-real-to-complex transforms.  The linear system is solved by BiCGStab,
-preconditioned by the periodic inverse of the mean-coefficient operator
-applied after a diagonal (Jacobi) scaling by the pointwise trace of the
-metric inverse, and wrapped in outer defect-correction rounds that always
-measure the true residual.
+real-to-complex transforms.  The solver's two gates are discrete Fredholm
+conditions of L: the metric is Gauduchon when det g is a left null vector
+of L (L^T det g is the single component of ddbar omega), and its total
+scalar curvature vanishes when s_G is orthogonal to det g.  The linear
+system is solved by BiCGStab, preconditioned by the periodic inverse of the
+mean-coefficient operator applied after a diagonal (Jacobi) scaling by the
+pointwise trace of the metric inverse, and wrapped in outer
+defect-correction rounds that always measure the true residual.
 """
 
 from __future__ import annotations
@@ -88,64 +91,61 @@ def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndar
     return fourier.poisson_inverse(4.0 * diff)
 
 
-def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
-    """Check ddbar(omega) = 0 on the 4-grid (complex dimension two).
-
-    Returns (flag, residual) where residual is the max norm of the single
-    component of the (2,2)-form ddbar(omega):
-
-        d1 d1bar g22 + d2 d2bar g11 - d1 d2bar g21 - d2 d1bar g12.
-    """
-    g = metric.g
-    w = fourier.gauduchon_form4(g[..., 0, 0].real, g[..., 1, 1].real, g[..., 1, 0])
-    residual = float(np.max(np.abs(w)))
-    return residual < GAUDUCHON_TOL, residual
-
-
 class TraceOperator:
     """Discrete tr_omega ddbar: f -> sum_ij g^{i jbar} d^2 f / (dz^i dzbar^j).
 
     apply takes one rfftn and four irfftn (m11, m22, Re m12, Im m12 of the
-    half-spectrum symbol table).  precondition is a Jacobi-scaled periodic
-    inverse: r -> irfftn(inv_mean_symbol * rfftn(r / D)) with
-    D = (w11 + w22) / mean(w11 + w22), the exact inverse on resolved modes
-    when the metric is conformally flat.
+    half-spectrum symbol table).  Every symbol is real and even, so each
+    derivative is a symmetric operator and the transpose of apply,
+    apply_adjoint, takes four rfftn and one irfftn.  precondition is a
+    Jacobi-scaled periodic inverse: r -> irfftn(inv_mean_symbol * rfftn(r / D))
+    with D = (inv11 + inv22) / mean(inv11 + inv22), the exact inverse on
+    resolved modes when the metric is conformally flat.
     """
 
     def __init__(self, metric: MetricModel4T):
         n = metric.resolution
         self.shape = (n, n, n, n)
-        inv = metric.inverse
-        self.w11 = np.ascontiguousarray(inv[..., 0, 0].real)
-        self.w22 = np.ascontiguousarray(inv[..., 1, 1].real)
-        # pairing of g^{1 2bar} = conj(inverse_01) with d1 d2bar f and its
-        # conjugate collapses to 2 (Re inv_01 * Re d12 + Im inv_01 * Im d12);
-        # cr2 and ci2 carry the factor 2
-        self.cr2 = 2.0 * inv[..., 0, 1].real
-        self.ci2 = 2.0 * inv[..., 0, 1].imag
+        # weights of the symbols (m11, m22, Re m12, Im m12): the pairing of
+        # g^{1 2bar} = conj(inv12) with d1 d2bar f and its conjugate collapses
+        # to 2 (Re inv12 * Re d12 + Im inv12 * Im d12)
+        self._weights = (metric.inv11, metric.inv22,
+                         2.0 * metric.inv12.real, 2.0 * metric.inv12.imag)
         self._symbols = fourier.half_symbols_4d(n)
-        m11, m22, m12_re, m12_im = self._symbols
-        mean_symbol = (self.w11.mean() * m11 + self.w22.mean() * m22
-                       + self.cr2.mean() * m12_re + self.ci2.mean() * m12_im)
+        mean_symbol = sum(w.mean() * m for w, m in zip(self._weights, self._symbols))
         inv_symbol = np.zeros(mean_symbol.shape)
         nonzero = mean_symbol != 0.0
         inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
         self._inv_symbol = inv_symbol
-        diagonal = self.w11 + self.w22
+        diagonal = metric.inv11 + metric.inv22
         self._inv_scale = diagonal.mean() / diagonal    # 1 / D
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         workers = fourier.thread_workers()
         spec = _fft.rfftn(f, workers=workers)
         out = np.zeros(self.shape)
-        for weight, symbol in zip((self.w11, self.w22, self.cr2, self.ci2), self._symbols):
+        for weight, symbol in zip(self._weights, self._symbols):
             out += weight * _fft.irfftn(symbol * spec, s=self.shape, workers=workers)
         return out
+
+    def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
+        workers = fourier.thread_workers()
+        spec = sum(symbol * _fft.rfftn(weight * u, workers=workers)
+                   for weight, symbol in zip(self._weights, self._symbols))
+        return _fft.irfftn(spec, s=self.shape, workers=workers)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         workers = fourier.thread_workers()
         spec = _fft.rfftn(r * self._inv_scale, workers=workers)
         return _fft.irfftn(self._inv_symbol * spec, s=self.shape, workers=workers)
+
+
+def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
+    """Check ddbar(omega) = 0 on the 4-grid (complex dimension two), i.e.
+    that det g is a left null vector of tr_omega ddbar: the single component
+    of ddbar(omega) is L^T det g.  Returns (flag, max |L^T det g|)."""
+    residual = float(np.max(np.abs(TraceOperator(metric).apply_adjoint(metric.det))))
+    return residual < GAUDUCHON_TOL, residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +276,7 @@ def conformal_total_scalar_identity_check(metric: MetricModel4T, f: np.ndarray) 
     difference.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != metric.g.shape[:4]:
+    if f.shape != metric.det.shape:
         raise ValueError(f"conformal factor shape {f.shape} does not match the grid")
     rescaled = metric.rescaled(f)
     flag, residual = is_gauduchon(rescaled)

@@ -202,6 +202,16 @@ def test_metric_model_validation():
         MetricModel4T(g)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MetricModel4T(np.broadcast_to(np.eye(2), (4, 4, 4, 5, 2, 2))),
+    lambda: MetricModel4T.conformal(np.zeros((4, 4, 4))),
+    lambda: MetricModel4T.conformal(np.zeros((4, 4, 4, 5))),
+], ids=["public", "conformal-3d", "conformal-uneven"])
+def test_metric_grid_is_checked_on_every_construction_path(build):
+    with pytest.raises(DescriptorError, match="equal-resolution grid"):
+        build()
+
+
 def test_chern_ricci_flat_metric_vanishes():
     ric = chern_ricci(MetricModel4T.flat(8)).ric
     assert np.max(np.abs(ric)) == 0.0

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_metric
+from conftest import kahler_test_potential, random_metric, trig_field4
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -62,6 +62,15 @@ def edit_manifest(manifest, edit):
     manifest.write_text(json.dumps(doc))
 
 
+def edit_first_value(path, text):
+    """Replace the first value of a stored grid CSV with `text`."""
+    lines = path.read_text().split("\n")
+    values = lines[1].split(",")
+    values[0] = text
+    lines[1] = ",".join(values)
+    path.write_text("\n".join(lines))
+
+
 @pytest.fixture
 def saved(tmp_path):
     metric = random_metric(6, np.random.default_rng(5))
@@ -82,17 +91,29 @@ def test_twin_load_is_bit_equal_to_a_parse(saved, monkeypatch):
 
 def test_edited_csv_value_is_seen_after_load(saved, monkeypatch):
     metric, manifest = saved
-    path = manifest.parent / "g11.csv"
-    lines = path.read_text().split("\n")
-    values = lines[1].split(",")
-    edited = float(values[0]) + 0.25
-    values[0] = "%.18e" % edited
-    lines[1] = ",".join(values)
-    path.write_text("\n".join(lines))
+    edited = float(metric.g11[0, 0, 0, 0]) + 0.25
+    edit_first_value(manifest.parent / "g11.csv", "%.18e" % edited)
     parses = count_parses(monkeypatch)
     loaded = load_metric(manifest)
     assert [p.name for p in parses] == ["g11.csv"]
     assert loaded.g[0, 0, 0, 0, 0, 0].real == edited != metric.g[0, 0, 0, 0, 0, 0].real
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
+                         ids=["curvature", "solve"])
+@pytest.mark.parametrize("fname, text", [("g12_re.csv", "nan"), ("g11.csv", "inf")])
+def test_non_finite_csv_value_exits_2(saved, tmp_path, capsys, monkeypatch, command,
+                                      fname, text):
+    _metric, manifest = saved
+    edit_first_value(manifest.parent / fname, text)
+    parses = count_parses(monkeypatch)
+    code = run(command + ["--metric", str(manifest), "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    # the edit breaks the twin's digest for that file, so its CSV is parsed
+    assert [p.name for p in parses] == [fname]
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert "finite" in payload["message"]
 
 
 def test_swapped_component_files_fail_the_header_check(saved):
@@ -140,10 +161,38 @@ def test_missing_csv_with_the_twin_present_exits_2(saved, capsys):
     assert payload["error"] == "FileNotFoundError"
 
 
+ENTRIES = ("g11", "g22", "g12", "det", "inv11", "inv22", "inv12")
+
+
 def test_metric_fields_are_read_only_and_not_the_callers_array():
     g = np.array(random_metric(4, np.random.default_rng(1)).g)
     metric = MetricModel4T(g)
-    for field in (metric.g, metric.det, metric.inverse):
+    stored = [value for value in vars(metric).values() if isinstance(value, np.ndarray)]
+    assert len(stored) == len(ENTRIES) and all(field.ndim == 4 for field in stored)
+    for field in [getattr(metric, name) for name in ENTRIES] + [metric.g, metric.inverse]:
         assert not field.flags.writeable and field.flags.c_contiguous
+        assert not np.shares_memory(field, g)
+    # the 2x2 fields are built anew on each access
+    assert not np.shares_memory(metric.g, metric.g)
+    assert not np.shares_memory(metric.inverse, metric.inverse)
     g[...] = 0.0
     assert float(metric.det.min()) > 0.0
+
+
+@pytest.mark.parametrize("path", ["flat", "conformal", "kahler", "rescaled", "loaded"])
+def test_component_paths_match_the_public_constructor_bit_for_bit(path, tmp_path):
+    n = 6
+    rng = np.random.default_rng(3)
+    build = {
+        "flat": lambda: MetricModel4T.flat(n),
+        "conformal": lambda: MetricModel4T.conformal(0.3 * trig_field4(n, rng)),
+        "kahler": lambda: MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.1)),
+        "rescaled": lambda: random_metric(n, rng).rescaled(0.2 * trig_field4(n, rng)),
+        "loaded": lambda: load_metric(save_metric(random_metric(n, rng), tmp_path)),
+    }
+    metric = build[path]()
+    public = MetricModel4T(metric.g)
+    for name in ENTRIES:
+        ours, theirs = getattr(metric, name), getattr(public, name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.tobytes() == theirs.tobytes(), name

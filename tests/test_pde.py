@@ -373,13 +373,32 @@ def test_solver_never_applies_the_operator_to_zero(monkeypatch):
     assert zero_inputs and not any(zero_inputs)
 
 
-def test_spectral_gauduchon_residual_matches_component_formula():
-    rng = np.random.default_rng(11)
-    g = random_metric(9, rng).g
+_GAUDUCHON_CASES = {
+    "flat": (lambda: MetricModel4T.flat(8), True),
+    "conformal": (lambda: _conformal_test_metric(9), False),
+    "mild-kahler": (lambda: MetricModel4T.from_kahler_potential(
+        kahler_test_potential(16, 0.1 / np.pi ** 2)), True),
+    "near-degenerate-kahler": (lambda: MetricModel4T.from_kahler_potential(
+        kahler_test_potential(16, 0.1)), True),
+    "random": (lambda: random_metric(9, np.random.default_rng(11)), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_GAUDUCHON_CASES))
+def test_spectral_gauduchon_residual_matches_component_formula(case):
+    # reference: d1 d1bar g22 + d2 d2bar g11 - 2 Re(d1 d2bar g21), the single
+    # component of ddbar(omega), built from the entries of the 2x2 field
+    build, gauduchon = _GAUDUCHON_CASES[case]
+    metric = build()
+    g = metric.g
     d11_of_g22 = ddbar4_components(g[..., 1, 1].real)[0]
     d22_of_g11 = ddbar4_components(g[..., 0, 0].real)[1]
     cross = ddbar4_components(g[..., 1, 0])[2]
     want = float(np.max(np.abs(d11_of_g22 + d22_of_g11 - 2.0 * cross.real)))
-    flag, residual = is_gauduchon(MetricModel4T(g))
-    assert not flag
-    assert residual == pytest.approx(want, rel=1e-12)
+    flag, residual = is_gauduchon(metric)
+    assert flag == gauduchon == (want < pde.GAUDUCHON_TOL)
+    if gauduchon:
+        # both at the roundoff floor, which they reach by different sums
+        assert residual < 1e-11 and want < 1e-11
+    else:
+        assert residual == pytest.approx(want, rel=1e-12)

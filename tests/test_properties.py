@@ -9,10 +9,16 @@ from conftest import random_metric
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from scalarflat import chern_curvature_matrix, classify_split, kx_certificate_split
+from scalarflat import (
+    chern_curvature_matrix,
+    classify_ruled,
+    classify_split,
+    kx_certificate_split,
+)
 from scalarflat.cli import run
 from scalarflat.curvature import TOTAL_SCALAR_CROSS_TOL, total_scalar_routes
 from scalarflat.fourier import half_symbols_4d
+from scalarflat.pde import TraceOperator
 from scalarflat.positivity import in_certified_range
 
 genera = st.integers(min_value=0, max_value=80)
@@ -26,6 +32,21 @@ ranks = st.integers(min_value=2, max_value=15)
 def test_classify_split_says_yes_exactly_in_range(g, deg_l, n):
     report = classify_split(g, deg_l, n)
     assert (report.scalar_flat_hermitian == "yes") == in_certified_range(g, deg_l, n)
+    if report.scalar_flat_kahler == "yes":
+        assert report.scalar_flat_hermitian == "yes"
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda g: st.tuples(st.just(g), st.integers(min_value=-3 * g - 40, max_value=g))))
+@example((2, -2))
+@example((2, -1))
+@example((1, 1))
+def test_classify_ruled_says_yes_exactly_by_the_theorem(case):
+    g, m = case
+    report = classify_ruled(g, m)
+    assert (report.scalar_flat_hermitian == "yes") == (g >= 2 and m > 2 - 2 * g)
+    if report.scalar_flat_kahler == "yes":
+        assert report.scalar_flat_hermitian == "yes"
 
 
 @given(st.integers(min_value=2, max_value=80), degrees, ranks)
@@ -76,3 +97,14 @@ def test_total_scalar_routes_agree_on_random_metrics(seed, n, amplitude):
     metric = random_metric(n, np.random.default_rng(seed), amplitude)
     trace_route, wedge_route = total_scalar_routes(metric)
     assert abs(trace_route - wedge_route) <= TOTAL_SCALAR_CROSS_TOL
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([8, 9, 12]))
+def test_trace_operator_adjoint_is_its_transpose(seed, n):
+    # <u, L v> = <L^T u, v>: apply_adjoint is the transpose of apply
+    rng = np.random.default_rng(seed)
+    op = TraceOperator(random_metric(n, rng))
+    u, v = rng.standard_normal((2,) + op.shape)
+    lv, ltu = op.apply(v), op.apply_adjoint(u)
+    scale = np.linalg.norm(u) * np.linalg.norm(lv) + np.linalg.norm(ltu) * np.linalg.norm(v)
+    assert abs(np.vdot(u, lv) - np.vdot(ltu, v)) <= 1e-13 * scale
