@@ -4,7 +4,6 @@ Hermitian metric classification on ruled-surface models."""
 from .classifier import (
     GateResult,
     MinimalSurfaceDescriptor,
-    RuledSurfaceDescriptor,
     classify_ruled,
     classify_split,
     hirzebruch_anticanonical_h0,

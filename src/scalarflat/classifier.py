@@ -70,13 +70,12 @@ def total_scalar_image(kx_rc: bool, anti_kx_rc: bool, ricci_flat: bool) -> str:
     return "ZeroOnly"
 
 
-def classify_ruled(g: int, m: int, certificate: dict | None = None) -> ClassificationReport:
+def classify_ruled(g: int, m: int) -> ClassificationReport:
     """Scalar-flat Hermitian verdict for a ruled surface with invariants (g, m).
 
     Verdict is "yes" exactly when g >= 2 and m > 2 - 2g.  Exactly one proof
-    case fires per input; it is recorded in the report.  The optional
-    certificate attachment is passed through when the caller (e.g. the split
-    classifier) has constructive data.
+    case fires per input; it is recorded in the report together with the
+    obstruction or construction of that case.
     """
     validate_m(m, g)
     if g == 0:
@@ -121,7 +120,7 @@ def classify_ruled(g: int, m: int, certificate: dict | None = None) -> Classific
     kx_rc = fired in (CASE_2, CASE_3, CASE_4)
     image = total_scalar_image(kx_rc, anti_kx_rc_flag(g)[0], ricci_flat=False)
     return ClassificationReport("yes" if kx_rc else "no", "unknown" if kx_rc else "no",
-                                image, fired, certificate or attach)
+                                image, fired, attach)
 
 
 def classify_split(g: int, deg_l: int, n: int) -> ClassificationReport:
@@ -170,33 +169,6 @@ def hirzebruch_anticanonical_h0(k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # descriptors
-
-@dataclass(frozen=True)
-class RuledSurfaceDescriptor:
-    """Ruled surface given by base genus and either the invariant m or split
-    degree data (in which case m = -|split_deg|)."""
-
-    genus: int
-    m: int | None = None
-    split_deg: int | None = None
-    n: int = 2
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DescriptorError(f"fiber rank n must be at least 2, got {self.n}")
-        if self.m is None and self.split_deg is None:
-            raise DescriptorError("descriptor needs m or split_deg")
-        if (self.m is not None and self.split_deg is not None
-                and self.m != -abs(self.split_deg)):
-            raise DescriptorError(
-                f"m = {self.m} inconsistent with split degree {self.split_deg} "
-                f"(split models have m = -|deg L|)")
-        validate_m(self.effective_m, self.genus)
-
-    @property
-    def effective_m(self) -> int:
-        return self.m if self.m is not None else m_split_rank2(self.split_deg)
-
 
 _TORSION_CANONICAL = ("{} surfaces have torsion canonical bundle (a power of the "
                       "canonical bundle is trivial), hence Chern Ricci-flat metrics")

@@ -23,7 +23,7 @@ from .classifier import (
     minimal_surface_gate,
 )
 from .curvature import curvature_report, load_metric, save_field4
-from .geom_core import CurveModel
+from .geom_core import DEFAULT_RESOLUTION, CurveModel
 from .errors import (
     ConvergenceError,
     DegreeError,
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--deg-l", type=int, required=True)
     rc.add_argument("--n", type=int, default=2)
     rc.add_argument("--strategy", choices=["constant"], default="constant")
-    rc.add_argument("--resolution", type=int, default=64)
+    rc.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     rc.add_argument("--tol", type=float, default=positivity.RC_TOLERANCE,
                     help="positivity margin for the eigenvalue scan")
 
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", required=True, help="solution JSON path")
     solve.add_argument("--tol", type=float, default=pde.SOLVE_TOL,
                        help="equation-residual target (max norm)")
-    solve.add_argument("--max-iterations", type=int, default=10000)
+    solve.add_argument("--max-iterations", type=int, default=pde.MAX_ITERATIONS)
 
     cat = sub.add_parser("catalog", help="built-in worked examples")
     cat.add_argument("--run-all", action="store_true",
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--genus", type=int, required=True)
     report.add_argument("--deg-l", type=int, required=True)
     report.add_argument("--n", type=int, default=2)
-    report.add_argument("--resolution", type=int, default=64)
+    report.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
 
     return parser
 
@@ -115,7 +115,9 @@ def _cmd_classify(args) -> int:
 def _certify(genus: int, deg_l: int, n: int, resolution: int,
              tol: float = positivity.RC_TOLERANCE) -> tuple[dict, dict | None]:
     """Constant certificate plus, when it is issued, the eigenvalue scan of
-    the curvature form it certifies."""
+    the curvature form it certifies.  An invalid tol is rejected even when
+    no scan runs."""
+    positivity.validate_tolerance(tol)
     certificate = positivity.kx_certificate_split(genus, deg_l, n, resolution=resolution)
     scan = None
     if certificate.issued:
@@ -148,7 +150,7 @@ def _cmd_solve(args) -> int:
                                          max_iterations=args.max_iterations)
     out_path = Path(args.out)
     f_path = out_path.with_suffix(".f.csv")
-    save_field4(f_path, solution.f, label="f")
+    save_field4(f_path, solution.f)
     payload = {
         "f_csv": f_path.name,
         "solve_residual": solution.solve_residual,

@@ -509,7 +509,8 @@ def load_metric(manifest_path) -> MetricModel4T:
                                           parts["12re"] + 1j * parts["12im"])
 
 
-def save_field4(path, values: np.ndarray, label: str = "f") -> None:
-    """Write a real 4-d grid field as CSV (same layout as metric components)."""
-    _write_grid_csv(Path(path), np.asarray(values, dtype=float), label)
+def save_field4(path, values: np.ndarray) -> None:
+    """Write a real 4-d grid field as CSV (same layout as metric components),
+    labelled component=f."""
+    _write_grid_csv(Path(path), np.asarray(values, dtype=float), "f")
 

@@ -88,10 +88,9 @@ class CurveModel:
         object.__setattr__(self, "lam", _freeze(lam))
 
     @classmethod
-    def flat(cls, genus: int, resolution: int = DEFAULT_RESOLUTION,
-             density: float = 1.0) -> "CurveModel":
-        """Chart with a constant area density."""
-        lam = np.full((resolution, resolution), float(density))
+    def flat(cls, genus: int, resolution: int = DEFAULT_RESOLUTION) -> "CurveModel":
+        """Chart with the constant area density one."""
+        lam = np.ones((resolution, resolution))
         return cls(genus=genus, resolution=resolution, lam=lam)
 
     @property
@@ -108,18 +107,12 @@ class CurveModel:
                 and np.array_equal(self.lam, other.lam))
 
 
-def integrate(field_values: np.ndarray, curve: CurveModel, weighted: bool = False) -> float:
-    """Integral of a density over the unit square: sum * cell area.
-
-    With weighted=True the field is integrated against the fiducial density
-    lam (i.e. against the reference area form up to the fixed factor 2).
-    """
+def integrate(field_values: np.ndarray, curve: CurveModel) -> float:
+    """Integral of a density over the unit square: sum * cell area."""
     values = np.asarray(field_values)
     n = curve.resolution
     if values.shape != (n, n):
         raise ValueError(f"field shape {values.shape} does not match curve grid {(n, n)}")
-    if weighted:
-        values = values * curve.lam
     return float(np.sum(values) * curve.cell_area)
 
 

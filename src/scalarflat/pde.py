@@ -14,16 +14,19 @@ with spectral derivatives and the pointwise metric inverse, applied with
 real-to-complex transforms.  The solver's two gates are discrete Fredholm
 conditions of L: the metric is Gauduchon when det g is a left null vector
 of L (L^T det g is the single component of ddbar omega), and its total
-scalar curvature vanishes when s_G is orthogonal to det g.  The linear
-system is solved by BiCGStab, preconditioned by the periodic inverse of the
-mean-coefficient operator applied after a diagonal (Jacobi) scaling by the
-pointwise trace of the metric inverse, and wrapped in outer
-defect-correction rounds that always measure the true residual.
+scalar curvature vanishes when s_G is orthogonal to det g; both gates run
+on every solve.  The linear system is solved by BiCGStab, preconditioned by
+the periodic inverse of the mean-coefficient operator applied after a
+diagonal (Jacobi) scaling by the pointwise trace of the metric inverse, and
+wrapped in outer defect-correction rounds that always measure the true
+residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as _fft
@@ -42,6 +45,8 @@ GAUDUCHON_TOL = 1e-8
 TOTAL_SCALAR_GATE = 1e-6
 #: default equation-residual target of the conformal solve (max norm)
 SOLVE_TOL = 1e-10
+#: default BiCGStab iteration budget of the conformal solve
+MAX_ITERATIONS = 10000
 #: verification bound on max |s| of the rescaled metric
 VERIFY_TOL = 1e-6
 
@@ -100,7 +105,8 @@ class TraceOperator:
     apply_adjoint, takes four rfftn and one irfftn.  precondition is a
     Jacobi-scaled periodic inverse: r -> irfftn(inv_mean_symbol * rfftn(r / D))
     with D = (inv11 + inv22) / mean(inv11 + inv22), the exact inverse on
-    resolved modes when the metric is conformally flat.
+    resolved modes when the metric is conformally flat; its tables are built
+    on the first precondition call, so the Gauduchon gate never pays for them.
     """
 
     def __init__(self, metric: MetricModel4T):
@@ -112,13 +118,16 @@ class TraceOperator:
         self._weights = (metric.inv11, metric.inv22,
                          2.0 * metric.inv12.real, 2.0 * metric.inv12.imag)
         self._symbols = fourier.half_symbols_4d(n)
+
+    @cached_property
+    def _preconditioner(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inverse mean symbol, 1 / D) of precondition."""
         mean_symbol = sum(w.mean() * m for w, m in zip(self._weights, self._symbols))
         inv_symbol = np.zeros(mean_symbol.shape)
         nonzero = mean_symbol != 0.0
         inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
-        self._inv_symbol = inv_symbol
-        diagonal = metric.inv11 + metric.inv22
-        self._inv_scale = diagonal.mean() / diagonal    # 1 / D
+        diagonal = self._weights[0] + self._weights[1]    # inv11 + inv22
+        return inv_symbol, diagonal.mean() / diagonal
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         workers = fourier.thread_workers()
@@ -135,9 +144,10 @@ class TraceOperator:
         return _fft.irfftn(spec, s=self.shape, workers=workers)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
+        inv_symbol, inv_scale = self._preconditioner
         workers = fourier.thread_workers()
-        spec = _fft.rfftn(r * self._inv_scale, workers=workers)
-        return _fft.irfftn(self._inv_symbol * spec, s=self.shape, workers=workers)
+        spec = _fft.rfftn(r * inv_scale, workers=workers)
+        return _fft.irfftn(inv_symbol * spec, s=self.shape, workers=workers)
 
 
 def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
@@ -170,36 +180,39 @@ class ConformalSolution:
 
 def conformal_scalar_flat(metric: MetricModel4T,
                           tol: float = SOLVE_TOL,
-                          max_iterations: int = 10000,
-                          check_compat: bool = True) -> ConformalSolution:
+                          max_iterations: int = MAX_ITERATIONS) -> ConformalSolution:
     """Produce f with s(e^(f/2) omega) = 0 from a zero-total-scalar Gauduchon
     metric in complex dimension two.
 
-    Solves s_G = tr_omega ddbar f to the requested max-norm residual, then
-    rescales and recomputes the scalar curvature of e^(f/2) omega as an
-    independent end-to-end check.  check_compat=False skips the Gauduchon and
-    total-scalar gates (test hook); incompatible data then surfaces as
-    ConvergenceError instead of returning garbage.  Iterations count the
-    BiCGStab steps begun: a full step applies the preconditioner twice, a
-    step that converges at its half step (unseen by scipy's callback) once.
-    Resolutions below MIN_RESOLUTION raise DescriptorError (at N = 2 every
-    mode lies in the operator's {0, Nyquist} null set).
+    Checks the Gauduchon and total-scalar gates (SolvabilityError), solves
+    s_G = tr_omega ddbar f to the max-norm residual tol within max_iterations
+    BiCGStab iterations (ConvergenceError), then rescales and recomputes the
+    scalar curvature of e^(f/2) omega as an independent end-to-end check.
+    Iterations count the BiCGStab steps begun: a full step applies the
+    preconditioner twice, a step that converges at its half step (unseen by
+    scipy's callback) once.  A tol that is not finite and positive, a
+    max_iterations below one, and resolutions below MIN_RESOLUTION (at N = 2
+    every mode lies in the operator's {0, Nyquist} null set) raise
+    DescriptorError before any gate runs.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DescriptorError(f"solve tolerance must be finite and positive, got {tol!r}")
+    if max_iterations < 1:
+        raise DescriptorError(f"iteration budget must be at least 1, got {max_iterations}")
     if metric.resolution < MIN_RESOLUTION:
         raise DescriptorError(
             f"conformal solve needs resolution at least {MIN_RESOLUTION}, "
             f"got {metric.resolution}")
-    if check_compat:
-        flag, residual = is_gauduchon(metric)
-        if not flag:
-            raise SolvabilityError(
-                f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
-                "the conformal equation is solvable only in the Gauduchon gauge")
-        total = total_scalar(metric)
-        if abs(total) > TOTAL_SCALAR_GATE:
-            raise SolvabilityError(
-                f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
-                "no conformal rescaling can reach a scalar-flat metric")
+    flag, residual = is_gauduchon(metric)
+    if not flag:
+        raise SolvabilityError(
+            f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
+            "the conformal equation is solvable only in the Gauduchon gauge")
+    total = total_scalar(metric)
+    if abs(total) > TOTAL_SCALAR_GATE:
+        raise SolvabilityError(
+            f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
+            "no conformal rescaling can reach a scalar-flat metric")
 
     s_g = chern_scalar(metric)
     op = TraceOperator(metric)

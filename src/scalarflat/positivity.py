@@ -11,6 +11,7 @@ classifier's theorem table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ import numpy as np
 from .curvature import canonical_curvature_split
 from .errors import DescriptorError
 from .geom_core import (
+    DEFAULT_RESOLUTION,
     CurveModel,
     LineBundleModel,
     OneOneForm,
@@ -34,8 +36,8 @@ MARGIN_RECOMPUTE_TOL = 1e-12
 DEFAULT_FIBER_SAMPLES = 65
 
 
-def default_fiber_samples(count: int = DEFAULT_FIBER_SAMPLES) -> np.ndarray:
-    return np.linspace(0.0, 1.0, count)
+def default_fiber_samples() -> np.ndarray:
+    return np.linspace(0.0, 1.0, DEFAULT_FIBER_SAMPLES)
 
 
 def in_certified_range(g: int, deg_l: int, n: int) -> bool:
@@ -72,6 +74,14 @@ class RCReport:
         }
 
 
+def validate_tolerance(tolerance: float) -> None:
+    """Reject a scan tolerance that is negative or not finite: no scanned
+    minimum can meaningfully clear it."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise DescriptorError(
+            f"scan tolerance must be finite and nonnegative, got {tolerance!r}")
+
+
 def rc_scan(form: OneOneForm, curve: CurveModel,
             tolerance: float = RC_TOLERANCE) -> RCReport:
     """Scan a block-diagonal form for everywhere-positive top eigenvalue.
@@ -80,8 +90,10 @@ def rc_scan(form: OneOneForm, curve: CurveModel,
     lam * sqrt(-1) dz^dzbar on the base plus the Fubini-Study form on the
     fiber: at each (base point, fiber sample) they are base_component / lam
     together with fs_multiple.  The reported witness is the first sample
-    point (in fixed scan order) attaining the minimum.
+    point (in fixed scan order) attaining the minimum.  The tolerance must
+    pass validate_tolerance.
     """
+    validate_tolerance(tolerance)
     if form.sample_count == 0:
         raise ValueError("cannot scan an empty fiber sample set")
     n = curve.resolution
@@ -145,7 +157,7 @@ def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
                          kappa_field: np.ndarray | None = None,
                          gamma_field: np.ndarray | None = None,
                          curve: CurveModel | None = None,
-                         resolution: int = 64) -> Certificate:
+                         resolution: int = DEFAULT_RESOLUTION) -> Certificate:
     """Certificate that the canonical bundle of P((L + trivial^(n-1))^*) is
     RC-positive, for a genus-g base and deg L = deg_l >= 0.
 
@@ -204,9 +216,9 @@ def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
                        issued=issued, witness=witness)
 
 
-def kx_curvature_form(certificate: Certificate,
-                      s1_samples: np.ndarray | None = None) -> OneOneForm:
-    """Assemble the canonical-bundle curvature form certified by a Certificate."""
+def kx_curvature_form(certificate: Certificate) -> OneOneForm:
+    """Assemble the canonical-bundle curvature form certified by a Certificate,
+    sampled at the fiber weights of default_fiber_samples."""
     curve = CurveModel.flat(genus=certificate.genus,
                             resolution=certificate.kappa_field.shape[0])
     line = LineBundleModel(degree=certificate.deg_l, kappa=certificate.kappa_field,
@@ -215,9 +227,7 @@ def kx_curvature_form(certificate: Certificate,
     bundle = SplitBundle((line,) + (trivial,) * (certificate.n - 1))
     canonical = LineBundleModel(degree=2 * certificate.genus - 2,
                                 kappa=certificate.gamma_field, curve=curve)
-    if s1_samples is None:
-        s1_samples = default_fiber_samples()
-    return canonical_curvature_split(bundle, canonical, s1_samples)
+    return canonical_curvature_split(bundle, canonical, default_fiber_samples())
 
 
 def anti_kx_rc_flag(g: int) -> tuple[bool, str]:

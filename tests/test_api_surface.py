@@ -1,0 +1,150 @@
+"""Every setting of the public API and the CLI, pinned in one table each.
+
+API lists the parameters of each public callable exported by scalarflat,
+and of each public method of an exported class, as "name" or
+"name=default".  CLI lists each subcommand's arguments the same way, with
+required flags written bare.  Adding, removing or re-defaulting a setting
+shows up as a one-line diff here.  Exception classes are left out: they
+take only a message.
+"""
+
+import argparse
+import inspect
+
+import scalarflat
+from scalarflat.cli import build_parser
+
+API = {
+    "Certificate": "genus, deg_l, n, strategy, kappa_field, gamma_field, margin, issued, "
+                   "witness=None",
+    "Certificate.to_dict": "",
+    "ClassificationReport": "scalar_flat_hermitian, scalar_flat_kahler, total_scalar_image, "
+                            "fired_case, certificate=None",
+    "ClassificationReport.to_dict": "",
+    "ConformalSolution": "f, residual, solve_residual, iterations, rounds",
+    "CurveModel": "genus, resolution, lam",
+    "CurveModel.coordinates": "",
+    "CurveModel.flat": "genus, resolution=64",
+    "CurveModel.matches": "other",
+    "FiberSimplexPoint": "weights",
+    "GateResult": "verdict, reason, report=None",
+    "GateResult.to_dict": "",
+    "LineBundleModel": "degree, kappa, curve",
+    "LineBundleModel.measured_degree": "",
+    "MetricModel4T": "g",
+    "MetricModel4T.conformal": "exponent",
+    "MetricModel4T.flat": "resolution",
+    "MetricModel4T.from_kahler_potential": "phi",
+    "MetricModel4T.rescaled": "exponent",
+    "MinimalSurfaceDescriptor": "kodaira_dim, surface_class=None, genus=None, m=None",
+    "MinimalSurfaceDescriptor.of_class": "surface_class, genus=None, m=None",
+    "OneOneForm": "base_component, s1, fs_multiple",
+    "RCReport": "min_max_eigenvalue, witness, rc_positive, tolerance=1e-09",
+    "RCReport.to_dict": "",
+    "RicciField": "ric",
+    "SplitBundle": "summands",
+    "anti_kx_rc_flag": "g",
+    "canonical_curvature_split": "bundle, canonical, s1",
+    "chern_curvature_matrix": "h, backend='spectral'",
+    "chern_ricci": "metric",
+    "chern_scalar": "metric",
+    "classify_ruled": "g, m",
+    "classify_split": "g, deg_l, n",
+    "conformal_ricci": "ric, f, n",
+    "conformal_scalar_flat": "metric, tol=1e-10, max_iterations=10000",
+    "conformal_total_scalar_identity_check": "metric, f",
+    "hirzebruch_anticanonical_h0": "k",
+    "integrate": "field_values, curve",
+    "is_gauduchon": "metric",
+    "is_stable_rank2": "m",
+    "kx_certificate_split": "g, deg_l, n, strategy='constant', kappa_field=None, "
+                            "gamma_field=None, curve=None, resolution=64",
+    "kx_curvature_form": "certificate",
+    "load_bundle_descriptor": "source",
+    "m_split_rank2": "deg_l",
+    "make_line_bundle": "degree, profile, curve",
+    "minimal_surface_gate": "descriptor",
+    "poisson_periodic": "rho",
+    "prescribe_curvature": "target, current",
+    "rc_scan": "form, curve, tolerance=1e-09",
+    "tautological_base_curvature": "bundle, point",
+    "tensor_product": "a, b",
+    "total_scalar": "metric",
+    "total_scalar_image": "kx_rc, anti_kx_rc, ricci_flat",
+    "validate_m": "m, g",
+}
+
+CLI = {
+    "classify ruled": "--genus, --m",
+    "classify split": "--genus, --deg-l, --n=2",
+    "classify minimal": "--class, --genus=None, --m=None",
+    "rc-check": "--genus, --deg-l, --n=2, --strategy='constant', --resolution=64, "
+                "--tol=1e-09",
+    "curvature": "--metric, --out=None",
+    "solve": "target, --metric, --out, --tol=1e-10, --max-iterations=10000",
+    "catalog": "--run-all=False",
+    "report": "--genus, --deg-l, --n=2, --resolution=64",
+}
+
+
+def _parameters(signature: inspect.Signature) -> str:
+    parts = []
+    for param in signature.parameters.values():
+        if param.name == "self":
+            continue
+        if param.default is inspect.Parameter.empty:
+            parts.append(param.name)
+        else:
+            parts.append(f"{param.name}={param.default!r}")
+    return ", ".join(parts)
+
+
+def _api_surface() -> dict[str, str]:
+    surface = {}
+    for name in scalarflat.__dict__:
+        obj = getattr(scalarflat, name)
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        if inspect.isclass(obj) and issubclass(obj, BaseException):
+            continue
+        surface[name] = _parameters(inspect.signature(obj))
+        if inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(value, (classmethod, staticmethod)) or inspect.isfunction(value):
+                    surface[f"{name}.{attr}"] = _parameters(
+                        inspect.signature(getattr(obj, attr)))
+    return surface
+
+
+def _arguments(parser: argparse.ArgumentParser) -> str:
+    parts = []
+    for action in parser._actions:
+        if isinstance(action, (argparse._HelpAction, argparse._SubParsersAction)):
+            continue
+        flag = action.option_strings[-1] if action.option_strings else action.dest
+        bare = action.required or not action.option_strings
+        parts.append(flag if bare else f"{flag}={action.default!r}")
+    return ", ".join(parts)
+
+
+def _cli_surface(parser: argparse.ArgumentParser, prefix: str = "") -> dict[str, str]:
+    surface = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                name = f"{prefix} {command}".strip()
+                if any(isinstance(a, argparse._SubParsersAction) for a in sub._actions):
+                    surface.update(_cli_surface(sub, name))
+                else:
+                    surface[name] = _arguments(sub)
+    return surface
+
+
+def test_public_api_settings_are_pinned():
+    assert _api_surface() == API
+
+
+def test_cli_settings_are_pinned():
+    assert _cli_surface(build_parser()) == CLI

@@ -6,7 +6,6 @@ from scalarflat import (
     DescriptorError,
     MinimalSurfaceDescriptor,
     NagataViolation,
-    RuledSurfaceDescriptor,
     classify_ruled,
     classify_split,
     hirzebruch_anticanonical_h0,
@@ -135,17 +134,6 @@ def test_hirzebruch_section_count_against_oracle():
     assert [hirzebruch_anticanonical_h0(k) for k in range(6)] == [9, 9, 9, 9, 10, 11]
     with pytest.raises(DescriptorError):
         hirzebruch_anticanonical_h0(-1)
-
-
-def test_ruled_descriptor_consistency():
-    RuledSurfaceDescriptor(genus=2, m=-2, split_deg=2)
-    with pytest.raises(DescriptorError):
-        RuledSurfaceDescriptor(genus=2, m=2, split_deg=2)
-    with pytest.raises(DescriptorError):
-        RuledSurfaceDescriptor(genus=2)
-    with pytest.raises(NagataViolation):
-        RuledSurfaceDescriptor(genus=2, m=3)
-    assert RuledSurfaceDescriptor(genus=3, split_deg=-4).effective_m == -4
 
 
 def test_minimal_descriptor_consistency():

@@ -199,6 +199,34 @@ def test_solve_below_minimum_resolution_exits_2(tmp_path, capsys):
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--tol", "0"],
+    ["solve", "--tol=-1e-10"],
+    ["solve", "--tol", "nan"],
+    ["solve", "--tol", "inf"],
+    ["solve", "--max-iterations", "0"],
+    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "nan"],
+    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol=-1e-9"],
+    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "inf"],
+    ["rc-check", "--genus", "2", "--deg-l", "5", "--tol", "nan"],
+], ids=["solve tol 0", "solve negative tol", "solve nan tol", "solve inf tol",
+        "solve no iterations", "rc-check nan tol", "rc-check negative tol",
+        "rc-check inf tol", "rc-check nan tol without a scan"])
+def test_settings_that_cannot_be_met_exit_2(tmp_path, capsys, argv):
+    if argv[0] == "solve":
+        metric = MetricModel4T.from_kahler_potential(
+            kahler_test_potential(8, 0.1 / np.pi ** 2))
+        manifest = save_metric(metric, tmp_path / "metric")
+        argv = ["solve", "scalar-flat", "--metric", str(manifest),
+                "--out", str(tmp_path / "solution.json")] + argv[1:]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == 2
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    assert payload["error"] == "DescriptorError"
+    assert not (tmp_path / "solution.json").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.pop("resolution"),
     lambda doc: doc.update(resolution="8"),

@@ -39,11 +39,6 @@ def test_integrate_sinusoid_vanishes():
     assert abs(integrate(field, curve)) < 1e-12
 
 
-def test_integrate_weighted_uses_density():
-    curve = CurveModel(genus=0, resolution=16, lam=np.full((16, 16), 2.0))
-    assert integrate(np.ones((16, 16)), curve, weighted=True) == pytest.approx(2.0)
-
-
 def test_integrate_rejects_dimension_mismatch():
     curve = CurveModel.flat(0, 16)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from conftest import (
     complex_symbols_4d,
     coords4,
@@ -24,7 +25,7 @@ from scalarflat import (
     poisson_periodic,
     prescribe_curvature,
 )
-from scalarflat.fourier import ddbar4_components, laplacian
+from scalarflat.fourier import ddbar4_components, half_symbols_4d, laplacian, thread_workers
 from scalarflat.geom_core import grid_coordinates, integrate
 from scalarflat.pde import ConformalSolution, TraceOperator, ddbar_density
 
@@ -176,13 +177,20 @@ def test_conformal_solver_gates_reject_non_gauduchon():
         conformal_scalar_flat(MetricModel4T.conformal(u))
 
 
-def test_conformal_solver_flattens_conformally_flat_input_when_ungated():
-    # e^u * flat fails the Gauduchon gate, but with the gate disabled the
+@pytest.fixture
+def ungated(monkeypatch):
+    """Let data that fails the solver's gates on purpose through both of them."""
+    monkeypatch.setattr(pde, "is_gauduchon", lambda metric: (True, 0.0))
+    monkeypatch.setattr(pde, "total_scalar", lambda metric: 0.0)
+
+
+def test_conformal_solver_flattens_conformally_flat_input_when_ungated(ungated):
+    # e^u * flat fails the Gauduchon gate, but with the gates passed the
     # solver finds the exact rescaling back to a constant metric
     n = 16
     u = np.broadcast_to(0.2 * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy()
     metric = MetricModel4T.conformal(u)
-    solution = conformal_scalar_flat(metric, check_compat=False)
+    solution = conformal_scalar_flat(metric)
     assert solution.residual < 1e-6
     rescaled = metric.rescaled(solution.f / 2)
     assert float(np.ptp(rescaled.g[..., 0, 0].real)) < 1e-6
@@ -221,10 +229,9 @@ def test_conformal_solver_rejects_resolution_below_minimum(n, monkeypatch):
         raise AssertionError("a gate ran before the resolution check")
 
     monkeypatch.setattr(pde, "is_gauduchon", gate)
-    metric = MetricModel4T.flat(n)
-    for check_compat in (True, False):
-        with pytest.raises(DescriptorError, match="resolution"):
-            conformal_scalar_flat(metric, check_compat=check_compat)
+    monkeypatch.setattr(pde, "total_scalar", gate)
+    with pytest.raises(DescriptorError, match="resolution"):
+        conformal_scalar_flat(MetricModel4T.flat(n))
 
 
 def test_conformal_solver_iteration_budget():
@@ -333,6 +340,42 @@ def test_trace_operator_matches_complex_reference(n):
     assert np.max(np.abs(op.precondition(f) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_gauduchon_gate_leaves_the_preconditioner_unbuilt(monkeypatch):
+    built = []
+    init = TraceOperator.__init__
+
+    def recording_init(self, metric):
+        init(self, metric)
+        built.append(self)
+
+    monkeypatch.setattr(TraceOperator, "__init__", recording_init)
+    is_gauduchon(random_metric(8, np.random.default_rng(3)))
+    assert len(built) == 1
+    assert set(vars(built[0])) == {"shape", "_weights", "_symbols"}
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_preconditioner_built_on_first_use_is_bit_identical(n):
+    rng = np.random.default_rng(200 + n)
+    metric = random_metric(n, rng)
+    r = rng.standard_normal((n,) * 4)
+    # reference: both tables computed from the metric's entries up front
+    weights = (metric.inv11, metric.inv22, 2.0 * metric.inv12.real, 2.0 * metric.inv12.imag)
+    mean_symbol = sum(w.mean() * m for w, m in zip(weights, half_symbols_4d(n)))
+    inv_symbol = np.zeros(mean_symbol.shape)
+    nonzero = mean_symbol != 0.0
+    inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
+    diagonal = metric.inv11 + metric.inv22
+    workers = thread_workers()
+    spec = scipy.fft.rfftn(r * (diagonal.mean() / diagonal), workers=workers)
+    want = scipy.fft.irfftn(inv_symbol * spec, s=(n,) * 4, workers=workers)
+    op = TraceOperator(metric)
+    assert "_preconditioner" not in vars(op)
+    assert np.array_equal(op.precondition(r), want)
+    assert "_preconditioner" in vars(op)
+    assert np.array_equal(op.precondition(r), want)
+
+
 def _conformal_test_metric(n):
     rng = np.random.default_rng(5)
     return MetricModel4T.conformal(0.3 * trig_field4(n, rng, max_mode=2, terms=4))
@@ -347,8 +390,8 @@ def test_scaled_preconditioner_inverts_conformally_flat_operator(n):
     assert np.max(np.abs(gap)) < 1e-10
 
 
-def test_conformally_flat_solve_takes_one_iteration_per_round():
-    solution = conformal_scalar_flat(_conformal_test_metric(12), check_compat=False)
+def test_conformally_flat_solve_takes_one_iteration_per_round(ungated):
+    solution = conformal_scalar_flat(_conformal_test_metric(12))
     assert solution.residual < 1e-6
     # an exact preconditioner converges at the half step of a round's first
     # BiCGStab iteration; that iteration still counts

@@ -5,19 +5,30 @@ import io
 import json
 
 import numpy as np
+import pytest
 from conftest import random_metric
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scalarflat import (
+    CurveModel,
+    DegreeError,
     chern_curvature_matrix,
     classify_ruled,
     classify_split,
     kx_certificate_split,
+    make_line_bundle,
+    tensor_product,
 )
 from scalarflat.cli import run
 from scalarflat.curvature import TOTAL_SCALAR_CROSS_TOL, total_scalar_routes
 from scalarflat.fourier import half_symbols_4d
+from scalarflat.geom_core import (
+    DEGREE_INPUT_TOL,
+    DEGREE_QUANTIZATION_TOL,
+    MIN_RESOLUTION,
+    grid_coordinates,
+)
 from scalarflat.pde import TraceOperator
 from scalarflat.positivity import in_certified_range
 
@@ -108,3 +119,48 @@ def test_trace_operator_adjoint_is_its_transpose(seed, n):
     lv, ltu = op.apply(v), op.apply_adjoint(u)
     scale = np.linalg.norm(u) * np.linalg.norm(lv) + np.linalg.norm(ltu) * np.linalg.norm(v)
     assert abs(np.vdot(u, lv) - np.vdot(ltu, v)) <= 1e-13 * scale
+
+
+# one Fourier mode (kx, ky) != (0, 0) of a twist, with amplitude and phase
+twist_modes = st.tuples(st.integers(min_value=0, max_value=3),
+                        st.integers(min_value=-3, max_value=3),
+                        st.floats(min_value=-5.0, max_value=5.0),
+                        st.floats(min_value=0.0, max_value=2 * np.pi)).filter(
+    lambda mode: mode[:2] != (0, 0))
+twists = st.lists(twist_modes, min_size=1, max_size=4)
+twist_degrees = st.integers(min_value=-50, max_value=50)
+
+
+def twisted_density(degree, n, twist, offset):
+    """pi * degree plus a zero-mean trigonometric twist plus a constant offset."""
+    x, y = grid_coordinates(n)
+    field = np.full((n, n), np.pi * degree + offset)
+    for kx, ky, amplitude, phase in twist:
+        field += amplitude * np.cos(2 * np.pi * (kx * x + ky * y) + phase)
+    return field
+
+
+@given(twist_degrees, st.integers(min_value=MIN_RESOLUTION, max_value=32), twists,
+       st.floats(min_value=-0.9, max_value=0.9) | st.floats(min_value=1.1, max_value=1e3)
+       | st.floats(min_value=-1e3, max_value=-1.1))
+def test_degree_quantization_under_random_twists(degree, n, twist, offset_in_tol):
+    # the offset is the supplied density's integral mismatch, in units of the input tolerance
+    curve = CurveModel.flat(1, n)
+    density = twisted_density(degree, n, twist, offset_in_tol * DEGREE_INPUT_TOL)
+    if abs(offset_in_tol) > 1.0:
+        with pytest.raises(DegreeError):
+            make_line_bundle(degree, density, curve)
+        return
+    bundle = make_line_bundle(degree, density, curve)
+    assert abs(bundle.measured_degree() - degree) <= DEGREE_QUANTIZATION_TOL
+
+
+@given(twist_degrees, twist_degrees, st.integers(min_value=MIN_RESOLUTION, max_value=32),
+       twists, twists)
+def test_tensor_product_degrees_add_and_stay_quantized(d1, d2, n, twist1, twist2):
+    curve = CurveModel.flat(2, n)
+    a = make_line_bundle(d1, twisted_density(d1, n, twist1, 0.0), curve)
+    b = make_line_bundle(d2, twisted_density(d2, n, twist2, 0.0), curve)
+    product = tensor_product(a, b)
+    assert product.degree == d1 + d2
+    assert abs(product.measured_degree() - (d1 + d2)) <= DEGREE_QUANTIZATION_TOL
