@@ -33,25 +33,10 @@ from .geom_core import (
     _freeze,
 )
 
-#: relative imaginary residue above which a "real" quantity is rejected
-IMAG_RESIDUE_TOL = 1e-8
 #: agreement demanded between the two defining expressions of total scalar curvature
 TOTAL_SCALAR_CROSS_TOL = 1e-6
 #: input Hermitian-asymmetry tolerance for metric fields
 HERMITIAN_INPUT_TOL = 1e-10
-
-
-def require_real(values: np.ndarray, context: str) -> np.ndarray:
-    """Drop an imaginary part only if it is negligible; raise otherwise."""
-    if np.isrealobj(values):
-        return values
-    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 1.0)
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residue > IMAG_RESIDUE_TOL * scale:
-        raise NumericalInconsistencyError(
-            f"{context}: imaginary residue {residue:.3e} exceeds "
-            f"{IMAG_RESIDUE_TOL:.0e} * {scale:.3e}")
-    return values.real
 
 
 def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
@@ -302,7 +287,8 @@ def chern_ricci(metric: MetricModel4T) -> RicciField:
 
 
 def chern_scalar(metric: MetricModel4T) -> np.ndarray:
-    """Chern scalar curvature s = g^{i jbar} ric_{i jbar} (real field)."""
+    """Chern scalar curvature s = g^{i jbar} ric_{i jbar}, real by construction:
+    every term is a product of real fields."""
     cached = metric._derived.get("scalar")
     if cached is not None:
         return cached
@@ -311,7 +297,6 @@ def chern_scalar(metric: MetricModel4T) -> np.ndarray:
     cross = metric.inv12
     s = (metric.inv11 * r11 + metric.inv22 * r22
          + 2.0 * (cross.real * r12.real + cross.imag * r12.imag))
-    s = require_real(s, "chern_scalar")
     metric._derived["scalar"] = _freeze(s)
     return metric._derived["scalar"]
 

@@ -26,5 +26,4 @@ class ConvergenceError(ScalarFlatError):
 
 
 class NumericalInconsistencyError(ScalarFlatError):
-    """Two routes to the same quantity disagree beyond tolerance, or a real
-    quantity carries a non-negligible imaginary part."""
+    """Two routes to the same quantity disagree beyond tolerance."""

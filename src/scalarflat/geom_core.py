@@ -369,6 +369,9 @@ def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
         except (KeyError, TypeError, ValueError) as exc:
             raise DescriptorError(f"malformed summand entry {entry!r}: {exc}") from exc
         if isinstance(profile, dict):
+            if not isinstance(profile.get("file"), str):
+                raise DescriptorError(
+                    f"malformed summand entry {entry!r}: profile needs a 'file' path")
             profile = load_field_csv(base_dir / profile["file"])
         summands.append(make_line_bundle(degree, profile, curve))
     return curve, SplitBundle(tuple(summands))

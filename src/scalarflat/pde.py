@@ -35,7 +35,7 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 from . import fourier
 from .curvature import MetricModel4T, chern_scalar, total_scalar, total_scalar_routes
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
-from .geom_core import MIN_RESOLUTION, LineBundleModel, _freeze, integrate
+from .geom_core import DEGREE_INPUT_TOL, MIN_RESOLUTION, LineBundleModel, _freeze, integrate
 
 #: compatibility gate on mean(rho) for the Poisson solve
 POISSON_MEAN_TOL = 1e-8
@@ -87,7 +87,7 @@ def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndar
     target = np.asarray(target, dtype=float)
     curve = current.curve
     target_degree = integrate(target, curve) / np.pi
-    if abs(target_degree - current.degree) > 1e-6:
+    if abs(target_degree - current.degree) > DEGREE_INPUT_TOL:
         raise DegreeError(
             f"target integrates to degree {target_degree!r}, current model has "
             f"degree {current.degree}")

@@ -114,10 +114,10 @@ class Certificate:
     """Constructive RC-positivity certificate data for the canonical bundle of
     a split projective-bundle model.
 
-    margin is the grid minimum of gamma - (n-1) * kappa; the certificate is
-    issued when kappa is pointwise nonnegative (the regime in which that
-    minimum bounds the base eigenvalue from below over the whole fiber) and
-    the margin is positive, or for the constant strategy in_certified_range."""
+    kappa_field and gamma_field are the constant densities pi * deg L and
+    pi (2g - 2); margin is the grid minimum of gamma - (n-1) * kappa, and the
+    certificate is issued exactly in_certified_range.  strategy names the
+    construction ("constant", the only one)."""
 
     genus: int
     deg_l: int
@@ -153,20 +153,17 @@ class Certificate:
         }
 
 
-def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
-                         kappa_field: np.ndarray | None = None,
-                         gamma_field: np.ndarray | None = None,
-                         curve: CurveModel | None = None,
+def kx_certificate_split(g: int, deg_l: int, n: int,
                          resolution: int = DEFAULT_RESOLUTION) -> Certificate:
     """Certificate that the canonical bundle of P((L + trivial^(n-1))^*) is
     RC-positive, for a genus-g base and deg L = deg_l >= 0.
 
-    The constant strategy takes kappa = pi * deg_l and gamma = pi (2g - 2),
+    The densities are constant, kappa = pi * deg_l and gamma = pi (2g - 2),
     so the margin is split_margin and the certificate is issued exactly
     in_certified_range, which roundoff in the margin cannot flip on the
-    boundary.  The prescribed strategy accepts target densities with the
-    correct integrals and re-verifies positivity pointwise, failing with a
-    witness otherwise.
+    boundary; a certificate that is not issued carries a witness.  To scan
+    non-constant densities, build them with make_line_bundle and pass
+    canonical_curvature_split's form to rc_scan.
     """
     if g < 2:
         raise DescriptorError(f"certificate construction needs genus >= 2, got {g}")
@@ -174,44 +171,21 @@ def kx_certificate_split(g: int, deg_l: int, n: int, strategy: str = "constant",
         raise DescriptorError(f"certificate construction needs deg L >= 0, got {deg_l}")
     if n < 2:
         raise DescriptorError(f"fiber rank n must be at least 2, got {n}")
-    if curve is None:
-        curve = CurveModel.flat(genus=g, resolution=resolution)
-    if curve.genus != g:
-        raise DescriptorError(f"curve model genus {curve.genus} does not match g = {g}")
-
-    if strategy == "constant":
-        line = make_line_bundle(deg_l, "constant", curve)
-        canonical = make_line_bundle(2 * g - 2, "constant", curve)
-    elif strategy == "prescribed":
-        if kappa_field is None or gamma_field is None:
-            raise DescriptorError("prescribed strategy needs kappa_field and gamma_field")
-        line = make_line_bundle(deg_l, kappa_field, curve)
-        canonical = make_line_bundle(2 * g - 2, gamma_field, curve)
-    else:
-        raise DescriptorError(f"unknown strategy {strategy!r}")
-
-    kappa = line.kappa
-    gamma = canonical.kappa
+    curve = CurveModel.flat(genus=g, resolution=resolution)
+    kappa = make_line_bundle(deg_l, "constant", curve).kappa
+    gamma = make_line_bundle(2 * g - 2, "constant", curve).kappa
     combined = gamma - (n - 1) * kappa
     margin = float(np.min(combined))
 
     witness = None
-    issued = in_certified_range(g, deg_l, n) if strategy == "constant" else margin > 0.0
-    kappa_min = float(np.min(kappa))
-    if kappa_min < 0.0:
-        # semi-positivity of kappa is part of the construction; without it the
-        # margin no longer bounds the base eigenvalue over the fiber
-        issued = False
-        i, j = np.unravel_index(int(np.argmin(kappa)), kappa.shape)
-        witness = {"violation": "kappa negative", "grid": [int(i), int(j)],
-                   "value": kappa_min}
-    elif not issued:
+    issued = in_certified_range(g, deg_l, n)
+    if not issued:
         # on the excluded boundary roundoff can leave the float margin positive
         i, j = np.unravel_index(int(np.argmin(combined)), combined.shape)
         violation = "outside certified range" if margin > 0.0 else "margin not positive"
         witness = {"violation": violation, "grid": [int(i), int(j)], "value": margin}
 
-    return Certificate(genus=g, deg_l=deg_l, n=n, strategy=strategy,
+    return Certificate(genus=g, deg_l=deg_l, n=n, strategy="constant",
                        kappa_field=kappa, gamma_field=gamma, margin=margin,
                        issued=issued, witness=witness)
 

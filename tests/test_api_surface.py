@@ -57,8 +57,7 @@ API = {
     "integrate": "field_values, curve",
     "is_gauduchon": "metric",
     "is_stable_rank2": "m",
-    "kx_certificate_split": "g, deg_l, n, strategy='constant', kappa_field=None, "
-                            "gamma_field=None, curve=None, resolution=64",
+    "kx_certificate_split": "g, deg_l, n, resolution=64",
     "kx_curvature_form": "certificate",
     "load_bundle_descriptor": "source",
     "m_split_rank2": "deg_l",

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import kahler_test_potential
+from test_golden_outputs import sweep
 
 from scalarflat import MetricModel4T
 from scalarflat.catalog import catalog_entries, check_entry
@@ -86,6 +87,17 @@ def test_boundary_witness_names_the_range_when_the_margin_is_positive(capsys):
                                       "--resolution", "8"])
     assert code == 0
     assert payload["certificate"]["witness"]["violation"] == "margin not positive"
+
+
+def test_certificate_output_does_not_depend_on_the_resolution(capsys):
+    # the certificate's densities are constant, so every grid gives the same
+    # margin, witness and scanned minimum
+    queries = [argv for argv in sweep() if argv[0] in ("rc-check", "report")]
+    assert len(queries) > 100
+    for argv in queries:
+        default = run(argv), capsys.readouterr().out
+        coarse = run(argv + ["--resolution", "8"]), capsys.readouterr().out
+        assert coarse == default, argv
 
 
 @pytest.mark.parametrize("command", [["classify", "split"], ["report"]])

@@ -10,7 +10,6 @@ from scalarflat import (
     DescriptorError,
     FiberSimplexPoint,
     MetricModel4T,
-    NumericalInconsistencyError,
     SplitBundle,
     canonical_curvature_split,
     chern_curvature_matrix,
@@ -23,7 +22,6 @@ from scalarflat import (
 )
 from scalarflat.curvature import (
     load_metric,
-    require_real,
     save_metric,
     total_scalar_routes,
 )
@@ -322,13 +320,6 @@ def test_finite_difference_mode_converges_at_second_order():
         analytic = -np.pi ** 2 * (0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(2 * np.pi * y))
         errors[n] = float(np.max(np.abs(kappa - np.broadcast_to(analytic, (n, n)))))
     assert errors[32] / errors[64] >= 3.5
-
-
-def test_require_real_policy():
-    clean = require_real(np.array([1.0 + 1e-12j]), "test")
-    assert clean.dtype.kind == "f"
-    with pytest.raises(NumericalInconsistencyError):
-        require_real(np.array([1.0 + 1e-3j]), "test")
 
 
 def test_metric_csv_round_trip(tmp_path):

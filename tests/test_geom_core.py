@@ -188,6 +188,10 @@ def test_bundle_descriptor_rejects_malformed():
         load_bundle_descriptor({"genus": 2, "resolution": 16, "summands": []})
     with pytest.raises(DescriptorError):
         load_bundle_descriptor({"genus": 2, "summands": [{"degree": 1}]})
+    for profile in ({}, {"file": 3}):
+        entry = {"degree": 1, "profile": profile}
+        with pytest.raises(DescriptorError, match="malformed summand entry"):
+            load_bundle_descriptor({"genus": 2, "resolution": 16, "summands": [entry]})
 
 
 def test_models_are_immutable():

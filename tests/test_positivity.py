@@ -4,12 +4,14 @@ import pytest
 from scalarflat import (
     Certificate,
     CurveModel,
-    DegreeError,
     DescriptorError,
     OneOneForm,
+    SplitBundle,
     anti_kx_rc_flag,
+    canonical_curvature_split,
     kx_certificate_split,
     kx_curvature_form,
+    make_line_bundle,
     rc_scan,
 )
 from scalarflat.geom_core import grid_coordinates
@@ -57,10 +59,12 @@ def test_rc_scan_affine_minimum_sits_at_endpoints():
     kappa = np.pi + 0.8 * np.broadcast_to(np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
                                           (32, 32))
     gamma = 4 * np.pi + 1.1 * np.broadcast_to(np.cos(2 * np.pi * y), (32, 32))
-    cert = kx_certificate_split(3, 1, 2, strategy="prescribed",
-                                kappa_field=kappa, gamma_field=gamma, curve=curve)
-    form = kx_curvature_form(cert)
-    report = rc_scan(form, CurveModel.flat(3, 32))
+    line = make_line_bundle(1, kappa, curve)
+    trivial = make_line_bundle(0, "constant", curve)
+    canonical = make_line_bundle(4, gamma, curve)
+    form = canonical_curvature_split(SplitBundle((line, trivial)), canonical,
+                                     default_fiber_samples())
+    report = rc_scan(form, curve)
     at_zero = np.maximum(form.base_component[0], form.fs_multiple)
     at_one = np.maximum(form.base_component[-1], form.fs_multiple)
     endpoint_min = min(float(at_zero.min()), float(at_one.min()))
@@ -137,42 +141,6 @@ def test_certificate_soundness_scan_matches_margin():
         assert report.min_max_eigenvalue == pytest.approx(cert.margin, abs=1e-9)
 
 
-def test_certificate_prescribed_strategy():
-    curve = CurveModel.flat(2, 32)
-    x, y = curve.coordinates()
-    kappa = np.pi * (1.0 + 0.3 * np.broadcast_to(np.sin(2 * np.pi * x), (32, 32)))
-    gamma = 2 * np.pi * (1.0 + 0.2 * np.broadcast_to(np.cos(2 * np.pi * y), (32, 32)))
-    cert = kx_certificate_split(2, 1, 2, strategy="prescribed",
-                                kappa_field=kappa, gamma_field=gamma, curve=curve)
-    assert cert.issued
-    expected_margin = float(np.min(gamma - kappa))  # min gamma - max kappa = 0.3 pi
-    assert cert.margin == pytest.approx(expected_margin, abs=1e-12)
-    assert cert.margin > 0.9  # 0.3 pi
-
-
-def test_certificate_prescribed_negative_kappa_fails_with_witness():
-    # genus 3 so the canonical density can sit at 4 pi, far above max kappa:
-    # the margin alone looks comfortable but kappa dips negative
-    curve = CurveModel.flat(3, 32)
-    x, _ = curve.coordinates()
-    kappa = np.pi * (1.0 + 1.5 * np.broadcast_to(np.sin(2 * np.pi * x), (32, 32)))
-    gamma = np.full((32, 32), 4 * np.pi)
-    cert = kx_certificate_split(3, 1, 2, strategy="prescribed",
-                                kappa_field=kappa, gamma_field=gamma, curve=curve)
-    assert cert.margin > 0
-    assert not cert.issued
-    assert cert.witness["violation"] == "kappa negative"
-
-
-def test_certificate_prescribed_wrong_integral_is_degree_error():
-    curve = CurveModel.flat(2, 32)
-    kappa = np.full((32, 32), 2 * np.pi)  # degree 2, but deg_l = 1 requested
-    gamma = np.full((32, 32), 2 * np.pi)
-    with pytest.raises(DegreeError):
-        kx_certificate_split(2, 1, 2, strategy="prescribed",
-                             kappa_field=kappa, gamma_field=gamma, curve=curve)
-
-
 def test_certificate_preconditions():
     with pytest.raises(DescriptorError):
         kx_certificate_split(1, 0, 2)
@@ -180,8 +148,6 @@ def test_certificate_preconditions():
         kx_certificate_split(2, -1, 2)
     with pytest.raises(DescriptorError):
         kx_certificate_split(2, 1, 1)
-    with pytest.raises(DescriptorError):
-        kx_certificate_split(2, 1, 2, strategy="mystery")
 
 
 def test_certificate_margin_recompute_invariant():
