@@ -51,7 +51,8 @@ GOLDEN_STDOUT = {
 
 def sweep() -> list[list[str]]:
     """The fixed query sweep, error cases included (m > g, n = 1, an unknown
-    class, negative --deg-l on rc-check).  It leaves out the inputs whose
+    class, negative --deg-l on rc-check).  Its report and rc-check loops cover
+    the benchmark's split ranges (genus 2-15, deg L 0-10, n 2-3).  It leaves out the inputs whose
     output was changed on purpose and is tested elsewhere: negative genus with
     n >= 3, and rc-check on the excluded boundary (n-1) |deg L| = 2g - 2 where
     the float margin is positive (the first such genus is 34)."""
@@ -71,13 +72,13 @@ def sweep() -> list[list[str]]:
         for m in range(-2 * g - 1, g + 2):
             queries.append(["classify", "minimal", "--class", "Ruled",
                             "--genus", str(g), "--m", str(m)])
-    for g in range(-1, 5):
-        for d in range(-1, g + 2):
+    for g in range(-1, 16):
+        for d in range(-1, max(g, 9) + 2):
             for n in (1, 2, 3, 4) if g >= 0 else (1, 2):
                 queries.append(["report", "--genus", str(g), "--deg-l", str(d),
                                 "--n", str(n)])
-    for g in range(0, 5):
-        for d in range(-1, g + 2):
+    for g in range(0, 16):
+        for d in range(-1, max(g, 9) + 2):
             for n in (1, 2, 3, 4):
                 queries.append(["rc-check", "--genus", str(g), "--deg-l", str(d),
                                 "--n", str(n)])
