@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .classifier import (
     minimal_surface_gate,
 )
 from .curvature import curvature_report, load_metric, save_field4
-from .geom_core import DEFAULT_RESOLUTION, CurveModel
+from .geom_core import MIN_RESOLUTION, CurveModel
 from .errors import (
     ConvergenceError,
     DegreeError,
@@ -37,6 +38,10 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_NO_CONVERGENCE = 4
+
+#: what argparse takes for a negative number rather than a flag; its pattern
+#: before Python 3.13 has no exponent, so `--tol -1e-10` read as a flag
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--genus", type=int, required=True)
     rc.add_argument("--deg-l", type=int, required=True)
     rc.add_argument("--n", type=int, default=2)
-    rc.add_argument("--strategy", choices=["constant"], default="constant")
-    rc.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     rc.add_argument("--tol", type=float, default=positivity.RC_TOLERANCE,
                     help="positivity margin for the eigenvalue scan")
 
@@ -82,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, default=pde.SOLVE_TOL,
                        help="equation-residual target (max norm)")
     solve.add_argument("--max-iterations", type=int, default=pde.MAX_ITERATIONS)
+    for takes_tol in (rc, solve):
+        takes_tol._negative_number_matcher = NEGATIVE_NUMBER
 
     cat = sub.add_parser("catalog", help="built-in worked examples")
     cat.add_argument("--run-all", action="store_true",
@@ -91,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--genus", type=int, required=True)
     report.add_argument("--deg-l", type=int, required=True)
     report.add_argument("--n", type=int, default=2)
-    report.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
 
     return parser
 
@@ -112,23 +116,24 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _certify(genus: int, deg_l: int, n: int, resolution: int,
+def _certify(genus: int, deg_l: int, n: int,
              tol: float = positivity.RC_TOLERANCE) -> tuple[dict, dict | None]:
     """Constant certificate plus, when it is issued, the eigenvalue scan of
-    the curvature form it certifies.  An invalid tol is rejected even when
-    no scan runs."""
+    the curvature form it certifies.  The form is constant over the base, so
+    the smallest chart gives the same scan as any other.  An invalid tol is
+    rejected even when no scan runs."""
     positivity.validate_tolerance(tol)
-    certificate = positivity.kx_certificate_split(genus, deg_l, n, resolution=resolution)
+    certificate = positivity.kx_certificate_split(genus, deg_l, n)
     scan = None
     if certificate.issued:
-        form = positivity.kx_curvature_form(certificate)
-        curve = CurveModel.flat(genus, resolution=resolution)
+        curve = CurveModel.flat(genus, MIN_RESOLUTION)
+        form = positivity.kx_curvature_form(certificate, curve)
         scan = positivity.rc_scan(form, curve, tolerance=tol).to_dict()
     return certificate.to_dict(), scan
 
 
 def _cmd_rc_check(args) -> int:
-    certificate, scan = _certify(args.genus, args.deg_l, args.n, args.resolution, args.tol)
+    certificate, scan = _certify(args.genus, args.deg_l, args.n, args.tol)
     _emit({"certificate": certificate, "rc_scan": scan})
     return EXIT_OK
 
@@ -189,7 +194,7 @@ def _cmd_report(args) -> int:
     classification = classify_split(args.genus, args.deg_l, args.n)
     certificate = scan = None
     if positivity.in_certified_range(args.genus, args.deg_l, args.n):
-        certificate, scan = _certify(args.genus, abs(args.deg_l), args.n, args.resolution)
+        certificate, scan = _certify(args.genus, abs(args.deg_l), args.n)
     _emit({"classification": classification.to_dict(),
            "certificate": certificate, "rc_scan": scan})
     return EXIT_OK

@@ -401,7 +401,7 @@ def _read_grid_csv(path: Path, component: str, grid: np.ndarray | None = None) -
         raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
     if grid is not None:
         return grid
-    flat = np.loadtxt(path, delimiter=",", comments="#")
+    flat = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     n = flat.shape[1]
     if flat.shape != (n ** 3, n):
         raise DescriptorError(f"{path}: grid shape {flat.shape} is not a flattened 4-cube")

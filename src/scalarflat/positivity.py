@@ -7,6 +7,11 @@ minimum over sample points of the largest eigenvalue against a fixed block
 reference metric.  A failed scan never refutes RC-positivity (the property
 quantifies over all metrics); negative verdicts are issued only by the
 classifier's theorem table.
+
+The canonical-bundle certificate of a split model uses the constant densities
+kappa = pi deg L and gamma = pi (2g - 2), so it is a function of (g, deg L, n)
+alone and holds no grid; kx_curvature_form samples its form on whatever curve
+chart the caller scans.
 """
 
 from __future__ import annotations
@@ -18,19 +23,11 @@ import numpy as np
 
 from .curvature import canonical_curvature_split
 from .errors import DescriptorError
-from .geom_core import (
-    DEFAULT_RESOLUTION,
-    CurveModel,
-    LineBundleModel,
-    OneOneForm,
-    SplitBundle,
-    _freeze,
-    make_line_bundle,
-)
+from .geom_core import CurveModel, OneOneForm, SplitBundle, make_line_bundle
 
 #: eigenvalue margin above which a scan counts as positive
 RC_TOLERANCE = 1e-9
-#: certificate margin must match a recomputation of min(gamma - (n-1) kappa)
+#: certificate margin must match a recomputation by split_margin
 MARGIN_RECOMPUTE_TOL = 1e-12
 #: default fiber sampling: s1 in {0, 1/64, ..., 1} with exact endpoints
 DEFAULT_FIBER_SAMPLES = 65
@@ -114,56 +111,48 @@ class Certificate:
     """Constructive RC-positivity certificate data for the canonical bundle of
     a split projective-bundle model.
 
-    kappa_field and gamma_field are the constant densities pi * deg L and
-    pi (2g - 2); margin is the grid minimum of gamma - (n-1) * kappa, and the
-    certificate is issued exactly in_certified_range.  strategy names the
-    construction ("constant", the only one)."""
+    The densities are the constants pi * deg L and pi (2g - 2), so the margin
+    gamma - (n-1) kappa is split_margin(genus, deg_l, n) and the certificate
+    is issued exactly in_certified_range.  witness is None for an issued
+    certificate."""
 
     genus: int
     deg_l: int
     n: int
-    strategy: str
-    kappa_field: np.ndarray
-    gamma_field: np.ndarray
     margin: float
     issued: bool
     witness: dict | None = None
 
     def __post_init__(self):
-        kappa = np.asarray(self.kappa_field, dtype=float)
-        gamma = np.asarray(self.gamma_field, dtype=float)
-        if kappa.shape != gamma.shape:
-            raise DescriptorError("kappa and gamma fields live on different grids")
-        recomputed = float(np.min(gamma - (self.n - 1) * kappa))
+        recomputed = split_margin(self.genus, self.deg_l, self.n)
         if abs(recomputed - self.margin) > MARGIN_RECOMPUTE_TOL:
             raise DescriptorError(
                 f"stored margin {self.margin!r} disagrees with recomputation {recomputed!r}")
-        object.__setattr__(self, "kappa_field", _freeze(kappa))
-        object.__setattr__(self, "gamma_field", _freeze(gamma))
 
     def to_dict(self) -> dict:
         return {
             "genus": self.genus,
             "deg_l": self.deg_l,
             "n": self.n,
-            "strategy": self.strategy,
+            "strategy": "constant",
             "margin": self.margin,
             "issued": self.issued,
             "witness": self.witness,
         }
 
 
-def kx_certificate_split(g: int, deg_l: int, n: int,
-                         resolution: int = DEFAULT_RESOLUTION) -> Certificate:
+def kx_certificate_split(g: int, deg_l: int, n: int) -> Certificate:
     """Certificate that the canonical bundle of P((L + trivial^(n-1))^*) is
     RC-positive, for a genus-g base and deg L = deg_l >= 0.
 
     The densities are constant, kappa = pi * deg_l and gamma = pi (2g - 2),
     so the margin is split_margin and the certificate is issued exactly
     in_certified_range, which roundoff in the margin cannot flip on the
-    boundary; a certificate that is not issued carries a witness.  To scan
-    non-constant densities, build them with make_line_bundle and pass
-    canonical_curvature_split's form to rc_scan.
+    boundary.  A certificate that is not issued carries a witness; every
+    point of a constant density attains the minimum, so its grid point is
+    (0, 0), the first in scan order.  To scan non-constant densities, build
+    them with make_line_bundle and pass canonical_curvature_split's form to
+    rc_scan.
     """
     if g < 2:
         raise DescriptorError(f"certificate construction needs genus >= 2, got {g}")
@@ -171,36 +160,26 @@ def kx_certificate_split(g: int, deg_l: int, n: int,
         raise DescriptorError(f"certificate construction needs deg L >= 0, got {deg_l}")
     if n < 2:
         raise DescriptorError(f"fiber rank n must be at least 2, got {n}")
-    curve = CurveModel.flat(genus=g, resolution=resolution)
-    kappa = make_line_bundle(deg_l, "constant", curve).kappa
-    gamma = make_line_bundle(2 * g - 2, "constant", curve).kappa
-    combined = gamma - (n - 1) * kappa
-    margin = float(np.min(combined))
-
+    margin = split_margin(g, deg_l, n)
     witness = None
     issued = in_certified_range(g, deg_l, n)
     if not issued:
         # on the excluded boundary roundoff can leave the float margin positive
-        i, j = np.unravel_index(int(np.argmin(combined)), combined.shape)
         violation = "outside certified range" if margin > 0.0 else "margin not positive"
-        witness = {"violation": violation, "grid": [int(i), int(j)], "value": margin}
-
-    return Certificate(genus=g, deg_l=deg_l, n=n, strategy="constant",
-                       kappa_field=kappa, gamma_field=gamma, margin=margin,
-                       issued=issued, witness=witness)
+        witness = {"violation": violation, "grid": [0, 0], "value": margin}
+    return Certificate(genus=g, deg_l=deg_l, n=n, margin=margin, issued=issued,
+                       witness=witness)
 
 
-def kx_curvature_form(certificate: Certificate) -> OneOneForm:
-    """Assemble the canonical-bundle curvature form certified by a Certificate,
-    sampled at the fiber weights of default_fiber_samples."""
-    curve = CurveModel.flat(genus=certificate.genus,
-                            resolution=certificate.kappa_field.shape[0])
-    line = LineBundleModel(degree=certificate.deg_l, kappa=certificate.kappa_field,
-                           curve=curve)
+def kx_curvature_form(certificate: Certificate, curve: CurveModel) -> OneOneForm:
+    """Assemble the canonical-bundle curvature form certified by a Certificate
+    on the given curve chart, sampled at the fiber weights of
+    default_fiber_samples.  A chart whose genus is not the certificate's
+    raises DegreeError (canonical_curvature_split's degree check)."""
+    line = make_line_bundle(certificate.deg_l, "constant", curve)
     trivial = make_line_bundle(0, "constant", curve)
     bundle = SplitBundle((line,) + (trivial,) * (certificate.n - 1))
-    canonical = LineBundleModel(degree=2 * certificate.genus - 2,
-                                kappa=certificate.gamma_field, curve=curve)
+    canonical = make_line_bundle(2 * certificate.genus - 2, "constant", curve)
     return canonical_curvature_split(bundle, canonical, default_fiber_samples())
 
 

@@ -140,16 +140,17 @@ def test_criterion_3_closed_form_curvature_agreement():
 def test_criterion_4_certificate_margins():
     with criterion(4, "certificate margins and scans", 5.0):
         for g, deg_l, n in [(2, 1, 2), (6, 5, 2), (2, 0, 3), (6, 2, 3)]:
-            cert = kx_certificate_split(g, deg_l, n, resolution=64)
+            cert = kx_certificate_split(g, deg_l, n)
             predicted = np.pi * (2 * g - 2 - (n - 1) * deg_l)
             assert abs(cert.margin - predicted) <= 1e-12
             assert cert.issued
-            report = rc_scan(kx_curvature_form(cert), CurveModel.flat(g, 64))
+            curve = CurveModel.flat(g, 64)
+            report = rc_scan(kx_curvature_form(cert, curve), curve)
             assert report.rc_positive
             assert abs(report.min_max_eigenvalue - predicted) <= 1e-9
             assert report.witness["s1"] == 1.0 or deg_l == 0
         for g, deg_l, n in [(2, 2, 2), (2, 1, 3)]:
-            cert = kx_certificate_split(g, deg_l, n, resolution=64)
+            cert = kx_certificate_split(g, deg_l, n)
             assert not cert.issued
             assert abs(cert.margin) <= 1e-12
 

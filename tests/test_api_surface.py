@@ -15,8 +15,7 @@ import scalarflat
 from scalarflat.cli import build_parser
 
 API = {
-    "Certificate": "genus, deg_l, n, strategy, kappa_field, gamma_field, margin, issued, "
-                   "witness=None",
+    "Certificate": "genus, deg_l, n, margin, issued, witness=None",
     "Certificate.to_dict": "",
     "ClassificationReport": "scalar_flat_hermitian, scalar_flat_kahler, total_scalar_image, "
                             "fired_case, certificate=None",
@@ -57,8 +56,8 @@ API = {
     "integrate": "field_values, curve",
     "is_gauduchon": "metric",
     "is_stable_rank2": "m",
-    "kx_certificate_split": "g, deg_l, n, resolution=64",
-    "kx_curvature_form": "certificate",
+    "kx_certificate_split": "g, deg_l, n",
+    "kx_curvature_form": "certificate, curve",
     "load_bundle_descriptor": "source",
     "m_split_rank2": "deg_l",
     "make_line_bundle": "degree, profile, curve",
@@ -77,12 +76,11 @@ CLI = {
     "classify ruled": "--genus, --m",
     "classify split": "--genus, --deg-l, --n=2",
     "classify minimal": "--class, --genus=None, --m=None",
-    "rc-check": "--genus, --deg-l, --n=2, --strategy='constant', --resolution=64, "
-                "--tol=1e-09",
+    "rc-check": "--genus, --deg-l, --n=2, --tol=1e-09",
     "curvature": "--metric, --out=None",
     "solve": "target, --metric, --out, --tol=1e-10, --max-iterations=10000",
     "catalog": "--run-all=False",
-    "report": "--genus, --deg-l, --n=2, --resolution=64",
+    "report": "--genus, --deg-l, --n=2",
 }
 
 

@@ -5,10 +5,17 @@ import pytest
 from conftest import kahler_test_potential
 from test_golden_outputs import sweep
 
-from scalarflat import MetricModel4T
+from scalarflat import (
+    CurveModel,
+    MetricModel4T,
+    kx_certificate_split,
+    kx_curvature_form,
+    rc_scan,
+)
 from scalarflat.catalog import catalog_entries, check_entry
 from scalarflat.cli import run
 from scalarflat.curvature import save_metric
+from scalarflat.positivity import in_certified_range
 
 
 def run_json(capsys, argv):
@@ -53,7 +60,7 @@ def test_classify_split_and_minimal(capsys):
 
 def test_rc_check(capsys):
     code, payload = run_json(capsys, ["rc-check", "--genus", "2", "--deg-l", "1",
-                                      "--n", "2", "--resolution", "16"])
+                                      "--n", "2"])
     assert code == 0
     assert payload["certificate"]["issued"]
     assert payload["certificate"]["margin"] == pytest.approx(np.pi, abs=1e-12)
@@ -77,27 +84,32 @@ def test_rc_check_on_the_boundary_issues_nothing(capsys):
 
 def test_boundary_witness_names_the_range_when_the_margin_is_positive(capsys):
     code, payload = run_json(capsys, ["rc-check", "--genus", "34", "--deg-l", "22",
-                                      "--n", "4", "--resolution", "8"])
+                                      "--n", "4"])
     assert code == 0
     witness = payload["certificate"]["witness"]
     assert witness["value"] > 0.0
     assert witness["violation"] == "outside certified range"
     # where the boundary margin is exactly zero the witness says so
-    code, payload = run_json(capsys, ["rc-check", "--genus", "2", "--deg-l", "2",
-                                      "--resolution", "8"])
+    code, payload = run_json(capsys, ["rc-check", "--genus", "2", "--deg-l", "2"])
     assert code == 0
     assert payload["certificate"]["witness"]["violation"] == "margin not positive"
 
 
-def test_certificate_output_does_not_depend_on_the_resolution(capsys):
-    # the certificate's densities are constant, so every grid gives the same
-    # margin, witness and scanned minimum
-    queries = [argv for argv in sweep() if argv[0] in ("rc-check", "report")]
-    assert len(queries) > 100
-    for argv in queries:
-        default = run(argv), capsys.readouterr().out
-        coarse = run(argv + ["--resolution", "8"]), capsys.readouterr().out
-        assert coarse == default, argv
+def test_certificate_output_does_not_depend_on_the_resolution():
+    # the certificate's densities are constant, so every chart gives the same
+    # scanned minimum and witness
+    issued = set()
+    for argv in sweep():
+        if argv[0] in ("rc-check", "report"):
+            g, deg_l, n = (int(argv[i]) for i in (2, 4, 6))
+            if n >= 2 and in_certified_range(g, abs(deg_l), n):
+                issued.add((g, abs(deg_l), n))
+    assert len(issued) > 100
+    for g, deg_l, n in sorted(issued):
+        certificate = kx_certificate_split(g, deg_l, n)
+        scans = [rc_scan(kx_curvature_form(certificate, curve), curve).to_dict()
+                 for curve in (CurveModel.flat(g, 8), CurveModel.flat(g, 64))]
+        assert scans[0] == scans[1], (g, deg_l, n)
 
 
 @pytest.mark.parametrize("command", [["classify", "split"], ["report"]])
@@ -111,7 +123,7 @@ def test_negative_genus_exits_2_for_every_rank(capsys, command):
 
 def test_report_combines_pipeline(capsys):
     code, payload = run_json(capsys, ["report", "--genus", "6", "--deg-l", "5",
-                                      "--n", "2", "--resolution", "16"])
+                                      "--n", "2"])
     assert code == 0
     assert payload["classification"]["scalar_flat_hermitian"] == "yes"
     assert payload["certificate"]["margin"] == pytest.approx(5 * np.pi, abs=1e-12)
@@ -214,16 +226,19 @@ def test_solve_below_minimum_resolution_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--tol", "0"],
     ["solve", "--tol=-1e-10"],
+    ["solve", "--tol", "-1e-10"],
     ["solve", "--tol", "nan"],
     ["solve", "--tol", "inf"],
     ["solve", "--max-iterations", "0"],
     ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "nan"],
     ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol=-1e-9"],
+    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "-1e-9"],
     ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "inf"],
     ["rc-check", "--genus", "2", "--deg-l", "5", "--tol", "nan"],
-], ids=["solve tol 0", "solve negative tol", "solve nan tol", "solve inf tol",
-        "solve no iterations", "rc-check nan tol", "rc-check negative tol",
-        "rc-check inf tol", "rc-check nan tol without a scan"])
+], ids=["solve tol 0", "solve negative tol", "solve negative tol after a space",
+        "solve nan tol", "solve inf tol", "solve no iterations", "rc-check nan tol",
+        "rc-check negative tol", "rc-check negative tol after a space", "rc-check inf tol",
+        "rc-check nan tol without a scan"])
 def test_settings_that_cannot_be_met_exit_2(tmp_path, capsys, argv):
     if argv[0] == "solve":
         metric = MetricModel4T.from_kahler_potential(

@@ -116,6 +116,28 @@ def test_non_finite_csv_value_exits_2(saved, tmp_path, capsys, monkeypatch, comm
     assert "finite" in payload["message"]
 
 
+MALFORMED_CSVS = {
+    "header only": lambda lines: lines[:1],
+    "one row": lambda lines: lines[:2],
+    "one column": lambda lines: lines[:1] + [line.split(",")[0] for line in lines[1:]],
+}
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
+                         ids=["curvature", "solve"])
+@pytest.mark.parametrize("damage", list(MALFORMED_CSVS))
+def test_csv_that_is_not_a_flattened_4_cube_exits_2(saved, tmp_path, capsys, command,
+                                                     damage):
+    _metric, manifest = saved
+    path = manifest.parent / "g11.csv"
+    lines = [line for line in path.read_text().split("\n") if line]
+    path.write_text("\n".join(MALFORMED_CSVS[damage](lines)) + "\n")
+    code = run(command + ["--metric", str(manifest), "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+
+
 def test_swapped_component_files_fail_the_header_check(saved):
     _metric, manifest = saved
 

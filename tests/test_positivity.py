@@ -4,6 +4,7 @@ import pytest
 from scalarflat import (
     Certificate,
     CurveModel,
+    DegreeError,
     DescriptorError,
     OneOneForm,
     SplitBundle,
@@ -36,9 +37,10 @@ def test_rc_scan_negative_reference_form():
 
 
 def test_rc_scan_canonical_constants():
-    cert = kx_certificate_split(2, 1, 2, resolution=32)
-    form = kx_curvature_form(cert)
-    report = rc_scan(form, CurveModel.flat(2, 32))
+    cert = kx_certificate_split(2, 1, 2)
+    curve = CurveModel.flat(2, 32)
+    form = kx_curvature_form(cert, curve)
+    report = rc_scan(form, curve)
     assert report.min_max_eigenvalue == pytest.approx(np.pi, abs=1e-12)
     assert report.witness["s1"] == 1.0
     assert report.rc_positive
@@ -73,14 +75,14 @@ def test_rc_scan_affine_minimum_sits_at_endpoints():
 
 @pytest.mark.parametrize("g,deg_l,n", [(2, 1, 2), (6, 5, 2), (2, 0, 3), (6, 2, 3)])
 def test_certificate_constant_margins(g, deg_l, n):
-    cert = kx_certificate_split(g, deg_l, n, resolution=32)
+    cert = kx_certificate_split(g, deg_l, n)
     assert cert.margin == pytest.approx(np.pi * (2 * g - 2 - (n - 1) * deg_l), abs=1e-12)
     assert cert.issued
 
 
 @pytest.mark.parametrize("g,deg_l,n", [(2, 2, 2), (2, 1, 3)])
 def test_certificate_boundary_failures(g, deg_l, n):
-    cert = kx_certificate_split(g, deg_l, n, resolution=32)
+    cert = kx_certificate_split(g, deg_l, n)
     assert not cert.issued
     assert cert.margin == pytest.approx(0.0, abs=1e-12)
     assert cert.witness is not None
@@ -90,7 +92,7 @@ def test_certificate_failure_consistency():
     for g in range(2, 7):
         for deg_l in range(0, 8):
             for n in (2, 3):
-                cert = kx_certificate_split(g, deg_l, n, resolution=16)
+                cert = kx_certificate_split(g, deg_l, n)
                 assert cert.issued == ((n - 1) * deg_l < 2 * g - 2)
 
 
@@ -105,10 +107,10 @@ def test_constant_certificate_is_never_issued_on_the_boundary():
     # and five more of these triples; issuance follows the integer range test
     triples = boundary_triples(60)
     assert len(triples) == 391
-    assert kx_certificate_split(34, 22, 4, resolution=8).margin > 0.0
+    assert kx_certificate_split(34, 22, 4).margin > 0.0
     for g, deg_l, n in triples:
         assert not in_certified_range(g, deg_l, n)
-        cert = kx_certificate_split(g, deg_l, n, resolution=8)
+        cert = kx_certificate_split(g, deg_l, n)
         assert not cert.issued, (g, deg_l, n, cert.margin)
         want = "outside certified range" if cert.margin > 0.0 else "margin not positive"
         assert cert.witness["violation"] == want
@@ -116,27 +118,31 @@ def test_constant_certificate_is_never_issued_on_the_boundary():
 
 def test_split_margin_matches_the_constant_grid_minimum_bit_for_bit():
     for g in range(2, 40, 3):
+        curve = CurveModel.flat(g, 8)
+        gamma = make_line_bundle(2 * g - 2, "constant", curve).kappa
         for deg_l in range(0, 60, 7):
+            kappa = make_line_bundle(deg_l, "constant", curve).kappa
             for n in (2, 3, 4, 5):
-                cert = kx_certificate_split(g, deg_l, n, resolution=8)
-                assert split_margin(g, deg_l, n) == cert.margin
-                assert split_margin(g, -deg_l, n) == cert.margin
+                grid_minimum = float(np.min(gamma - (n - 1) * kappa))
+                assert split_margin(g, deg_l, n) == grid_minimum
+                assert split_margin(g, -deg_l, n) == grid_minimum
 
 
 def test_certificate_margin_monotonicity():
-    margins_in_degree = [kx_certificate_split(6, d, 2, resolution=16).margin
+    margins_in_degree = [kx_certificate_split(6, d, 2).margin
                          for d in range(0, 6)]
     assert all(a > b for a, b in zip(margins_in_degree, margins_in_degree[1:]))
-    margins_in_genus = [kx_certificate_split(g, 1, 2, resolution=16).margin
+    margins_in_genus = [kx_certificate_split(g, 1, 2).margin
                         for g in range(2, 7)]
     assert all(a < b for a, b in zip(margins_in_genus, margins_in_genus[1:]))
 
 
 def test_certificate_soundness_scan_matches_margin():
     for g, deg_l, n in [(2, 1, 2), (6, 5, 2), (6, 2, 3)]:
-        cert = kx_certificate_split(g, deg_l, n, resolution=32)
+        cert = kx_certificate_split(g, deg_l, n)
         assert cert.issued
-        report = rc_scan(kx_curvature_form(cert), CurveModel.flat(g, 32))
+        curve = CurveModel.flat(g, 32)
+        report = rc_scan(kx_curvature_form(cert, curve), curve)
         assert report.rc_positive
         assert report.min_max_eigenvalue == pytest.approx(cert.margin, abs=1e-9)
 
@@ -148,14 +154,14 @@ def test_certificate_preconditions():
         kx_certificate_split(2, -1, 2)
     with pytest.raises(DescriptorError):
         kx_certificate_split(2, 1, 1)
+    # the form lives on a chart of the certificate's genus
+    with pytest.raises(DegreeError):
+        kx_curvature_form(kx_certificate_split(3, 1, 2), CurveModel.flat(2, 8))
 
 
 def test_certificate_margin_recompute_invariant():
     with pytest.raises(DescriptorError):
-        Certificate(genus=2, deg_l=1, n=2, strategy="constant",
-                    kappa_field=np.full((16, 16), np.pi),
-                    gamma_field=np.full((16, 16), 2 * np.pi),
-                    margin=1.0, issued=True)
+        Certificate(genus=2, deg_l=1, n=2, margin=1.0, issued=True)
 
 
 def test_default_fiber_samples_cover_endpoints():

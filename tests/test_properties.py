@@ -64,7 +64,7 @@ def test_classify_ruled_says_yes_exactly_by_the_theorem(case):
 def test_classification_margin_is_the_certificate_margin(g, deg_l, n):
     report = classify_split(g, deg_l, n)
     if report.scalar_flat_hermitian == "yes":
-        certificate = kx_certificate_split(g, abs(deg_l), n, resolution=8)
+        certificate = kx_certificate_split(g, abs(deg_l), n)
         assert report.certificate["margin"] == certificate.margin
 
 
@@ -75,8 +75,7 @@ def test_classification_margin_is_the_certificate_margin(g, deg_l, n):
 def test_rc_check_issues_exactly_in_range(g, deg_l, n):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run(["rc-check", "--genus", str(g), "--deg-l", str(deg_l), "--n", str(n),
-                    "--resolution", "8"])
+        code = run(["rc-check", "--genus", str(g), "--deg-l", str(deg_l), "--n", str(n)])
     assert code == 0
     payload = json.loads(out.getvalue())
     assert payload["certificate"]["issued"] == in_certified_range(g, deg_l, n)
