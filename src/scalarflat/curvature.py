@@ -397,10 +397,14 @@ def _read_grid_csv(path: Path, component: str, grid: np.ndarray | None = None) -
     stands in for the parse; the header check runs either way."""
     with open(path, "r", encoding="utf-8") as handle:
         first = handle.readline()
+        # loadtxt only warns on a file with no data row; stop at the first one
+        empty = grid is None and not any(line.split("#", 1)[0].strip() for line in handle)
     if f"component={component}" not in first:
         raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
     if grid is not None:
         return grid
+    if empty:
+        raise DescriptorError(f"{path}: no grid values after the header")
     flat = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     n = flat.shape[1]
     if flat.shape != (n ** 3, n):
@@ -413,11 +417,14 @@ def _read_twin(path: Path, resolution: int) -> dict[str, tuple[str, np.ndarray]]
     keeping only float64 grids at the manifest's resolution; empty for a
     twin that cannot be read (missing, truncated, not an npz archive)."""
     try:
-        twin = np.load(path, allow_pickle=False)
-        if not isinstance(twin, np.lib.npyio.NpzFile):
-            return {}
-        with twin:
-            entries = {c: (str(twin[f"{c}_sha256"]), twin[c]) for c in _COMPONENT_FILES}
+        # np.load leaves a file it opened itself unclosed when the zip
+        # directory is unreadable, so the handle is ours
+        with open(path, "rb") as handle:
+            twin = np.load(handle, allow_pickle=False)
+            if not isinstance(twin, np.lib.npyio.NpzFile):
+                return {}
+            with twin:
+                entries = {c: (str(twin[f"{c}_sha256"]), twin[c]) for c in _COMPONENT_FILES}
     except _TWIN_ERRORS:
         return {}
     return {c: (digest, grid) for c, (digest, grid) in entries.items()

@@ -20,6 +20,13 @@ the periodic inverse of the mean-coefficient operator applied after a
 diagonal (Jacobi) scaling by the pointwise trace of the metric inverse, and
 wrapped in outer defect-correction rounds that always measure the true
 residual.
+
+The rounds are mixed-precision iterative refinement (Moler, J. ACM 14,
+1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018): each round's inner
+BiCGStab runs in float32, and everything that decides correctness runs in
+float64 -- the defect s_G - L f, the stall counter, the round limit, the
+tolerances, the gates and the end-to-end check.  A float32 round that does
+not halve the max-norm defect is redone in float64.
 """
 
 from __future__ import annotations
@@ -52,6 +59,9 @@ VERIFY_TOL = 1e-6
 
 _MAX_ROUNDS = 24
 _INNER_MAXITER = 250
+#: floor of a float32 round's BiCGStab rtol, near float32 roundoff on the
+#: unit-max-norm defect
+_SINGLE_RTOL = 1e-5
 
 
 def poisson_periodic(rho: np.ndarray) -> np.ndarray:
@@ -105,8 +115,13 @@ class TraceOperator:
     apply_adjoint, takes four rfftn and one irfftn.  precondition is a
     Jacobi-scaled periodic inverse: r -> irfftn(inv_mean_symbol * rfftn(r / D))
     with D = (inv11 + inv22) / mean(inv11 + inv22), the exact inverse on
-    resolved modes when the metric is conformally flat; its tables are built
-    on the first precondition call, so the Gauduchon gate never pays for them.
+    resolved modes when the metric is conformally flat.
+
+    apply and precondition run in the precision of their input: float32
+    input uses float32 copies of the weights, symbols and preconditioner
+    tables, any other input the float64 tables.  Every table beyond the
+    weights and symbols is built on the first call that needs it, so the
+    Gauduchon gate builds none and a float32 solve no float64 preconditioner.
     """
 
     def __init__(self, metric: MetricModel4T):
@@ -119,9 +134,8 @@ class TraceOperator:
                          2.0 * metric.inv12.real, 2.0 * metric.inv12.imag)
         self._symbols = fourier.half_symbols_4d(n)
 
-    @cached_property
-    def _preconditioner(self) -> tuple[np.ndarray, np.ndarray]:
-        """(inverse mean symbol, 1 / D) of precondition."""
+    def _preconditioner_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inverse mean symbol, 1 / D) of precondition, in float64."""
         mean_symbol = sum(w.mean() * m for w, m in zip(self._weights, self._symbols))
         inv_symbol = np.zeros(mean_symbol.shape)
         nonzero = mean_symbol != 0.0
@@ -129,11 +143,27 @@ class TraceOperator:
         diagonal = self._weights[0] + self._weights[1]    # inv11 + inv22
         return inv_symbol, diagonal.mean() / diagonal
 
+    @cached_property
+    def _preconditioner(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._preconditioner_tables()
+
+    @cached_property
+    def _single_operator(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """float32 copies of (weights, symbols)."""
+        return _single(self._weights), _single(self._symbols)
+
+    @cached_property
+    def _single_preconditioner(self) -> tuple[np.ndarray, ...]:
+        """float32 copies of the preconditioner tables."""
+        return _single(self._preconditioner_tables())
+
     def apply(self, f: np.ndarray) -> np.ndarray:
+        weights, symbols = (self._single_operator if f.dtype == np.float32
+                            else (self._weights, self._symbols))
         workers = fourier.thread_workers()
         spec = _fft.rfftn(f, workers=workers)
-        out = np.zeros(self.shape)
-        for weight, symbol in zip(self._weights, self._symbols):
+        out = np.zeros(self.shape, dtype=weights[0].dtype)
+        for weight, symbol in zip(weights, symbols):
             out += weight * _fft.irfftn(symbol * spec, s=self.shape, workers=workers)
         return out
 
@@ -144,10 +174,15 @@ class TraceOperator:
         return _fft.irfftn(spec, s=self.shape, workers=workers)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        inv_symbol, inv_scale = self._preconditioner
+        inv_symbol, inv_scale = (self._single_preconditioner if r.dtype == np.float32
+                                 else self._preconditioner)
         workers = fourier.thread_workers()
         spec = _fft.rfftn(r * inv_scale, workers=workers)
         return _fft.irfftn(inv_symbol * spec, s=self.shape, workers=workers)
+
+
+def _single(arrays) -> tuple[np.ndarray, ...]:
+    return tuple(a.astype(np.float32) for a in arrays)
 
 
 def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
@@ -176,6 +211,87 @@ class ConformalSolution:
         if abs(float(np.mean(f))) > 1e-12:
             raise DescriptorError("conformal potential must be normalized to zero mean")
         object.__setattr__(self, "f", _freeze(f))
+
+
+def _defect_correction(metric: MetricModel4T, s_g: np.ndarray, tol: float,
+                       max_iterations: int) -> tuple[np.ndarray, float, int, int]:
+    """Defect-correction rounds for tr_omega ddbar f = s_g; returns (f, max-norm
+    residual, iterations, rounds).
+
+    Every round measures the true defect s_g - L f in float64.  Its
+    correction comes from BiCGStab in float32 on the defect scaled to unit
+    max norm, to a relative tolerance no finer than _SINGLE_RTOL; a round
+    whose float32 correction does not halve the max-norm defect is redone in
+    float64 from the same defect, and only a float64 round can stall.  The
+    operator, its float32 tables and the Krylov vectors live in this frame,
+    so they are freed before the caller's verification.
+    """
+    op = TraceOperator(metric)
+    shape = op.shape
+    size = s_g.size
+    preconditioned = [0]    # preconditioner applications in the current BiCGStab
+
+    def precondition(v):
+        preconditioned[0] += 1
+        return op.precondition(v.reshape(shape)).ravel()
+
+    operators = {dtype: (LinearOperator((size, size), dtype=dtype,
+                                        matvec=lambda v: op.apply(v.reshape(shape)).ravel()),
+                         LinearOperator((size, size), dtype=dtype, matvec=precondition))
+                 for dtype in (np.float32, np.float64)}
+
+    f = np.zeros(shape)
+    defect = np.array(s_g)
+    rmax = float(np.max(np.abs(defect)))
+    iterations = 0
+    rounds = 0
+    stalls = 0
+
+    def correction(dtype):
+        """(candidate, its defect, its max-norm defect) after one BiCGStab in dtype."""
+        nonlocal iterations
+        if iterations >= max_iterations:
+            raise ConvergenceError(
+                f"conformal solve exhausted the iteration budget {max_iterations} "
+                f"at residual {rmax:.3e} (target {tol:.1e})")
+        defect_l2 = float(np.linalg.norm(defect.ravel()))
+        inner_rtol = min(3e-2, max(1e-9, 0.3 * tol / max(defect_l2, 1e-300)))
+        scale = 1.0
+        if dtype == np.float32:
+            # the defect scaled to unit max norm stays far from float32
+            # overflow and underflow
+            scale, inner_rtol = rmax, max(inner_rtol, _SINGLE_RTOL)
+        a_op, m_op = operators[dtype]
+        preconditioned[0] = 0
+        update, _info = bicgstab(
+            a_op, np.asarray(defect / scale, dtype=dtype).ravel(), M=m_op,
+            rtol=inner_rtol, atol=0.0,
+            maxiter=min(_INNER_MAXITER, max_iterations - iterations))
+        iterations += (preconditioned[0] + 1) // 2
+        candidate = f + scale * np.asarray(update, dtype=float).reshape(shape)
+        candidate -= candidate.mean()
+        if not np.all(np.isfinite(candidate)):
+            return candidate, None, math.inf
+        new_defect = s_g - op.apply(candidate)
+        return candidate, new_defect, float(np.max(np.abs(new_defect)))
+
+    def halves(new_rmax):
+        """Whether a round's result halves the current defect or meets tol."""
+        return new_rmax < 0.5 * rmax or new_rmax < tol
+
+    while rmax >= tol:
+        if rounds >= _MAX_ROUNDS or stalls >= 2:
+            raise ConvergenceError(
+                f"conformal solve stalled: residual {rmax:.3e} after {iterations} "
+                f"iterations in {rounds} rounds (target {tol:.1e})")
+        rounds += 1
+        candidate, new_defect, new_rmax = correction(np.float32)
+        if not halves(new_rmax):
+            candidate, new_defect, new_rmax = correction(np.float64)
+        stalls = 0 if halves(new_rmax) else stalls + 1
+        if new_rmax < rmax:
+            f, defect, rmax = candidate, new_defect, new_rmax
+    return f, rmax, iterations, rounds
 
 
 def conformal_scalar_flat(metric: MetricModel4T,
@@ -215,60 +331,7 @@ def conformal_scalar_flat(metric: MetricModel4T,
             "no conformal rescaling can reach a scalar-flat metric")
 
     s_g = chern_scalar(metric)
-    op = TraceOperator(metric)
-    shape = op.shape
-    size = int(np.prod(shape))
-
-    f = np.zeros(shape)
-    defect = np.array(s_g)
-    iterations = 0
-    rounds = 0
-    stalls = 0
-    rmax = float(np.max(np.abs(defect)))
-
-    preconditioned = [0]    # preconditioner applications in the current round
-
-    def precondition(v):
-        preconditioned[0] += 1
-        return op.precondition(v.reshape(shape)).ravel()
-
-    a_op = LinearOperator((size, size), dtype=float,
-                          matvec=lambda v: op.apply(v.reshape(shape)).ravel())
-    m_op = LinearOperator((size, size), dtype=float, matvec=precondition)
-
-    while rmax >= tol:
-        if rounds >= _MAX_ROUNDS or stalls >= 2:
-            raise ConvergenceError(
-                f"conformal solve stalled: residual {rmax:.3e} after {iterations} "
-                f"iterations in {rounds} rounds (target {tol:.1e})")
-        if iterations >= max_iterations:
-            raise ConvergenceError(
-                f"conformal solve exhausted the iteration budget {max_iterations} "
-                f"at residual {rmax:.3e} (target {tol:.1e})")
-        defect_l2 = float(np.linalg.norm(defect.ravel()))
-        inner_rtol = min(3e-2, max(1e-9, 0.3 * tol / max(defect_l2, 1e-300)))
-        preconditioned[0] = 0
-        update, _info = bicgstab(
-            a_op, defect.ravel(), M=m_op, rtol=inner_rtol, atol=0.0,
-            maxiter=min(_INNER_MAXITER, max_iterations - iterations))
-        iterations += (preconditioned[0] + 1) // 2
-        rounds += 1
-        candidate = f + update.reshape(shape)
-        candidate -= candidate.mean()
-        if not np.all(np.isfinite(candidate)):
-            stalls += 1
-            continue
-        new_defect = s_g - op.apply(candidate)
-        new_rmax = float(np.max(np.abs(new_defect)))
-        previous_rmax = rmax
-        if new_rmax < previous_rmax:
-            f, defect, rmax = candidate, new_defect, new_rmax
-        if new_rmax >= 0.5 * previous_rmax and new_rmax >= tol:
-            stalls += 1
-        else:
-            stalls = 0
-
-    solve_residual = rmax
+    f, solve_residual, iterations, rounds = _defect_correction(metric, s_g, tol, max_iterations)
     rescaled = metric.rescaled(f / 2.0)
     end_to_end = float(np.max(np.abs(chern_scalar(rescaled))))
     if end_to_end > VERIFY_TOL:

@@ -113,8 +113,8 @@ class Certificate:
 
     The densities are the constants pi * deg L and pi (2g - 2), so the margin
     gamma - (n-1) kappa is split_margin(genus, deg_l, n) and the certificate
-    is issued exactly in_certified_range.  witness is None for an issued
-    certificate."""
+    is issued exactly in_certified_range.  witness is None exactly for an
+    issued certificate; construction checks all three (DescriptorError)."""
 
     genus: int
     deg_l: int
@@ -128,6 +128,13 @@ class Certificate:
         if abs(recomputed - self.margin) > MARGIN_RECOMPUTE_TOL:
             raise DescriptorError(
                 f"stored margin {self.margin!r} disagrees with recomputation {recomputed!r}")
+        if self.issued != in_certified_range(self.genus, self.deg_l, self.n):
+            raise DescriptorError(
+                f"issued={self.issued} contradicts the certified range at "
+                f"(g, deg L, n) = ({self.genus}, {self.deg_l}, {self.n})")
+        if (self.witness is None) != self.issued:
+            raise DescriptorError(
+                "a certificate carries a witness exactly when it is not issued")
 
     def to_dict(self) -> dict:
         return {

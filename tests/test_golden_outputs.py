@@ -40,12 +40,12 @@ GOLDEN_FILES = {
     "metric/g12_re.csv": "3a3febb30414e1d78987c036997a6edac1da297d07fc1829da4b67264724b38a",
     "metric/g12_im.csv": "2b0264abe4c688ae74ec06c6aad615ec0e468382c3bb7d15a45a2c1f42d7069b",
     "metric/metric.json": "15325cd6fb5b560c456bdf563b5df6e02ef9a09b219b5747f1abde9c22738445",
-    "solution.f.csv": "d7f7cfcd8eed82aab18069090a9c2cf213a9097262cab5fcaa376c818a7dd950",
+    "solution.f.csv": "74036d1a93587da26664739e2e7ec64b465b2579a45e3d4ba043e4a5b8cbba42",
 }
 #: sha256 of exit code and stdout of `curvature` and `solve` on those files
 GOLDEN_STDOUT = {
     "curvature": "2bc6a01fcb246ae96a381c34a0ab5c77baeb01e2103318d3169509a5fad00f0d",
-    "solve": "1f8b855f70bfe6b04e84db63c2a2e179c3b1b85bf5ccebb3c3aae4b299111d44",
+    "solve": "c224d090116ac5a25015df70221200de7758673d0d23562757cc86158bf4c75e",
 }
 
 

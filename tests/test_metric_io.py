@@ -138,6 +138,14 @@ def test_csv_that_is_not_a_flattened_4_cube_exits_2(saved, tmp_path, capsys, com
     assert payload["error"] == "DescriptorError"
 
 
+def test_csv_with_only_its_header_is_named_as_empty(saved):
+    _metric, manifest = saved
+    path = manifest.parent / "g11.csv"
+    path.write_text(path.read_text().split("\n", 1)[0] + "\n")
+    with pytest.raises(DescriptorError, match="no grid values"):
+        load_metric(manifest)
+
+
 def test_swapped_component_files_fail_the_header_check(saved):
     _metric, manifest = saved
 

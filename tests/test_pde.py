@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+from scipy.sparse.linalg import LinearOperator, bicgstab
 from conftest import (
     complex_symbols_4d,
     coords4,
@@ -445,3 +446,87 @@ def test_spectral_gauduchon_residual_matches_component_formula(case):
         assert residual < 1e-11 and want < 1e-11
     else:
         assert residual == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# mixed precision: float32 inner solves inside float64 defect correction
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_single_precision_operator_matches_double(n):
+    rng = np.random.default_rng(300 + n)
+    op = TraceOperator(random_metric(n, rng))
+    f = rng.standard_normal((n,) * 4)
+    for method in (op.apply, op.precondition):
+        want = method(f)
+        got = method(f.astype(np.float32))
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
+    # the float32 tables were built without also caching the float64 preconditioner
+    fresh = TraceOperator(random_metric(n, rng))
+    fresh.precondition(f.astype(np.float32))
+    assert "_single_preconditioner" in vars(fresh)
+    assert "_preconditioner" not in vars(fresh)
+
+
+def _float64_reference_solve(metric, tol=pde.SOLVE_TOL):
+    """The defect-correction solve with every BiCGStab in float64."""
+    op = TraceOperator(metric)
+    s_g = chern_scalar(metric)
+    size = s_g.size
+    a_op = LinearOperator((size, size), dtype=float,
+                          matvec=lambda v: op.apply(v.reshape(op.shape)).ravel())
+    m_op = LinearOperator((size, size), dtype=float,
+                          matvec=lambda v: op.precondition(v.reshape(op.shape)).ravel())
+    f = np.zeros(op.shape)
+    for _ in range(pde._MAX_ROUNDS):
+        defect = s_g - op.apply(f)
+        if np.max(np.abs(defect)) < tol:
+            return f
+        rtol = min(3e-2, max(1e-9, 0.3 * tol / float(np.linalg.norm(defect.ravel()))))
+        update, _info = bicgstab(a_op, defect.ravel(), M=m_op, rtol=rtol, atol=0.0,
+                                 maxiter=pde._INNER_MAXITER)
+        f = f + update.reshape(op.shape)
+        f -= f.mean()
+    raise AssertionError("the float64 reference solve did not converge")
+
+
+def _mild_metric(n=16):
+    return MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.1 / np.pi ** 2))
+
+
+def test_mixed_precision_potential_matches_float64_reference_on_resolved_modes():
+    metric = _mild_metric()
+    solution = conformal_scalar_flat(metric)
+    reference = _float64_reference_solve(metric)
+    gap = _project_onto_resolved_modes(solution.f) - _project_onto_resolved_modes(reference)
+    assert np.max(np.abs(gap)) < 1e-12
+
+
+def _break_precondition(monkeypatch, broken_dtypes):
+    """Make precondition return zeros, which breaks BiCGStab down at once,
+    for inputs of the given dtypes."""
+    precondition = TraceOperator.precondition
+
+    def broken(self, r):
+        if r.dtype in broken_dtypes:
+            return np.zeros_like(r)
+        return precondition(self, r)
+
+    monkeypatch.setattr(TraceOperator, "precondition", broken)
+
+
+def test_failed_float32_round_is_redone_in_float64(monkeypatch):
+    metric = _mild_metric()
+    reference = _float64_reference_solve(metric)
+    _break_precondition(monkeypatch, (np.float32,))
+    solution = conformal_scalar_flat(metric)
+    assert solution.solve_residual < pde.SOLVE_TOL
+    assert solution.residual < pde.VERIFY_TOL
+    # every round was the float64 round of the reference, from the same defect
+    assert np.array_equal(solution.f, reference)
+
+
+def test_precondition_broken_at_both_precisions_raises(monkeypatch):
+    _break_precondition(monkeypatch, (np.float32, np.float64))
+    with pytest.raises(ConvergenceError, match="stalled"):
+        conformal_scalar_flat(_mild_metric())

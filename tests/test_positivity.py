@@ -164,6 +164,21 @@ def test_certificate_margin_recompute_invariant():
         Certificate(genus=2, deg_l=1, n=2, margin=1.0, issued=True)
 
 
+@pytest.mark.parametrize("g, deg_l, n", [(2, 1, 2), (2, 2, 2), (6, 5, 3)])
+def test_certificate_issued_flag_and_witness_follow_the_certified_range(g, deg_l, n):
+    cert = kx_certificate_split(g, deg_l, n)
+    margin = split_margin(g, deg_l, n)
+    witness = {"violation": "outside certified range", "grid": [0, 0], "value": margin}
+    # the flag flipped, with the witness that flag would need
+    with pytest.raises(DescriptorError, match="certified range"):
+        Certificate(genus=g, deg_l=deg_l, n=n, margin=margin, issued=not cert.issued,
+                    witness=None if cert.issued else witness)
+    # the right flag with the witness of the wrong one
+    with pytest.raises(DescriptorError, match="witness"):
+        Certificate(genus=g, deg_l=deg_l, n=n, margin=margin, issued=cert.issued,
+                    witness=witness if cert.issued else None)
+
+
 def test_default_fiber_samples_cover_endpoints():
     samples = default_fiber_samples()
     assert samples[0] == 0.0
