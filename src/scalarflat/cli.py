@@ -71,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--genus", type=int, required=True)
     rc.add_argument("--deg-l", type=int, required=True)
     rc.add_argument("--n", type=int, default=2)
-    rc.add_argument("--tol", type=float, default=positivity.RC_TOLERANCE,
-                    help="positivity margin for the eigenvalue scan")
 
     curv = sub.add_parser("curvature", help="scalar-curvature report of a stored metric")
     curv.add_argument("--metric", required=True, help="metric.json manifest path")
@@ -84,9 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", required=True, help="solution JSON path")
     solve.add_argument("--tol", type=float, default=pde.SOLVE_TOL,
                        help="equation-residual target (max norm)")
-    solve.add_argument("--max-iterations", type=int, default=pde.MAX_ITERATIONS)
-    for takes_tol in (rc, solve):
-        takes_tol._negative_number_matcher = NEGATIVE_NUMBER
+    solve._negative_number_matcher = NEGATIVE_NUMBER
 
     cat = sub.add_parser("catalog", help="built-in worked examples")
     cat.add_argument("--run-all", action="store_true",
@@ -116,24 +112,21 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _certify(genus: int, deg_l: int, n: int,
-             tol: float = positivity.RC_TOLERANCE) -> tuple[dict, dict | None]:
+def _certify(genus: int, deg_l: int, n: int) -> tuple[dict, dict | None]:
     """Constant certificate plus, when it is issued, the eigenvalue scan of
     the curvature form it certifies.  The form is constant over the base, so
-    the smallest chart gives the same scan as any other.  An invalid tol is
-    rejected even when no scan runs."""
-    positivity.validate_tolerance(tol)
+    the smallest chart gives the same scan as any other."""
     certificate = positivity.kx_certificate_split(genus, deg_l, n)
     scan = None
     if certificate.issued:
         curve = CurveModel.flat(genus, MIN_RESOLUTION)
         form = positivity.kx_curvature_form(certificate, curve)
-        scan = positivity.rc_scan(form, curve, tolerance=tol).to_dict()
+        scan = positivity.rc_scan(form, curve).to_dict()
     return certificate.to_dict(), scan
 
 
 def _cmd_rc_check(args) -> int:
-    certificate, scan = _certify(args.genus, args.deg_l, args.n, args.tol)
+    certificate, scan = _certify(args.genus, args.deg_l, args.n)
     _emit({"certificate": certificate, "rc_scan": scan})
     return EXIT_OK
 
@@ -151,8 +144,7 @@ def _cmd_curvature(args) -> int:
 
 def _cmd_solve(args) -> int:
     metric = load_metric(args.metric)
-    solution = pde.conformal_scalar_flat(metric, tol=args.tol,
-                                         max_iterations=args.max_iterations)
+    solution = pde.conformal_scalar_flat(metric, tol=args.tol)
     out_path = Path(args.out)
     f_path = out_path.with_suffix(".f.csv")
     save_field4(f_path, solution.f)

@@ -22,7 +22,7 @@ class SolvabilityError(ScalarFlatError):
 
 
 class ConvergenceError(ScalarFlatError):
-    """An iterative solver exhausted its budget without reaching tolerance."""
+    """A solve stalled short of its tolerance, or its result failed verification."""
 
 
 class NumericalInconsistencyError(ScalarFlatError):

@@ -34,13 +34,14 @@ from .errors import DegreeError, DescriptorError
 
 #: integral-versus-degree agreement demanded of user-supplied densities
 DEGREE_INPUT_TOL = 1e-6
-#: quantization tolerance guaranteed for constructed bundles
+#: quantization tolerance guaranteed for constructed bundles, per unit of
+#: max(1, |degree|): pi * degree loses its last bits on the way through the
+#: grid sum and back
 DEGREE_QUANTIZATION_TOL = 1e-8
 #: simplex-weight normalization tolerance
 SIMPLEX_TOL = 1e-12
 
 MIN_RESOLUTION = 8
-DEFAULT_RESOLUTION = 64
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -88,7 +89,7 @@ class CurveModel:
         object.__setattr__(self, "lam", _freeze(lam))
 
     @classmethod
-    def flat(cls, genus: int, resolution: int = DEFAULT_RESOLUTION) -> "CurveModel":
+    def flat(cls, genus: int, resolution: int) -> "CurveModel":
         """Chart with the constant area density one."""
         lam = np.ones((resolution, resolution))
         return cls(genus=genus, resolution=resolution, lam=lam)
@@ -121,8 +122,8 @@ class LineBundleModel:
     """A degree integer plus a curvature density on the curve grid.
 
     Invariant: (1/pi) * integrate(kappa) equals the degree to within
-    DEGREE_QUANTIZATION_TOL.  Use make_line_bundle to construct instances;
-    it projects user input onto the invariant exactly.
+    DEGREE_QUANTIZATION_TOL * max(1, |degree|).  Use make_line_bundle to
+    construct instances; it projects user input onto the invariant exactly.
     """
 
     degree: int
@@ -138,7 +139,7 @@ class LineBundleModel:
         if not np.all(np.isfinite(kappa)):
             raise DescriptorError("curvature density must be finite")
         measured = integrate(kappa, self.curve) / np.pi
-        if abs(measured - self.degree) > DEGREE_QUANTIZATION_TOL:
+        if abs(measured - self.degree) > DEGREE_QUANTIZATION_TOL * max(1, abs(self.degree)):
             raise DegreeError(
                 f"density integrates to degree {measured!r}, declared {self.degree}")
         object.__setattr__(self, "kappa", _freeze(kappa))

@@ -52,8 +52,6 @@ GAUDUCHON_TOL = 1e-8
 TOTAL_SCALAR_GATE = 1e-6
 #: default equation-residual target of the conformal solve (max norm)
 SOLVE_TOL = 1e-10
-#: default BiCGStab iteration budget of the conformal solve
-MAX_ITERATIONS = 10000
 #: verification bound on max |s| of the rescaled metric
 VERIFY_TOL = 1e-6
 
@@ -213,8 +211,8 @@ class ConformalSolution:
         object.__setattr__(self, "f", _freeze(f))
 
 
-def _defect_correction(metric: MetricModel4T, s_g: np.ndarray, tol: float,
-                       max_iterations: int) -> tuple[np.ndarray, float, int, int]:
+def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, float, int, int]:
     """Defect-correction rounds for tr_omega ddbar f = s_g; returns (f, max-norm
     residual, iterations, rounds).
 
@@ -250,10 +248,6 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray, tol: float,
     def correction(dtype):
         """(candidate, its defect, its max-norm defect) after one BiCGStab in dtype."""
         nonlocal iterations
-        if iterations >= max_iterations:
-            raise ConvergenceError(
-                f"conformal solve exhausted the iteration budget {max_iterations} "
-                f"at residual {rmax:.3e} (target {tol:.1e})")
         defect_l2 = float(np.linalg.norm(defect.ravel()))
         inner_rtol = min(3e-2, max(1e-9, 0.3 * tol / max(defect_l2, 1e-300)))
         scale = 1.0
@@ -265,8 +259,7 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray, tol: float,
         preconditioned[0] = 0
         update, _info = bicgstab(
             a_op, np.asarray(defect / scale, dtype=dtype).ravel(), M=m_op,
-            rtol=inner_rtol, atol=0.0,
-            maxiter=min(_INNER_MAXITER, max_iterations - iterations))
+            rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
         iterations += (preconditioned[0] + 1) // 2
         candidate = f + scale * np.asarray(update, dtype=float).reshape(shape)
         candidate -= candidate.mean()
@@ -294,27 +287,24 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray, tol: float,
     return f, rmax, iterations, rounds
 
 
-def conformal_scalar_flat(metric: MetricModel4T,
-                          tol: float = SOLVE_TOL,
-                          max_iterations: int = MAX_ITERATIONS) -> ConformalSolution:
+def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> ConformalSolution:
     """Produce f with s(e^(f/2) omega) = 0 from a zero-total-scalar Gauduchon
     metric in complex dimension two.
 
     Checks the Gauduchon and total-scalar gates (SolvabilityError), solves
-    s_G = tr_omega ddbar f to the max-norm residual tol within max_iterations
-    BiCGStab iterations (ConvergenceError), then rescales and recomputes the
-    scalar curvature of e^(f/2) omega as an independent end-to-end check.
-    Iterations count the BiCGStab steps begun: a full step applies the
-    preconditioner twice, a step that converges at its half step (unseen by
-    scipy's callback) once.  A tol that is not finite and positive, a
-    max_iterations below one, and resolutions below MIN_RESOLUTION (at N = 2
-    every mode lies in the operator's {0, Nyquist} null set) raise
+    s_G = tr_omega ddbar f to the max-norm residual tol (ConvergenceError
+    after two rounds in a row that do not halve the defect, or after
+    _MAX_ROUNDS rounds of at most two _INNER_MAXITER-step BiCGStab runs),
+    then rescales and recomputes the scalar curvature of e^(f/2) omega as an
+    independent end-to-end check.  Iterations count the BiCGStab steps
+    begun: a full step applies the preconditioner twice, a step that
+    converges at its half step (unseen by scipy's callback) once.  A tol
+    that is not finite and positive, and resolutions below MIN_RESOLUTION
+    (at N = 2 every mode lies in the operator's {0, Nyquist} null set) raise
     DescriptorError before any gate runs.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DescriptorError(f"solve tolerance must be finite and positive, got {tol!r}")
-    if max_iterations < 1:
-        raise DescriptorError(f"iteration budget must be at least 1, got {max_iterations}")
     if metric.resolution < MIN_RESOLUTION:
         raise DescriptorError(
             f"conformal solve needs resolution at least {MIN_RESOLUTION}, "
@@ -331,7 +321,7 @@ def conformal_scalar_flat(metric: MetricModel4T,
             "no conformal rescaling can reach a scalar-flat metric")
 
     s_g = chern_scalar(metric)
-    f, solve_residual, iterations, rounds = _defect_correction(metric, s_g, tol, max_iterations)
+    f, solve_residual, iterations, rounds = _defect_correction(metric, s_g, tol)
     rescaled = metric.rescaled(f / 2.0)
     end_to_end = float(np.max(np.abs(chern_scalar(rescaled))))
     if end_to_end > VERIFY_TOL:

@@ -16,7 +16,6 @@ chart the caller scans.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +55,9 @@ class RCReport:
     min_max_eigenvalue: float
     witness: dict
     rc_positive: bool
-    tolerance: float = RC_TOLERANCE
 
     def __post_init__(self):
-        if self.rc_positive != (self.min_max_eigenvalue > self.tolerance):
+        if self.rc_positive != (self.min_max_eigenvalue > RC_TOLERANCE):
             raise DescriptorError("rc_positive flag inconsistent with the scanned minimum")
 
     def to_dict(self) -> dict:
@@ -67,30 +65,20 @@ class RCReport:
             "min_max_eigenvalue": self.min_max_eigenvalue,
             "witness": self.witness,
             "rc_positive": self.rc_positive,
-            "tolerance": self.tolerance,
+            "tolerance": RC_TOLERANCE,
         }
 
 
-def validate_tolerance(tolerance: float) -> None:
-    """Reject a scan tolerance that is negative or not finite: no scanned
-    minimum can meaningfully clear it."""
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise DescriptorError(
-            f"scan tolerance must be finite and nonnegative, got {tolerance!r}")
-
-
-def rc_scan(form: OneOneForm, curve: CurveModel,
-            tolerance: float = RC_TOLERANCE) -> RCReport:
+def rc_scan(form: OneOneForm, curve: CurveModel) -> RCReport:
     """Scan a block-diagonal form for everywhere-positive top eigenvalue.
 
     Eigenvalues are taken against the fixed block reference metric
     lam * sqrt(-1) dz^dzbar on the base plus the Fubini-Study form on the
     fiber: at each (base point, fiber sample) they are base_component / lam
     together with fs_multiple.  The reported witness is the first sample
-    point (in fixed scan order) attaining the minimum.  The tolerance must
-    pass validate_tolerance.
+    point (in fixed scan order) attaining the minimum; the scan is positive
+    when that minimum exceeds RC_TOLERANCE.
     """
-    validate_tolerance(tolerance)
     if form.sample_count == 0:
         raise ValueError("cannot scan an empty fiber sample set")
     n = curve.resolution
@@ -103,7 +91,7 @@ def rc_scan(form: OneOneForm, curve: CurveModel,
     min_max = float(top[k, i, j])
     witness = {"sample_index": int(k), "s1": float(form.s1[k]), "grid": [int(i), int(j)]}
     return RCReport(min_max_eigenvalue=min_max, witness=witness,
-                    rc_positive=min_max > tolerance, tolerance=tolerance)
+                    rc_positive=min_max > RC_TOLERANCE)
 
 
 @dataclass(frozen=True, eq=False)

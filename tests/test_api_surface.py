@@ -5,11 +5,15 @@ and of each public method of an exported class, as "name" or
 "name=default".  CLI lists each subcommand's arguments the same way, with
 required flags written bare.  Adding, removing or re-defaulting a setting
 shows up as a one-line diff here.  Exception classes are left out: they
-take only a message.
+take only a message.  The README's flag-default table is checked against
+the parser and the module constants it names.
 """
 
 import argparse
+import importlib
 import inspect
+import re
+from pathlib import Path
 
 import scalarflat
 from scalarflat.cli import build_parser
@@ -23,7 +27,7 @@ API = {
     "ConformalSolution": "f, residual, solve_residual, iterations, rounds",
     "CurveModel": "genus, resolution, lam",
     "CurveModel.coordinates": "",
-    "CurveModel.flat": "genus, resolution=64",
+    "CurveModel.flat": "genus, resolution",
     "CurveModel.matches": "other",
     "FiberSimplexPoint": "weights",
     "GateResult": "verdict, reason, report=None",
@@ -38,7 +42,7 @@ API = {
     "MinimalSurfaceDescriptor": "kodaira_dim, surface_class=None, genus=None, m=None",
     "MinimalSurfaceDescriptor.of_class": "surface_class, genus=None, m=None",
     "OneOneForm": "base_component, s1, fs_multiple",
-    "RCReport": "min_max_eigenvalue, witness, rc_positive, tolerance=1e-09",
+    "RCReport": "min_max_eigenvalue, witness, rc_positive",
     "RCReport.to_dict": "",
     "RicciField": "ric",
     "SplitBundle": "summands",
@@ -50,7 +54,7 @@ API = {
     "classify_ruled": "g, m",
     "classify_split": "g, deg_l, n",
     "conformal_ricci": "ric, f, n",
-    "conformal_scalar_flat": "metric, tol=1e-10, max_iterations=10000",
+    "conformal_scalar_flat": "metric, tol=1e-10",
     "conformal_total_scalar_identity_check": "metric, f",
     "hirzebruch_anticanonical_h0": "k",
     "integrate": "field_values, curve",
@@ -64,7 +68,7 @@ API = {
     "minimal_surface_gate": "descriptor",
     "poisson_periodic": "rho",
     "prescribe_curvature": "target, current",
-    "rc_scan": "form, curve, tolerance=1e-09",
+    "rc_scan": "form, curve",
     "tautological_base_curvature": "bundle, point",
     "tensor_product": "a, b",
     "total_scalar": "metric",
@@ -76,9 +80,9 @@ CLI = {
     "classify ruled": "--genus, --m",
     "classify split": "--genus, --deg-l, --n=2",
     "classify minimal": "--class, --genus=None, --m=None",
-    "rc-check": "--genus, --deg-l, --n=2, --tol=1e-09",
+    "rc-check": "--genus, --deg-l, --n=2",
     "curvature": "--metric, --out=None",
-    "solve": "target, --metric, --out, --tol=1e-10, --max-iterations=10000",
+    "solve": "target, --metric, --out, --tol=1e-10",
     "catalog": "--run-all=False",
     "report": "--genus, --deg-l, --n=2",
 }
@@ -145,3 +149,31 @@ def test_public_api_settings_are_pinned():
 
 def test_cli_settings_are_pinned():
     assert _cli_surface(build_parser()) == CLI
+
+
+#: a row of the README table: | `command --flag` (what it sets) | default | `module.CONSTANT` |
+README_ROW = re.compile(r"^\| `(?P<command>[a-z -]+?) (?P<flag>--[a-z-]+)`[^|]*"
+                        r"\| (?P<default>[^|]+?) \| `(?P<module>\w+)\.(?P<constant>\w+)` \|$")
+
+
+def _readme_flag_table() -> list[str]:
+    lines = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8").splitlines()
+    start = lines.index("| flag | default | constant |") + 2    # past the separator
+    end = start
+    while end < len(lines) and lines[end].startswith("|"):
+        end += 1
+    return lines[start:end]
+
+
+def test_readme_flag_defaults_match_the_parser_and_their_constants():
+    lines = _readme_flag_table()
+    assert lines, "README's flag-default table has no rows"
+    surface = _cli_surface(build_parser())
+    for line in lines:
+        row = README_ROW.match(line)
+        assert row, f"unparsed README table row: {line}"
+        constant = getattr(importlib.import_module(f"scalarflat.{row['module']}"),
+                           row["constant"])
+        assert row["default"] == repr(constant), line
+        assert f"{row['flag']}={constant!r}" in surface[row["command"]].split(", "), line

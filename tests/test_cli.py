@@ -112,6 +112,24 @@ def test_certificate_output_does_not_depend_on_the_resolution():
         assert scans[0] == scans[1], (g, deg_l, n)
 
 
+@pytest.mark.parametrize("genus", [10 ** 9, 10 ** 12])
+@pytest.mark.parametrize("command", ["rc-check", "report"])
+def test_certificate_is_issued_at_a_huge_genus(capsys, command, genus):
+    # pi (2g - 2) loses its last bits on the way through the chart's grid sum,
+    # far more than 1e-8 of a degree at g = 1e9
+    argv = ["--genus", str(genus), "--deg-l", "1"]
+    code, payload = run_json(capsys, [command] + argv)
+    assert code == 0
+    assert payload["certificate"]["issued"] is True
+    scan = payload["rc_scan"]
+    assert scan["rc_positive"] is True
+    assert scan["min_max_eigenvalue"] == pytest.approx(payload["certificate"]["margin"],
+                                                       rel=1e-12)
+    code, payload = run_json(capsys, ["classify", "split"] + argv)
+    assert code == 0
+    assert payload["scalar_flat_hermitian"] == "yes"
+
+
 @pytest.mark.parametrize("command", [["classify", "split"], ["report"]])
 def test_negative_genus_exits_2_for_every_rank(capsys, command):
     for n in ("2", "3", "4"):
@@ -186,15 +204,17 @@ def test_solve_scalar_flat_pipeline(tmp_path, capsys):
     assert (tmp_path / payload["f_csv"]).exists()
 
 
-def test_solve_exhausted_budget_exits_4(tmp_path, capsys):
+def test_solve_unmeetable_tol_exits_4(tmp_path, capsys):
     metric = MetricModel4T.from_kahler_potential(
         kahler_test_potential(8, 0.1 / np.pi ** 2))
     manifest = save_metric(metric, tmp_path / "metric")
     code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
                                       "--out", str(tmp_path / "solution.json"),
-                                      "--max-iterations", "1"])
+                                      "--tol", "1e-20"])
     assert code == 4
     assert payload["error"] == "ConvergenceError"
+    assert "stalled" in payload["message"]
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_missing_metric_file_exits_2(capsys):
@@ -229,23 +249,14 @@ def test_solve_below_minimum_resolution_exits_2(tmp_path, capsys):
     ["solve", "--tol", "-1e-10"],
     ["solve", "--tol", "nan"],
     ["solve", "--tol", "inf"],
-    ["solve", "--max-iterations", "0"],
-    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "nan"],
-    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol=-1e-9"],
-    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "-1e-9"],
-    ["rc-check", "--genus", "3", "--deg-l", "1", "--n", "2", "--tol", "inf"],
-    ["rc-check", "--genus", "2", "--deg-l", "5", "--tol", "nan"],
 ], ids=["solve tol 0", "solve negative tol", "solve negative tol after a space",
-        "solve nan tol", "solve inf tol", "solve no iterations", "rc-check nan tol",
-        "rc-check negative tol", "rc-check negative tol after a space", "rc-check inf tol",
-        "rc-check nan tol without a scan"])
+        "solve nan tol", "solve inf tol"])
 def test_settings_that_cannot_be_met_exit_2(tmp_path, capsys, argv):
-    if argv[0] == "solve":
-        metric = MetricModel4T.from_kahler_potential(
-            kahler_test_potential(8, 0.1 / np.pi ** 2))
-        manifest = save_metric(metric, tmp_path / "metric")
-        argv = ["solve", "scalar-flat", "--metric", str(manifest),
-                "--out", str(tmp_path / "solution.json")] + argv[1:]
+    metric = MetricModel4T.from_kahler_potential(
+        kahler_test_potential(8, 0.1 / np.pi ** 2))
+    manifest = save_metric(metric, tmp_path / "metric")
+    argv = ["solve", "scalar-flat", "--metric", str(manifest),
+            "--out", str(tmp_path / "solution.json")] + argv[1:]
     code = run(argv)
     out = capsys.readouterr().out
     assert code == 2

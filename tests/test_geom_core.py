@@ -207,3 +207,15 @@ def test_line_bundle_rejects_inconsistent_degree_directly():
     curve = CurveModel.flat(2, 16)
     with pytest.raises(DegreeError):
         LineBundleModel(degree=2, kappa=np.full((16, 16), np.pi), curve=curve)
+
+
+@pytest.mark.parametrize("degree", [2 * 10 ** 9 - 2, -(10 ** 12), 2 * 10 ** 18 - 2])
+def test_quantization_bound_scales_with_the_degree(degree):
+    # the round trip pi * degree -> grid sum -> / pi is exact only to a few
+    # ulps of the degree, so the bound is relative; 1e-7 of the degree off
+    # still fails
+    curve = CurveModel.flat(10 ** 9, 8)
+    assert make_line_bundle(degree, "constant", curve).degree == degree
+    with pytest.raises(DegreeError):
+        LineBundleModel(degree=degree, kappa=np.full((8, 8), np.pi * degree * (1 + 1e-7)),
+                        curve=curve)

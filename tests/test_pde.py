@@ -235,11 +235,12 @@ def test_conformal_solver_rejects_resolution_below_minimum(n, monkeypatch):
         conformal_scalar_flat(MetricModel4T.flat(n))
 
 
-def test_conformal_solver_iteration_budget():
-    n = 16
-    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.1 / np.pi ** 2))
-    with pytest.raises(ConvergenceError):
-        conformal_scalar_flat(metric, max_iterations=1)
+def test_conformal_solver_stalls_on_an_unmeetable_tol():
+    # 1e-20 lies far below the defect's roundoff floor, so the stall counter
+    # ends the solve
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
+    with pytest.raises(ConvergenceError, match="stalled"):
+        conformal_scalar_flat(metric, tol=1e-20)
 
 
 def test_conformal_solver_is_bit_deterministic():
