@@ -14,11 +14,13 @@ curvature integral(s omega^2) is computed as 8 * mean(s * det g).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
 import zipfile
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -364,20 +366,153 @@ _TWIN_FILE = "metric.npz"
 _TWIN_ERRORS = (OSError, ValueError, EOFError, KeyError, zipfile.BadZipFile)
 
 
+# %.18e text without Python's `%` on every value.  `%.18e` prints the exact
+# binary value rounded to 19 significant digits, i.e. the integer nearest
+# x * 10^(18 - e10) with e10 = floor(log10 |x|).  That product is formed as a
+# double-double, Dekker's exact two-product of x and hi(10^q) plus x * lo(10^q)
+# (Dekker, Numer. Math. 18, 1971), which is within about 1e-13 of the exact
+# value, so the nearest integer is certain except within 1e-7 of a tie.
+# Near-ties, non-finite values and nonzero |x| outside [1e-240, 1e240) are
+# left to `%` (Steele & White, PLDI 1990, handle the general case).
+
+#: Veltkamp's splitting constant 2^27 + 1
+_SPLIT = 134217729.0
+#: the table holds 10^q for _Q_MIN <= q <= _Q_MAX; q = 18 - e10 stays within it
+_Q_MIN, _Q_MAX = -230, 260
+#: magnitudes formatted without the fallback
+_FAST_MIN, _FAST_MAX = 1e-240, 1e240
+#: distance from a rounding tie inside which the fallback formats a value
+_TIE_GUARD = 1e-7
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp split a = hi + lo into halves of at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _powers_of_ten() -> np.ndarray:
+    """Rows hi, hi's two Veltkamp halves and lo of 10^q = hi + lo + O(10^q 2^-106)
+    for q = _Q_MIN.._Q_MAX, from exact rationals; built on the first write."""
+    hi, lo = [], []
+    for q in range(_Q_MIN, _Q_MAX + 1):
+        exact = Fraction(10) ** q
+        hi.append(float(exact))
+        lo.append(float(exact - Fraction(hi[-1])))
+    hi = np.array(hi)
+    return _freeze(np.stack([hi, *_split(hi), np.array(lo)]))
+
+
+#: ASCII digits of 0..999, one column per number
+_THREE_DIGITS = (np.arange(1000) // np.array([[100], [10], [1]]) % 10
+                 + ord("0")).astype(np.uint8)
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double-double (s, err) of a * 10^(18 - e10) for positive a: s is the
+    rounded product, integer-valued near [1e18, 1e19], and err the rest."""
+    b, b_hi, b_lo, lo = np.take(_powers_of_ten(), 18 - e10 - _Q_MIN, axis=1)
+    p = a * b
+    a_hi, a_lo = _split(a)
+    t = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * lo
+    s = p + t    # Fast2Sum: |p| >= |t|
+    return s, t - (s - p)
+
+
+def _below(s: np.ndarray, err: np.ndarray) -> np.ndarray:
+    return (s < 1e18) | ((s == 1e18) & (err < 0.0))
+
+
+def _at_or_above(s: np.ndarray, err: np.ndarray) -> np.ndarray:
+    return (s > 1e19) | ((s == 1e19) & (err >= 0.0))
+
+
+def _fallback_text(value: float) -> str:
+    """Python's %.18e, for the values _format_e18 does not format itself."""
+    return "%.18e" % value
+
+
+def _format_e18(x: np.ndarray, separators: np.ndarray) -> bytes:
+    """b"".join(b"%.18e" % v + sep) over the float64 values x and their
+    separator bytes, byte for byte."""
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = zero | ((a >= _FAST_MIN) & (a < _FAST_MAX))    # False for nan
+    a = np.where(fast & ~zero, a, 1.0)     # log10 sees positive finite values only
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    s, err = _scaled(a, e10)
+    # log10 can miss floor(log10 a) by one next to a power of ten
+    shift = _at_or_above(s, err).astype(np.int64) - _below(s, err)
+    moved = np.flatnonzero(shift)
+    if moved.size:
+        e10[moved] += shift[moved]
+        s[moved], err[moved] = _scaled(a[moved], e10[moved])
+    below = np.floor(err)
+    frac = err - below
+    fallback = (~fast | (np.abs(frac - 0.5) <= _TIE_GUARD)
+                | _below(s, err) | _at_or_above(s, err))
+    s[fallback] = 1e18
+    offset = below + (frac > 0.5)
+    offset[fallback] = 0.0
+    # the digit integer, s + offset with |offset| <= 2048, in uint64 without wrapping
+    d = s.astype(np.uint64) + (offset + 2048.0).astype(np.uint64) - np.uint64(2048)
+    # rounding up to 10^19 would carry into the exponent; no double in the
+    # fast range lies that close below a power of ten
+    fallback |= d >= np.uint64(10 ** 19)
+    d[zero] = 0
+    e10[zero] = 0
+
+    # one column per value: sign, d.ddd..., e, exponent sign, three exponent
+    # digits and the separator; the sign and a leading exponent zero are pads
+    n = x.size
+    out = np.empty((27, n), dtype=np.uint8)
+    out[0] = ord("-")
+    lead = d // np.uint64(10 ** 18)
+    out[1] = lead + ord("0")
+    out[2] = ord(".")
+    rest = d - lead * np.uint64(10 ** 18)
+    halves = np.empty((2, n), dtype=np.uint32)
+    halves[0] = rest // np.uint64(10 ** 9)
+    halves[1] = rest % np.uint64(10 ** 9)
+    digits = out[3:21].reshape(2, 9, n)
+    for k in range(8, -1, -1):
+        quotient = halves // np.uint32(10)
+        np.subtract(halves, quotient * np.uint32(10), out=digits[:, k], casting="unsafe")
+        halves = quotient
+    out[3:21] += ord("0")
+    out[21] = ord("e")
+    out[22] = np.where(e10 < 0, ord("-"), ord("+"))
+    np.take(_THREE_DIGITS, np.abs(e10), axis=1, out=out[23:26])
+    out[26] = separators
+    keep = np.ones((n, 27), dtype=bool)
+    keep[:, 0] = np.signbit(x)
+    keep[:, 23] = np.abs(e10) >= 100
+    for j in np.flatnonzero(fallback):
+        # at most 26 characters and the separator, so it fits the column
+        text = (_fallback_text(float(x[j])) + chr(separators[j])).encode("ascii")
+        out[:len(text), j] = np.frombuffer(text, dtype=np.uint8)
+        keep[j] = np.arange(27) < len(text)
+    return np.ascontiguousarray(out.T)[keep].tobytes()
+
+
 def _write_grid_csv(path: Path, values: np.ndarray, component: str) -> str:
     """Write a real (n, n, n, n) grid byte for byte as np.savetxt writes its
     (n^3, n) flattening with delimiter "," and header "N=n component=..",
     one x1-slab at a time; returns the sha256 of the bytes written."""
+    values = np.asarray(values, dtype=float)
     n = values.shape[0]
     if values.shape != (n, n, n, n):
         raise ValueError(f"expected an (n, n, n, n) grid, got shape {values.shape}")
-    slab_format = (",".join(["%.18e"] * n) + "\n") * (n * n)
+    separators = np.full((n * n, n), ord(","), dtype=np.uint8)
+    separators[:, -1] = ord("\n")
+    separators = separators.ravel()
     digest = hashlib.sha256()
     with open(path, "wb") as handle:
-        for text in itertools.chain(
-                [f"# N={n} component={component}\n"],
-                (slab_format % tuple(slab.ravel().tolist()) for slab in values)):
-            data = text.encode("ascii")
+        for data in itertools.chain(
+                [f"# N={n} component={component}\n".encode("ascii")],
+                (_format_e18(slab.ravel(), separators) for slab in values)):
             digest.update(data)
             handle.write(data)
     return digest.hexdigest()
@@ -504,5 +639,5 @@ def load_metric(manifest_path) -> MetricModel4T:
 def save_field4(path, values: np.ndarray) -> None:
     """Write a real 4-d grid field as CSV (same layout as metric components),
     labelled component=f."""
-    _write_grid_csv(Path(path), np.asarray(values, dtype=float), "f")
+    _write_grid_csv(Path(path), values, "f")
 

@@ -220,7 +220,9 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
     correction comes from BiCGStab in float32 on the defect scaled to unit
     max norm, to a relative tolerance no finer than _SINGLE_RTOL; a round
     whose float32 correction does not halve the max-norm defect is redone in
-    float64 from the same defect, and only a float64 round can stall.  The
+    float64 from the same defect, and only a float64 round can stall.  A
+    round that does not lower the defect is rejected and ends the solve at
+    once, since the next round would start from the same defect.  The
     operator, its float32 tables and the Krylov vectors live in this frame,
     so they are freed before the caller's verification.
     """
@@ -272,18 +274,21 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
         """Whether a round's result halves the current defect or meets tol."""
         return new_rmax < 0.5 * rmax or new_rmax < tol
 
-    while rmax >= tol:
-        if rounds >= _MAX_ROUNDS or stalls >= 2:
-            raise ConvergenceError(
-                f"conformal solve stalled: residual {rmax:.3e} after {iterations} "
-                f"iterations in {rounds} rounds (target {tol:.1e})")
+    while rmax >= tol and rounds < _MAX_ROUNDS and stalls < 2:
         rounds += 1
         candidate, new_defect, new_rmax = correction(np.float32)
         if not halves(new_rmax):
             candidate, new_defect, new_rmax = correction(np.float64)
+        if new_rmax >= rmax:
+            # rejected: f and the defect stay as they are, so another round
+            # would repeat this one bit for bit
+            break
         stalls = 0 if halves(new_rmax) else stalls + 1
-        if new_rmax < rmax:
-            f, defect, rmax = candidate, new_defect, new_rmax
+        f, defect, rmax = candidate, new_defect, new_rmax
+    if rmax >= tol:
+        raise ConvergenceError(
+            f"conformal solve stalled: residual {rmax:.3e} after {iterations} "
+            f"iterations in {rounds} rounds (target {tol:.1e})")
     return f, rmax, iterations, rounds
 
 
@@ -293,8 +298,9 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
 
     Checks the Gauduchon and total-scalar gates (SolvabilityError), solves
     s_G = tr_omega ddbar f to the max-norm residual tol (ConvergenceError
-    after two rounds in a row that do not halve the defect, or after
-    _MAX_ROUNDS rounds of at most two _INNER_MAXITER-step BiCGStab runs),
+    after a round that does not lower the defect, after two rounds in a row
+    that do not halve it, or after _MAX_ROUNDS rounds of at most two
+    _INNER_MAXITER-step BiCGStab runs),
     then rescales and recomputes the scalar curvature of e^(f/2) omega as an
     independent end-to-end check.  Iterations count the BiCGStab steps
     begun: a full step applies the preconditioner twice, a step that
@@ -313,7 +319,7 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     if not flag:
         raise SolvabilityError(
             f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
-            "the conformal equation is solvable only in the Gauduchon gauge")
+            "a Gauduchon metric is this method's hypothesis")
     total = total_scalar(metric)
     if abs(total) > TOTAL_SCALAR_GATE:
         raise SolvabilityError(

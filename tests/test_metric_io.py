@@ -3,6 +3,8 @@ load_metric takes in place of a parse only when its digests match the CSVs."""
 
 import hashlib
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scalarflat import DescriptorError, MetricModel4T
+from scalarflat import DescriptorError, MetricModel4T, conformal_scalar_flat
+from scalarflat import curvature
 from scalarflat.cli import run
-from scalarflat.curvature import _write_grid_csv, load_metric, save_metric
+from scalarflat.curvature import _write_grid_csv, load_metric, save_field4, save_metric
 
 SPECIAL_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                   1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan)
@@ -41,6 +44,83 @@ def test_grid_writer_matches_savetxt_byte_for_byte(writer_dir, values):
     written = (directory / "chunked.csv").read_bytes()
     assert written == (directory / "reference.csv").read_bytes()
     assert digest == hashlib.sha256(written).hexdigest()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=4000))
+def test_formatter_matches_percent_on_random_bit_patterns(seed, size):
+    # every float64 is equally likely, so about a fifth of the values lie
+    # outside the fast path's magnitudes or are not finite
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64)
+    separators = rng.choice(np.frombuffer(b",\n", dtype=np.uint8), size)
+    expected = "".join("%.18e" % v + chr(sep)
+                       for v, sep in zip(values.tolist(), separators.tolist()))
+    assert curvature._format_e18(values, separators) == expected.encode("ascii")
+
+
+def count_fallbacks(monkeypatch):
+    """Make curvature._fallback_text record each value it formats; returns that list."""
+    formatted = []
+    fallback = curvature._fallback_text
+
+    def counting(value):
+        formatted.append(value)
+        return fallback(value)
+
+    monkeypatch.setattr(curvature, "_fallback_text", counting)
+    return formatted
+
+
+def test_powers_of_ten_and_their_neighbours_take_the_fast_path(monkeypatch):
+    # log10 misses floor(log10 |x|) by one for about half of these, and the
+    # exponent is corrected without the fallback
+    powers = np.array([float(Fraction(10) ** k) for k in range(-239, 240)])
+    values = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    separators = np.full(values.size, ord(","), dtype=np.uint8)
+    formatted = count_fallbacks(monkeypatch)
+    expected = "".join("%.18e," % v for v in values.tolist())
+    assert curvature._format_e18(values, separators) == expected.encode("ascii")
+    # the one tie: (1e14 - 2^-6) * 10^5 ends in .5 exactly
+    assert formatted == [99999999999999.984375, -99999999999999.984375]
+
+
+#: a value next to a rounding tie of %.18e: 10^18 times it lies 5.8e-11 below
+#: 1617164631359264026.5 (found by a search over uniform draws in [0.5, 2))
+NEAR_TIE = 1.617164631359264
+FALLBACK_VALUES = (np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308 / 3,
+                   1e-300, 1e300, 1e240, -1e240, NEAR_TIE)
+
+
+def test_every_fallback_branch_matches_savetxt(tmp_path, monkeypatch):
+    scaled = Fraction(NEAR_TIE) * 10 ** 18
+    assert 0 < abs(scaled - math.floor(scaled) - Fraction(1, 2)) <= curvature._TIE_GUARD
+    n = 8
+    values = 1.0 + 0.1 * trig_field4(n, np.random.default_rng(2))
+    values[3, 4, 2:7:2, 1:6:2] = np.reshape(FALLBACK_VALUES[:9], (3, 3))
+    values[3, 5, 0, 7] = NEAR_TIE
+    formatted = count_fallbacks(monkeypatch)
+    _write_grid_csv(tmp_path / "chunked.csv", values, "11")
+    np.savetxt(tmp_path / "reference.csv", values.reshape(n ** 3, n), delimiter=",",
+               header=f"N={n} component=11")
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert np.array_equal(np.array(formatted), np.array(FALLBACK_VALUES), equal_nan=True)
+
+
+def test_writer_matches_savetxt_on_the_mild_metric_and_its_potential(tmp_path):
+    n = 16
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.1 / np.pi ** 2))
+    solution = conformal_scalar_flat(metric)
+    save_metric(metric, tmp_path / "metric")
+    save_field4(tmp_path / "f.csv", solution.f)
+    grids = {"metric/g11.csv": ("11", metric.g11), "metric/g22.csv": ("22", metric.g22),
+             "metric/g12_re.csv": ("12re", metric.g12.real),
+             "metric/g12_im.csv": ("12im", metric.g12.imag), "f.csv": ("f", solution.f)}
+    for name, (component, grid) in grids.items():
+        np.savetxt(tmp_path / "reference.csv", grid.reshape(n ** 3, n), delimiter=",",
+                   header=f"N={n} component={component}")
+        assert (tmp_path / name).read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def count_parses(monkeypatch):

@@ -243,6 +243,23 @@ def test_conformal_solver_stalls_on_an_unmeetable_tol():
         conformal_scalar_flat(metric, tol=1e-20)
 
 
+def test_stalled_solve_never_repeats_a_bicgstab_call(monkeypatch):
+    # a rejected round leaves the defect unchanged, so another round after it
+    # would hand BiCGStab the same right-hand side bit for bit
+    right_hand_sides = []
+
+    def recording(a_op, b, **kwargs):
+        right_hand_sides.append((b.dtype.str, b.tobytes()))
+        return bicgstab(a_op, b, **kwargs)
+
+    monkeypatch.setattr(pde, "bicgstab", recording)
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
+    with pytest.raises(ConvergenceError, match="stalled"):
+        conformal_scalar_flat(metric, tol=1e-20)
+    assert len(right_hand_sides) > 1
+    assert len(set(right_hand_sides)) == len(right_hand_sides)
+
+
 def test_conformal_solver_is_bit_deterministic():
     n = 8
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.02))
