@@ -10,6 +10,7 @@ standard output with fixed key order; exit codes are 0 (computed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -192,25 +193,34 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
+_HANDLERS = {
+    "classify": _cmd_classify,
+    "rc-check": _cmd_rc_check,
+    "curvature": _cmd_curvature,
+    "solve": _cmd_solve,
+    "catalog": _cmd_catalog,
+    "report": _cmd_report,
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `run` uses: built on the first call, then shared.  Parsing
+    leaves it unchanged, and usage and help go to the streams current at each
+    call; `build_parser` still returns a fresh one to any other caller."""
+    return build_parser()
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse prints usage to stderr on bad flags and exits 2; --help exits 0
         return int(exc.code or 0)
-    handlers = {
-        "classify": _cmd_classify,
-        "rc-check": _cmd_rc_check,
-        "curvature": _cmd_curvature,
-        "solve": _cmd_solve,
-        "catalog": _cmd_catalog,
-        "report": _cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except (DescriptorError, DegreeError, NagataViolation, SolvabilityError,
-            OSError, json.JSONDecodeError, ValueError) as exc:
+            OSError, ValueError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_INVALID
     except NumericalInconsistencyError as exc:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 from conftest import kahler_test_potential
-from test_golden_outputs import sweep
+from test_golden_outputs import GOLDEN, digest, sweep
 
 from scalarflat import (
     CurveModel,
@@ -12,8 +12,10 @@ from scalarflat import (
     kx_curvature_form,
     rc_scan,
 )
+from scalarflat import cli
 from scalarflat.catalog import catalog_entries, check_entry
-from scalarflat.cli import run
+from scalarflat.classifier import classify_split
+from scalarflat.cli import build_parser, run
 from scalarflat.curvature import save_metric
 from scalarflat.positivity import in_certified_range
 
@@ -301,3 +303,56 @@ def test_output_is_byte_deterministic(capsys):
     run(["classify", "split", "--genus", "6", "--deg-l", "5"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    metric = MetricModel4T.from_kahler_potential(
+        kahler_test_potential(8, 0.1 / np.pi ** 2))
+    manifest = save_metric(metric, tmp_path / "metric")
+    cli._parser.cache_clear()
+    code = run(["classify", "ruled", "--genus", "2", "--m", "2", "--bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "usage" in captured.err
+    assert captured.out == ""
+    code = run(["--help"])
+    assert code == 0
+    assert "usage" in capsys.readouterr().out
+    code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
+                                      "--out", str(tmp_path / "solution.json"),
+                                      "--tol", "-1e-10"])
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    argv = ["classify", "split", "--genus", "6", "--deg-l", "5"]
+    code, payload = run_json(capsys, argv + ["--n", "3"])
+    assert code == 0
+    assert payload == classify_split(6, 5, 3).to_dict()
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload == classify_split(6, 5, 2).to_dict() != classify_split(6, 5, 3).to_dict()
+
+
+def test_run_builds_its_parser_once_per_process(capsys, monkeypatch):
+    builds = []
+
+    def counting_build_parser():
+        builds.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for argv in (["catalog"], ["classify", "ruled", "--genus", "2", "--m", "2"],
+                 ["rc-check", "--genus", "2", "--deg-l", "1"], ["--bogus"]):
+        run(argv)
+    capsys.readouterr()
+    assert len(builds) == 1
+
+
+def test_build_parser_returns_a_fresh_parser_that_run_does_not_share():
+    assert build_parser() is not build_parser()
+    cli._parser.cache_clear()
+    # a required flag on a parser `run` used would turn every query into a
+    # usage error
+    build_parser().add_argument("--required-extra", required=True)
+    argv = ["classify", "split", "--genus", "6", "--deg-l", "5", "--n", "2"]
+    assert digest(argv) == json.loads(GOLDEN.read_text())[" ".join(argv)]
