@@ -41,21 +41,48 @@ TOTAL_SCALAR_CROSS_TOL = 1e-6
 HERMITIAN_INPUT_TOL = 1e-10
 
 
-def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
-    """Hermitian part of a field of matrices over its last two axes; raises
-    DescriptorError naming `what` for a non-finite entry or an asymmetry above
-    HERMITIAN_INPUT_TOL (relative to the largest entry)."""
+def _hermitian_entries(field: np.ndarray, what: str):
+    """entry(i, j), the Hermitian part's entry (conj(f_ji) + f_ij) * 0.5 of a
+    field of matrices over its last two axes as a fresh complex C-order
+    array.  Raises DescriptorError naming `what` for a non-finite entry or an
+    asymmetry max |f_ij - conj(f_ji)| above HERMITIAN_INPUT_TOL (relative to
+    the largest entry).  Works one index pair at a time, so no temporary is
+    larger than one entry."""
     field = np.asarray(field, dtype=complex)
     if not np.all(np.isfinite(field)):
         raise DescriptorError(f"{what} entries must be finite")
-    # C order, so the result is laid out like a fresh field and can be frozen in place
-    adjoint = np.conj(np.swapaxes(field, -1, -2), order="C")
-    asym = float(np.max(np.abs(field - adjoint)))
-    if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))):
+    r = field.shape[-1]
+    largest = asym = 0.0
+    for i in range(r):
+        # f_ii - conj(f_ii) = 2i Im f_ii, exactly
+        asym = max(asym, 2.0 * float(np.max(np.abs(field[..., i, i].imag))))
+        for j in range(r):
+            largest = max(largest, float(np.max(np.abs(field[..., i, j]))))
+        # |f_ji - conj(f_ij)| is the same number, so the upper triangle covers every pair
+        for j in range(i + 1, r):
+            diff = np.conj(field[..., j, i])
+            np.subtract(field[..., i, j], diff, out=diff)
+            asym = max(asym, float(np.max(np.abs(diff))))
+    if asym > HERMITIAN_INPUT_TOL * max(1.0, largest):
         raise DescriptorError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
-    adjoint += field
-    adjoint *= 0.5
-    return adjoint
+
+    def entry(i, j):
+        out = np.conj(field[..., j, i])
+        out += field[..., i, j]
+        out *= 0.5
+        return out
+
+    return entry
+
+
+def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
+    """Hermitian part of a field of matrices over its last two axes, a fresh
+    C-order field; validated as _hermitian_entries validates it."""
+    entry = _hermitian_entries(field, what)
+    out = np.empty(np.shape(field), dtype=complex)
+    for i, j in np.ndindex(out.shape[-2:]):
+        out[..., i, j] = entry(i, j)
+    return out
 
 
 def _hermitian_2x2(a11, a22, a12) -> np.ndarray:
@@ -188,10 +215,9 @@ class MetricModel4T:
         g = np.asarray(g, dtype=complex)
         if g.ndim != 6 or g.shape[4:] != (2, 2):
             raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {g.shape}")
-        g = hermitian_part(g, "metric")
-        # copies, so the instance keeps no view of the 2x2 field
-        self.__post_init__(g[..., 0, 0].real.copy(), g[..., 1, 1].real.copy(),
-                           g[..., 0, 1].copy())
+        entry = _hermitian_entries(g, "metric")
+        # copies, so the instance keeps no view of a complex diagonal
+        self.__post_init__(entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1))
 
     @classmethod
     def _from_components(cls, g11, g22, g12) -> "MetricModel4T":
@@ -205,13 +231,16 @@ class MetricModel4T:
             raise DescriptorError(f"expected an equal-resolution grid, got {g11.shape}")
         if not all(np.isfinite(entry).all() for entry in (g11, g22, g12)):
             raise DescriptorError("metric entries must be finite")
-        det = g11 * g22 - np.abs(g12) ** 2
+        det = g11 * g22
+        det -= np.abs(g12) ** 2
         if float(g11.min()) <= 0.0 or float(det.min()) <= 0.0:
             raise DescriptorError(
                 "metric is not positive definite "
                 f"(min leading entry {g11.min():.3e}, min determinant {det.min():.3e})")
+        inv12 = np.negative(g12)
+        inv12 /= det
         fields = {"g11": g11, "g22": g22, "g12": g12, "det": det,
-                  "inv11": g22 / det, "inv22": g11 / det, "inv12": -g12 / det}
+                  "inv11": g22 / det, "inv22": g11 / det, "inv12": inv12}
         for name, field in fields.items():
             field.setflags(write=False)
             object.__setattr__(self, name, field)
@@ -273,14 +302,11 @@ class RicciField:
 
 
 def _ricci_components(metric: MetricModel4T):
-    """(R11, R22, R12) of -ddbar log det g, memoized on the metric."""
-    cached = metric._derived.get("ricci-components")
-    if cached is None:
-        log_det = np.log(metric.det)
-        d11, d22, d12 = fourier.ddbar4_components(log_det)
-        cached = (-d11, -d22, -d12)
-        metric._derived["ricci-components"] = cached
-    return cached
+    """(R11, R22, R12) of -ddbar log det g, fresh arrays on every call."""
+    components = fourier.ddbar4_components(np.log(metric.det))
+    for d in components:
+        np.negative(d, out=d)
+    return components
 
 
 def chern_ricci(metric: MetricModel4T) -> RicciField:
@@ -288,19 +314,40 @@ def chern_ricci(metric: MetricModel4T) -> RicciField:
     return RicciField(_hermitian_2x2(*_ricci_components(metric)))
 
 
-def chern_scalar(metric: MetricModel4T) -> np.ndarray:
-    """Chern scalar curvature s = g^{i jbar} ric_{i jbar}, real by construction:
-    every term is a product of real fields."""
+def _scalar_curvature(metric: MetricModel4T) -> tuple[np.ndarray, tuple[float, float]]:
+    """(s, (trace route, wedge route)), memoized on the metric.  The Ricci
+    components they come from are computed once and not kept."""
     cached = metric._derived.get("scalar")
     if cached is not None:
         return cached
     r11, r22, r12 = _ricci_components(metric)
     # g^{1 2bar} = conj(inv12); its pairing with r12 contributes twice the real part
     cross = metric.inv12
-    s = (metric.inv11 * r11 + metric.inv22 * r22
-         + 2.0 * (cross.real * r12.real + cross.imag * r12.imag))
-    metric._derived["scalar"] = _freeze(s)
-    return metric._derived["scalar"]
+    s = metric.inv11 * r11
+    s += metric.inv22 * r22
+    pairing = cross.real * r12.real
+    pairing += cross.imag * r12.imag
+    pairing *= 2.0
+    s += pairing
+    s.setflags(write=False)
+    trace_route = 8.0 * float(np.mean(s * metric.det))
+    # the wedge integrand r11 g22 + r22 g11 - 2 Re(r12 conj(g12)), built in
+    # r11 with r22 as scratch; the product stays out of place, since numpy's
+    # in-place complex multiply may round differently
+    wedge = r11
+    wedge *= metric.g22
+    r22 *= metric.g11
+    wedge += r22
+    np.multiply((r12 * np.conj(metric.g12)).real, 2.0, out=r22)
+    wedge -= r22
+    cached = metric._derived["scalar"] = (s, (trace_route, 8.0 * float(np.mean(wedge))))
+    return cached
+
+
+def chern_scalar(metric: MetricModel4T) -> np.ndarray:
+    """Chern scalar curvature s = g^{i jbar} ric_{i jbar}, real by construction:
+    every term is a product of real fields."""
+    return _scalar_curvature(metric)[0]
 
 
 def total_scalar(metric: MetricModel4T) -> float:
@@ -319,13 +366,7 @@ def total_scalar(metric: MetricModel4T) -> float:
 
 def total_scalar_routes(metric: MetricModel4T) -> tuple[float, float]:
     """Both defining expressions of the total scalar curvature."""
-    s = chern_scalar(metric)
-    trace_route = 8.0 * float(np.mean(s * metric.det))
-    r11, r22, r12 = _ricci_components(metric)
-    wedge = (r11 * metric.g22 + r22 * metric.g11
-             - 2.0 * (r12 * np.conj(metric.g12)).real)
-    wedge_route = 8.0 * float(np.mean(wedge))
-    return trace_route, wedge_route
+    return _scalar_curvature(metric)[1]
 
 
 def conformal_ricci(ric: RicciField, f: np.ndarray, n: int) -> RicciField:
@@ -632,8 +673,11 @@ def load_metric(manifest_path) -> MetricModel4T:
             raise DescriptorError(
                 f"{path}: grid resolution {parts[component].shape[0]} "
                 f"disagrees with the manifest's {resolution}")
-    return MetricModel4T._from_components(parts["11"], parts["22"],
-                                          parts["12re"] + 1j * parts["12im"])
+    # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
+    g12 = np.empty(parts["12re"].shape, dtype=complex)
+    g12.real = parts.pop("12re")
+    g12.imag = parts.pop("12im")
+    return MetricModel4T._from_components(parts["11"], parts["22"], g12)
 
 
 def save_field4(path, values: np.ndarray) -> None:

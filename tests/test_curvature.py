@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from scalarflat import (
     tautological_base_curvature,
     total_scalar,
 )
+from scalarflat import fourier
 from scalarflat.curvature import (
+    curvature_report,
     load_metric,
     save_metric,
     total_scalar_routes,
@@ -208,6 +211,59 @@ def test_metric_model_validation():
 def test_metric_grid_is_checked_on_every_construction_path(build):
     with pytest.raises(DescriptorError, match="equal-resolution grid"):
         build()
+
+
+def traced(build):
+    """(build(), tracemalloc's peak and final traced bytes while it ran, both
+    above what was traced when it started)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, current - before
+
+
+def test_public_constructor_peak_stays_near_its_stored_fields():
+    # the metric stores 72 bytes per point (g11 g22 det inv11 inv22 real,
+    # g12 inv12 complex) against g's 64; no second 2x2 field is built
+    g = np.array(random_metric(16, np.random.default_rng(4)).g)
+    _metric, peak, _current = traced(lambda: MetricModel4T(g))
+    assert peak < 1.5 * g.nbytes
+
+
+def test_curvature_memo_keeps_the_scalar_field_only():
+    n = 16
+    curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
+    metric = random_metric(n, np.random.default_rng(6))
+    report, _peak, held = traced(lambda: curvature_report(metric))
+    assert report["cross_check_residual"] < 1e-6
+    # s, plus a little for the memo's tuple and floats
+    assert held <= n ** 4 * 8 + 4096
+
+
+@pytest.mark.parametrize("calls", [
+    ("chern_scalar", "total_scalar_routes", "curvature_report"),
+    ("total_scalar_routes", "curvature_report", "chern_scalar"),
+    ("curvature_report", "chern_scalar", "total_scalar_routes"),
+])
+def test_curvature_memo_differentiates_log_det_once(monkeypatch, calls):
+    transforms = []
+    original = fourier.ddbar4_components
+
+    def counting(field, *args, **kwargs):
+        transforms.append(field.shape)
+        return original(field, *args, **kwargs)
+
+    monkeypatch.setattr(fourier, "ddbar4_components", counting)
+    metric = random_metric(8, np.random.default_rng(8))
+    functions = {"chern_scalar": chern_scalar, "total_scalar_routes": total_scalar_routes,
+                 "curvature_report": curvature_report}
+    for name in calls:
+        functions[name](metric)
+    assert len(transforms) == 1
 
 
 def test_chern_ricci_flat_metric_vanishes():

@@ -306,3 +306,17 @@ def test_component_paths_match_the_public_constructor_bit_for_bit(path, tmp_path
         ours, theirs = getattr(metric, name), getattr(public, name)
         assert ours.dtype == theirs.dtype, name
         assert ours.tobytes() == theirs.tobytes(), name
+
+
+@pytest.mark.parametrize("off_diagonal", [complex(-0.0, -0.0), complex(-0.0, 0.25)])
+@pytest.mark.parametrize("source", ["twin", "parse"])
+def test_save_load_save_keeps_every_csv_byte_of_signed_zeros(tmp_path, off_diagonal, source):
+    n = 8
+    one = np.ones((n,) * 4)
+    metric = MetricModel4T._from_components(one, one.copy(), np.full(one.shape, off_diagonal))
+    first = save_metric(metric, tmp_path / "first")
+    if source == "parse":
+        edit_manifest(first, lambda doc: doc.pop("binary"))
+    second = save_metric(load_metric(first), tmp_path / "second")
+    for fname in ("g11.csv", "g22.csv", "g12_re.csv", "g12_im.csv"):
+        assert (second.parent / fname).read_bytes() == (first.parent / fname).read_bytes(), fname

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 from scalarflat import (
     CurveModel,
     DegreeError,
+    DescriptorError,
+    MetricModel4T,
     chern_curvature_matrix,
     classify_ruled,
     classify_split,
@@ -21,7 +24,12 @@ from scalarflat import (
     tensor_product,
 )
 from scalarflat.cli import run
-from scalarflat.curvature import TOTAL_SCALAR_CROSS_TOL, total_scalar_routes
+from scalarflat.curvature import (
+    HERMITIAN_INPUT_TOL,
+    TOTAL_SCALAR_CROSS_TOL,
+    hermitian_part,
+    total_scalar_routes,
+)
 from scalarflat.fourier import half_symbols_4d
 from scalarflat.geom_core import (
     DEGREE_INPUT_TOL,
@@ -90,6 +98,87 @@ def test_chern_curvature_matrix_is_hermitian(seed, r):
     curvature = chern_curvature_matrix(h)
     assert np.all(np.isfinite(curvature))
     assert np.array_equal(curvature, np.conj(np.swapaxes(curvature, 2, 3)))
+
+
+def adjoint_hermitian_part(field, what):
+    """The whole-field formula hermitian_part replaced, kept as the reference:
+    the adjoint, the difference and its absolute value are full-size."""
+    field = np.asarray(field, dtype=complex)
+    if not np.all(np.isfinite(field)):
+        raise DescriptorError(f"{what} entries must be finite")
+    adjoint = np.conj(np.swapaxes(field, -1, -2), order="C")
+    asym = float(np.max(np.abs(field - adjoint)))
+    if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))):
+        raise DescriptorError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
+    adjoint += field
+    adjoint *= 0.5
+    return adjoint
+
+
+def outcome(build):
+    """("ok", result) or ("raised", the DescriptorError's message)."""
+    try:
+        return "ok", build()
+    except DescriptorError as error:
+        return "raised", str(error)
+
+
+def near_hermitian_field(seed, r, scale, ratio, damped, special_share):
+    """A (..., r, r) field: a Hermitian field plus noise whose asymmetry is
+    about `ratio` times the Hermitian input tolerance, with mirrored signed
+    zeros and subnormals in about `special_share` of the off-diagonal entries.
+    The diagonal is shifted up, so the field is positive, or damped, so the
+    largest entries sit off the diagonal."""
+    rng = np.random.default_rng(seed)
+    shape = (2,) * (6 if r == 2 else 2) + (r, r)
+    a = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
+    if damped:
+        a[..., range(r), range(r)] *= 1e-3
+    field = scale * (0.25 * (a + np.conj(np.swapaxes(a, -1, -2)))
+                     + (0.0 if damped else 2.0) * np.eye(r))
+    noise = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+    field += ratio * HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))) * noise
+    for i, j in itertools.combinations(range(r), 2):
+        special = rng.random(shape[:-2]) < special_share
+        value = complex(*rng.choice([-0.0, 0.0, 5e-324, -5e-324], 2))
+        field[..., i, j][special] = value
+        field[..., j, i][special] = value.conjugate()
+    return field
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from((2, 3)),
+       st.integers(min_value=-4, max_value=4), st.floats(min_value=0.0, max_value=3.0),
+       st.booleans(), st.sampled_from((0.0, 0.5)))
+# accepted only against the largest entry, which sits off the diagonal
+@example(1, 2, 4, 0.5, True, 0.5)
+@example(1, 3, 4, 0.5, True, 0.0)
+def test_entrywise_hermitian_part_matches_the_adjoint_formula(seed, r, exponent, ratio,
+                                                              damped, special_share):
+    field = near_hermitian_field(seed, r, 10.0 ** exponent, ratio, damped, special_share)
+    expected = outcome(lambda: adjoint_hermitian_part(field, "field"))
+    got = outcome(lambda: hermitian_part(field, "field"))
+    assert got[0] == expected[0]
+    if expected[0] == "raised":
+        assert got[1] == expected[1]
+        return
+    assert got[1].flags.c_contiguous and got[1].tobytes() == expected[1].tobytes()
+    if field.ndim != 6:
+        return
+    # the constructor's entries and the fields built from them, bit for bit
+    sym = expected[1]
+    g11, g22, g12 = (sym[..., 0, 0].real.copy(), sym[..., 1, 1].real.copy(),
+                     sym[..., 0, 1].copy())
+    built = outcome(lambda: MetricModel4T(field))
+    reference = outcome(lambda: MetricModel4T._from_components(g11, g22, g12))
+    assert built[0] == reference[0]
+    if built[0] == "raised":
+        assert built[1] == reference[1]
+        return
+    metric = built[1]
+    det = g11 * g22 - np.abs(g12) ** 2
+    for name, value in {"g11": g11, "g22": g22, "g12": g12, "det": det, "inv11": g22 / det,
+                        "inv22": g11 / det, "inv12": -g12 / det}.items():
+        assert getattr(metric, name).tobytes() == value.tobytes(), name
 
 
 @given(st.integers(min_value=2, max_value=24))
