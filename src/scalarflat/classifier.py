@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DescriptorError, NagataViolation
 from .geom_core import ClassificationReport
-from .positivity import anti_kx_rc_flag, in_certified_range, split_margin
+from .positivity import CERTIFICATE_STRATEGY, anti_kx_rc_flag, in_certified_range, split_margin
 
 # fired-case identifiers, one per proof branch of the ruled-surface theorem
 CASE_HIRZEBRUCH = "Hirzebruch"
@@ -140,17 +140,18 @@ def classify_split(g: int, deg_l: int, n: int) -> ClassificationReport:
     m = m_split_rank2(deg_l)
     validate_m(m, g)
     d = -m
+    ruled = classify_ruled(g, m) if n == 2 else None
     if not in_certified_range(g, d, n):
-        if n == 2:
-            return classify_ruled(g, m)
+        if ruled is not None:
+            return ruled
         return ClassificationReport(
             "no", "no", "unknown", "higher-rank split (outside certified range)",
             {"obstruction": f"|deg L| = {d} is not strictly below "
                             f"(2g-2)/(n-1) = {(2 * g - 2) / (n - 1):g}"})
-    attach = {"margin": split_margin(g, d, n), "strategy": "constant"}
+    attach = {"margin": split_margin(g, d, n), "strategy": CERTIFICATE_STRATEGY}
     if d == 0:
         attach["polystable"] = True
-    fired = classify_ruled(g, m).fired_case if n == 2 else "higher-rank split"
+    fired = ruled.fired_case if ruled is not None else "higher-rank split"
     return ClassificationReport("yes", "no" if d else "yes", "AllReals", fired, attach)
 
 

@@ -186,7 +186,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_report(args) -> int:
     classification = classify_split(args.genus, args.deg_l, args.n)
     certificate = scan = None
-    if positivity.in_certified_range(args.genus, args.deg_l, args.n):
+    if classification.scalar_flat_hermitian == "yes":    # exactly in the certified range
         certificate, scan = _certify(args.genus, abs(args.deg_l), args.n)
     _emit({"classification": classification.to_dict(),
            "certificate": certificate, "rc_scan": scan})

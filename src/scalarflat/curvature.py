@@ -298,7 +298,9 @@ class RicciField:
         ric = np.asarray(self.ric, dtype=complex)
         if ric.ndim != 6 or ric.shape[4:] != (2, 2):
             raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {ric.shape}")
-        object.__setattr__(self, "ric", _freeze(hermitian_part(ric, "Ricci field")))
+        ric = hermitian_part(ric, "Ricci field")    # fresh, so frozen in place
+        ric.setflags(write=False)
+        object.__setattr__(self, "ric", ric)
 
 
 def _ricci_components(metric: MetricModel4T):
@@ -314,6 +316,17 @@ def chern_ricci(metric: MetricModel4T) -> RicciField:
     return RicciField(_hermitian_2x2(*_ricci_components(metric)))
 
 
+def _trace_weights(metric: MetricModel4T):
+    """Weights (inv11, inv22, 2 Re inv12, 2 Im inv12) pairing a real (1,1)-form's
+    (a11, a22, Re a12, Im a12) with g^{i jbar}, one at a time; the trace operator
+    and s_G sum the products in this order, so s_G == -L(log det g) exactly."""
+    yield metric.inv11
+    yield metric.inv22
+    # g^{1 2bar} = conj(inv12) pairs with a12 and its conjugate with a21 = conj(a12)
+    yield 2.0 * metric.inv12.real
+    yield 2.0 * metric.inv12.imag
+
+
 def _scalar_curvature(metric: MetricModel4T) -> tuple[np.ndarray, tuple[float, float]]:
     """(s, (trace route, wedge route)), memoized on the metric.  The Ricci
     components they come from are computed once and not kept."""
@@ -321,16 +334,13 @@ def _scalar_curvature(metric: MetricModel4T) -> tuple[np.ndarray, tuple[float, f
     if cached is not None:
         return cached
     r11, r22, r12 = _ricci_components(metric)
-    # g^{1 2bar} = conj(inv12); its pairing with r12 contributes twice the real part
-    cross = metric.inv12
-    s = metric.inv11 * r11
-    s += metric.inv22 * r22
-    pairing = cross.real * r12.real
-    pairing += cross.imag * r12.imag
-    pairing *= 2.0
-    s += pairing
+    weights = _trace_weights(metric)
+    s = next(weights) * r11
+    product = np.empty_like(s)    # scratch for each product, then for s det
+    for r in (r22, r12.real, r12.imag):
+        s += np.multiply(next(weights), r, out=product)
     s.setflags(write=False)
-    trace_route = 8.0 * float(np.mean(s * metric.det))
+    trace_route = 8.0 * float(np.mean(np.multiply(s, metric.det, out=product)))
     # the wedge integrand r11 g22 + r22 g11 - 2 Re(r12 conj(g12)), built in
     # r11 with r22 as scratch; the product stays out of place, since numpy's
     # in-place complex multiply may round differently

@@ -14,8 +14,9 @@ Conventions used package-wide:
 * the plain Laplacian used by the Poisson solver keeps the full -(2 pi k)^2
   symbol so it is invertible on every nonzero mode.
 
-The finite-difference backend uses centered second-order stencils and exists
-so convergence-order checks have something to converge.
+The finite-difference backend of the 2-d kernels uses centered second-order
+stencils so convergence-order checks have something to converge.  The 4-d
+kernel is spectral only, since the stencils break the identity above.
 """
 
 from __future__ import annotations
@@ -207,28 +208,15 @@ def _ddbar4_real(field: np.ndarray):
     return inverse(m11), inverse(m22), d12
 
 
-def ddbar4_components(field: np.ndarray, backend: str = SPECTRAL):
+def ddbar4_components(field: np.ndarray):
     """All mixed second derivatives of a field on a 4-d periodic grid.
 
     Returns (d11, d22, d12) with dij = d^2 field / (dz^i dzbar^j); the missing
     d21 is conj(d12) for real input and is never materialized.  d11 and d22
-    are returned real for real input.  The spectral backend transforms a
-    complex field as its real and imaginary parts.
+    are returned real for real input.  A complex field is transformed as its
+    real and imaginary parts.
     """
-    _check_backend(backend)
-    if field.ndim != 4:
-        raise ValueError(f"expected a 4-d field, got shape {field.shape}")
-    if backend == FINITE_DIFFERENCE:
-        d11 = 0.25 * (_dxx_fd(field, 0) + _dxx_fd(field, 1))
-        d22 = 0.25 * (_dxx_fd(field, 2) + _dxx_fd(field, 3))
-        d02 = _dx_fd(_dx_fd(field, 0), 2)
-        d13 = _dx_fd(_dx_fd(field, 1), 3)
-        d03 = _dx_fd(_dx_fd(field, 0), 3)
-        d12_ = _dx_fd(_dx_fd(field, 1), 2)
-        d12 = 0.25 * ((d02 + d13) + 1j * (d03 - d12_))
-        return d11, d22, d12
-    n = field.shape[0]
-    if field.shape != (n, n, n, n):
+    if field.ndim != 4 or field.shape != (field.shape[0],) * 4:
         raise ValueError(f"expected an equal-resolution 4-d grid, got shape {field.shape}")
     if np.iscomplexobj(field):
         re, im = _ddbar4_real(field.real), _ddbar4_real(field.imag)

@@ -40,7 +40,8 @@ from scipy import fft as _fft
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from . import fourier
-from .curvature import MetricModel4T, chern_scalar, total_scalar, total_scalar_routes
+from .curvature import (MetricModel4T, _trace_weights, chern_scalar, total_scalar,
+                        total_scalar_routes)
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
 from .geom_core import DEGREE_INPUT_TOL, MIN_RESOLUTION, LineBundleModel, _freeze, integrate
 
@@ -125,11 +126,8 @@ class TraceOperator:
     def __init__(self, metric: MetricModel4T):
         n = metric.resolution
         self.shape = (n, n, n, n)
-        # weights of the symbols (m11, m22, Re m12, Im m12): the pairing of
-        # g^{1 2bar} = conj(inv12) with d1 d2bar f and its conjugate collapses
-        # to 2 (Re inv12 * Re d12 + Im inv12 * Im d12)
-        self._weights = (metric.inv11, metric.inv22,
-                         2.0 * metric.inv12.real, 2.0 * metric.inv12.imag)
+        # the weights of the symbols (m11, m22, Re m12, Im m12)
+        self._weights = tuple(_trace_weights(metric))
         self._symbols = fourier.half_symbols_4d(n)
 
     def _preconditioner_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,8 @@ from .geom_core import CurveModel, OneOneForm, SplitBundle, make_line_bundle
 RC_TOLERANCE = 1e-9
 #: certificate margin must match a recomputation by split_margin
 MARGIN_RECOMPUTE_TOL = 1e-12
+#: how every certificate's densities are chosen (recorded in its dict)
+CERTIFICATE_STRATEGY = "constant"
 #: default fiber sampling: s1 in {0, 1/64, ..., 1} with exact endpoints
 DEFAULT_FIBER_SAMPLES = 65
 
@@ -129,7 +131,7 @@ class Certificate:
             "genus": self.genus,
             "deg_l": self.deg_l,
             "n": self.n,
-            "strategy": "constant",
+            "strategy": CERTIFICATE_STRATEGY,
             "margin": self.margin,
             "issued": self.issued,
             "witness": self.witness,

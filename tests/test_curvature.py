@@ -234,6 +234,16 @@ def test_public_constructor_peak_stays_near_its_stored_fields():
     assert peak < 1.5 * g.nbytes
 
 
+def test_chern_ricci_peak_stays_near_its_field():
+    # the 2x2 field and its Hermitian part (1x each) plus one entry (0.25x);
+    # freezing the result copies nothing
+    n = 16
+    curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
+    metric = random_metric(n, np.random.default_rng(5))
+    ric, peak, _current = traced(lambda: chern_ricci(metric))
+    assert peak < 2.5 * ric.ric.nbytes
+
+
 def test_curvature_memo_keeps_the_scalar_field_only():
     n = 16
     curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size

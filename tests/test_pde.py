@@ -312,6 +312,14 @@ def test_trace_operator_matches_flat_laplacian():
     assert np.max(np.abs(flat_trace - (d11 + d22))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
+def test_scalar_curvature_is_minus_the_trace_of_log_det(n):
+    # s_G = -L(log det g) on the torus chart; both sides pair the same
+    # derivatives with the same weights in the same order, so bit for bit
+    metric = random_metric(n, np.random.default_rng(300 + n))
+    assert np.all(chern_scalar(metric) == -TraceOperator(metric).apply(np.log(metric.det)))
+
+
 # ---------------------------------------------------------------------------
 # trace operator against the complex-FFT reference
 

@@ -4,6 +4,10 @@ import contextlib
 import io
 import itertools
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,3 +256,24 @@ def test_tensor_product_degrees_add_and_stay_quantized(d1, d2, n, twist1, twist2
     product = tensor_product(a, b)
     assert product.degree == d1 + d2
     assert abs(product.measured_degree() - (d1 + d2)) <= DEGREE_QUANTIZATION_TOL
+
+
+def test_a_failing_property_test_does_not_end_the_run(tmp_path):
+    # under the project's pytest settings, the tests after a failing @given test still run
+    (tmp_path / "test_order.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x != x
+
+        def test_passes():
+            pass
+    """))
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", str(tmp_path),
+         "-p", "no:cacheprovider", "-q", "test_order.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "1 failed, 1 passed" in done.stdout, done.stdout + done.stderr
