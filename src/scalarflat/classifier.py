@@ -202,7 +202,8 @@ class MinimalSurfaceDescriptor:
     """Minimal surface described by Kodaira dimension and class.
 
     Classes with Kodaira dimension 1 or 2 are not enumerated (they are
-    rejected wholesale); for those pass surface_class=None.
+    rejected wholesale); for those pass surface_class=None.  genus and m
+    describe class Ruled and are rejected on any other.
     """
 
     kodaira_dim: float
@@ -214,6 +215,9 @@ class MinimalSurfaceDescriptor:
         if self.kodaira_dim not in (-math.inf, 0.0, 1.0, 2.0):
             raise DescriptorError(f"Kodaira dimension must be -inf, 0, 1 or 2, "
                                   f"got {self.kodaira_dim!r}")
+        if self.surface_class != "Ruled" and (self.genus, self.m) != (None, None):
+            raise DescriptorError(f"genus and m describe Ruled surfaces only, "
+                                  f"not class {self.surface_class}")
         if self.kodaira_dim in (1.0, 2.0):
             if self.surface_class is not None:
                 raise DescriptorError(

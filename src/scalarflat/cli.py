@@ -26,14 +26,7 @@ from .classifier import (
 )
 from .curvature import curvature_report, load_metric, save_field4
 from .geom_core import MIN_RESOLUTION, CurveModel
-from .errors import (
-    ConvergenceError,
-    DegreeError,
-    DescriptorError,
-    NagataViolation,
-    NumericalInconsistencyError,
-    SolvabilityError,
-)
+from .errors import ConvergenceError, NumericalInconsistencyError, ScalarFlatError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -52,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     classify = sub.add_parser("classify", help="existence verdicts from theorem tables")
+    classify.set_defaults(handler=_cmd_classify)
     csub = classify.add_subparsers(dest="target", required=True)
 
     ruled = csub.add_parser("ruled", help="ruled surface by genus and invariant m")
@@ -72,10 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--genus", type=int, required=True)
     rc.add_argument("--deg-l", type=int, required=True)
     rc.add_argument("--n", type=int, default=2)
+    rc.set_defaults(handler=_cmd_rc_check)
 
     curv = sub.add_parser("curvature", help="scalar-curvature report of a stored metric")
     curv.add_argument("--metric", required=True, help="metric.json manifest path")
     curv.add_argument("--out", default=None, help="also write the report JSON here")
+    curv.set_defaults(handler=_cmd_curvature)
 
     solve = sub.add_parser("solve", help="run a solver pipeline")
     solve.add_argument("target", choices=["scalar-flat"])
@@ -84,21 +80,28 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--tol", type=float, default=pde.SOLVE_TOL,
                        help="equation-residual target (max norm)")
     solve._negative_number_matcher = NEGATIVE_NUMBER
+    solve.set_defaults(handler=_cmd_solve)
 
     cat = sub.add_parser("catalog", help="built-in worked examples")
     cat.add_argument("--run-all", action="store_true",
                      help="run every entry and compare against frozen expectations")
+    cat.set_defaults(handler=_cmd_catalog)
 
     report = sub.add_parser("report", help="classification + certificate + scan in one JSON")
     report.add_argument("--genus", type=int, required=True)
     report.add_argument("--deg-l", type=int, required=True)
     report.add_argument("--n", type=int, default=2)
+    report.set_defaults(handler=_cmd_report)
 
     return parser
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(payload, path=None) -> None:
+    """Print the payload's JSON text, first writing the same text to `path` if given."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path:
+        Path(path).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
 
 
 def _cmd_classify(args) -> int:
@@ -134,12 +137,7 @@ def _cmd_rc_check(args) -> int:
 
 def _cmd_curvature(args) -> int:
     metric = load_metric(args.metric)
-    report = curvature_report(metric)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
-    _emit(report)
+    _emit(curvature_report(metric), args.out)
     return EXIT_OK
 
 
@@ -156,10 +154,7 @@ def _cmd_solve(args) -> int:
         "iterations": solution.iterations,
         "rounds": solution.rounds,
     }
-    with open(out_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-    _emit(payload)
+    _emit(payload, out_path)
     return EXIT_OK
 
 
@@ -193,16 +188,6 @@ def _cmd_report(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "rc-check": _cmd_rc_check,
-    "curvature": _cmd_curvature,
-    "solve": _cmd_solve,
-    "catalog": _cmd_catalog,
-    "report": _cmd_report,
-}
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser `run` uses: built on the first call, then shared.  Parsing
@@ -218,17 +203,12 @@ def run(argv) -> int:
         # argparse prints usage to stderr on bad flags and exits 2; --help exits 0
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
-    except (DescriptorError, DegreeError, NagataViolation, SolvabilityError,
-            OSError, ValueError) as exc:
+        return args.handler(args)
+    except (ScalarFlatError, OSError, ValueError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INVALID
-    except NumericalInconsistencyError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_INCONSISTENT
-    except ConvergenceError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
-        return EXIT_NO_CONVERGENCE
+        if isinstance(exc, NumericalInconsistencyError):
+            return EXIT_INCONSISTENT
+        return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID
 
 
 def main() -> None:

@@ -577,24 +577,27 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _read_grid_csv(path: Path, component: str, grid: np.ndarray | None = None) -> np.ndarray:
-    """The (n, n, n, n) grid of a CSV written by _write_grid_csv.  `grid`, if
-    given, is a copy of the file's values known to match its bytes, and
-    stands in for the parse; the header check runs either way."""
-    with open(path, "r", encoding="utf-8") as handle:
-        first = handle.readline()
-        # loadtxt only warns on a file with no data row; stop at the first one
-        empty = grid is None and not any(line.split("#", 1)[0].strip() for line in handle)
-    if f"component={component}" not in first:
-        raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
-    if grid is not None:
-        return grid
-    if empty:
-        raise DescriptorError(f"{path}: no grid values after the header")
-    flat = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+def _read_grid_csv(path: Path, component: str, resolution: int) -> np.ndarray:
+    """The (n, n, n, n) grid, n = `resolution`, of a CSV written by
+    _write_grid_csv; DescriptorError for any other header, text or shape."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            first = handle.readline()
+            # loadtxt only warns on a file with no data row; stop at the first one
+            empty = not any(line.split("#", 1)[0].strip() for line in handle)
+        if f"component={component}" not in first:
+            raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
+        if empty:
+            raise DescriptorError(f"{path}: no grid values after the header")
+        flat = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:    # text that is not UTF-8, or a value that is not a float
+        raise DescriptorError(f"{path}: {exc}") from exc
     n = flat.shape[1]
     if flat.shape != (n ** 3, n):
         raise DescriptorError(f"{path}: grid shape {flat.shape} is not a flattened 4-cube")
+    if n != resolution:
+        raise DescriptorError(
+            f"{path}: grid resolution {n} disagrees with the manifest's {resolution}")
     return flat.reshape(n, n, n, n)
 
 
@@ -617,9 +620,16 @@ def _read_twin(path: Path, resolution: int) -> dict[str, tuple[str, np.ndarray]]
             if grid.dtype == np.dtype(float) and grid.shape == (resolution,) * 4}
 
 
+def _plain_file_name(name) -> bool:
+    """Whether `name` names a file in the manifest's own directory."""
+    return (isinstance(name, str) and name not in ("", ".", "..") and "\0" not in name
+            and Path(name).name == name)
+
+
 def _manifest_fields(manifest, path: Path) -> tuple[int, dict[str, str], str | None]:
     """(resolution, component -> CSV file name, twin file name or None) of a
-    metric manifest; DescriptorError for a missing or mistyped field."""
+    metric manifest; DescriptorError for a missing or mistyped field, or for
+    a file name that reaches outside the manifest's directory."""
     if not isinstance(manifest, dict):
         raise DescriptorError(f"{path}: a metric manifest must be a JSON object")
     resolution = manifest.get("resolution")
@@ -631,12 +641,12 @@ def _manifest_fields(manifest, path: Path) -> tuple[int, dict[str, str], str | N
     files = {}
     for component in _COMPONENT_FILES:
         files[component] = components.get(component)
-        if not isinstance(files[component], str):
+        if not _plain_file_name(files[component]):
             raise DescriptorError(
-                f"{path}: 'components' names no CSV file for component {component!r}")
+                f"{path}: component {component!r} names no CSV file in its directory")
     binary = manifest.get("binary")
-    if "binary" in manifest and not isinstance(binary, str):
-        raise DescriptorError(f"{path}: 'binary' must be a file name, got {binary!r}")
+    if "binary" in manifest and not _plain_file_name(binary):
+        raise DescriptorError(f"{path}: 'binary' names no file in its directory: {binary!r}")
     return resolution, files, binary
 
 
@@ -655,9 +665,7 @@ def save_metric(metric: MetricModel4T, directory) -> Path:
         manifest["components"][component] = fname
     np.savez(directory / _TWIN_FILE, **fields, **digests)
     manifest_path = directory / "metric.json"
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path
 
 
@@ -667,8 +675,10 @@ def load_metric(manifest_path) -> MetricModel4T:
     equals the digest the twin stores for it (the twin then holds exactly the
     values the CSV parses to); otherwise the CSV is parsed."""
     manifest_path = Path(manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:    # text that is not UTF-8 or not JSON
+        raise DescriptorError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
     resolution, files, binary = _manifest_fields(manifest, manifest_path)
     directory = manifest_path.parent
     twin = _read_twin(directory / binary, resolution) if binary is not None else {}
@@ -676,13 +686,10 @@ def load_metric(manifest_path) -> MetricModel4T:
     for component, fname in files.items():
         path = directory / fname
         digest, grid = twin.get(component, (None, None))
-        if grid is not None and _file_sha256(path) != digest:
-            grid = None
-        parts[component] = _read_grid_csv(path, component, grid)
-        if parts[component].shape[0] != resolution:
-            raise DescriptorError(
-                f"{path}: grid resolution {parts[component].shape[0]} "
-                f"disagrees with the manifest's {resolution}")
+        # the digest covers the header too, so a verified grid needs no parse
+        if grid is None or _file_sha256(path) != digest:
+            grid = _read_grid_csv(path, component, resolution)
+        parts[component] = grid
     # assigned part by part: re + 1j * im would turn an imaginary -0.0 into +0.0
     g12 = np.empty(parts["12re"].shape, dtype=complex)
     g12.real = parts.pop("12re")

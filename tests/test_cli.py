@@ -7,7 +7,9 @@ from test_golden_outputs import GOLDEN, digest, sweep
 
 from scalarflat import (
     CurveModel,
+    DescriptorError,
     MetricModel4T,
+    MinimalSurfaceDescriptor,
     kx_certificate_split,
     kx_curvature_form,
     rc_scan,
@@ -44,6 +46,18 @@ def test_unknown_flag_exits_2(capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "usage" in captured.err
+
+
+@pytest.mark.parametrize("surface_class", ["K3", "Hopf"])
+@pytest.mark.parametrize("flags", [["--genus", "2", "--m", "5"], ["--genus", "2"], ["--m", "0"]],
+                         ids=["genus and m", "genus", "m"])
+def test_genus_and_m_on_a_class_other_than_ruled_exit_2(capsys, surface_class, flags):
+    code, payload = run_json(capsys, ["classify", "minimal", "--class", surface_class] + flags)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert "Ruled" in payload["message"]
+    with pytest.raises(DescriptorError, match="Ruled"):
+        MinimalSurfaceDescriptor(kodaira_dim=2.0, genus=2, m=0)
 
 
 def test_classify_split_and_minimal(capsys):
@@ -204,6 +218,18 @@ def test_solve_scalar_flat_pipeline(tmp_path, capsys):
     stored = json.loads(out.read_text())
     assert stored == payload
     assert (tmp_path / payload["f_csv"]).exists()
+
+
+@pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
+                         ids=["curvature", "solve"])
+def test_out_file_holds_the_bytes_printed(tmp_path, capsys, command):
+    metric = MetricModel4T.from_kahler_potential(
+        kahler_test_potential(8, 0.1 / np.pi ** 2))
+    manifest = save_metric(metric, tmp_path / "metric")
+    out = tmp_path / "out.json"
+    code = run(command + ["--metric", str(manifest), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
 def test_solve_unmeetable_tol_exits_4(tmp_path, capsys):

@@ -136,6 +136,19 @@ def count_parses(monkeypatch):
     return calls
 
 
+def count_grid_reads(monkeypatch):
+    """Make curvature._read_grid_csv record each path it reads; returns that list."""
+    calls = []
+    read = curvature._read_grid_csv
+
+    def counting(path, *args):
+        calls.append(path)
+        return read(path, *args)
+
+    monkeypatch.setattr(curvature, "_read_grid_csv", counting)
+    return calls
+
+
 def edit_manifest(manifest, edit):
     doc = json.loads(manifest.read_text())
     edit(doc)
@@ -160,11 +173,15 @@ def saved(tmp_path):
 def test_twin_load_is_bit_equal_to_a_parse(saved, monkeypatch):
     metric, manifest = saved
     parses = count_parses(monkeypatch)
+    reads = count_grid_reads(monkeypatch)
     from_twin = load_metric(manifest)
     assert parses == []
+    # the twin's digests cover each CSV's header, so a verified CSV is only hashed
+    assert reads == []
     edit_manifest(manifest, lambda doc: doc.pop("binary"))
     parsed = load_metric(manifest)
     assert len(parses) == 4
+    assert len(reads) == 4
     assert np.array_equal(from_twin.g, parsed.g)
     assert from_twin.g.tobytes() == parsed.g.tobytes() == metric.g.tobytes()
 
@@ -260,6 +277,62 @@ def test_unusable_twin_falls_back_to_the_parse(saved, monkeypatch, damage):
     loaded = load_metric(manifest)
     assert len(parses) == 4
     assert loaded.g.tobytes() == metric.g.tobytes()
+
+
+MALFORMED_CONTENTS = {
+    "manifest not JSON": ("metric.json", lambda path: path.write_text("{not json")),
+    "value not a float": ("g11.csv", lambda path: edit_first_value(path, "abc")),
+    "byte not UTF-8": ("g22.csv", lambda path: path.write_bytes(
+        path.read_bytes().replace(b"\n", b"\n\xff", 1))),
+}
+
+
+@pytest.mark.parametrize("damage", list(MALFORMED_CONTENTS))
+def test_malformed_metric_contents_exit_2_naming_the_file(saved, capsys, damage):
+    _metric, manifest = saved
+    fname, spoil = MALFORMED_CONTENTS[damage]
+    path = manifest.parent / fname
+    spoil(path)
+    code = run(["curvature", "--metric", str(manifest)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert str(path) in payload["message"]
+
+
+@pytest.mark.parametrize("field, name", [
+    ("11", "{root}/g11.csv"), ("11", "../g11.csv"), ("11", "sub/g11.csv"), ("11", "."),
+    ("11", ".."), ("11", ""), ("11", "g11\0.csv"), ("11", "{root}/secret.txt"),
+    ("binary", "{root}/metric.npz"), ("binary", "../metric.npz"), ("binary", "."),
+])
+def test_manifest_names_only_files_in_its_own_directory(saved, capsys, monkeypatch, field,
+                                                        name):
+    _metric, manifest = saved
+    directory = manifest.parent
+    root = directory.parent
+    # copies that would load as the metric's own files if their names were followed
+    (directory / "sub").mkdir()
+    for copy in (root / "g11.csv", directory / "sub" / "g11.csv"):
+        copy.write_bytes((directory / "g11.csv").read_bytes())
+    (root / "metric.npz").write_bytes((directory / "metric.npz").read_bytes())
+    (root / "secret.txt").write_text("secret first line\n")
+    name = name.format(root=root)
+
+    def rename(doc):
+        if field == "binary":
+            doc["binary"] = name
+        else:
+            doc["components"][field] = name
+
+    edit_manifest(manifest, rename)
+    parses = count_parses(monkeypatch)
+    code = run(["curvature", "--metric", str(manifest)])
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert str(manifest) in payload["message"]
+    assert parses == [] and "secret first line" not in out
 
 
 def test_missing_csv_with_the_twin_present_exits_2(saved, capsys):
