@@ -50,17 +50,14 @@ def is_stable_rank2(m: int) -> bool:
     return m > 0
 
 
-def total_scalar_image(kx_rc: bool, anti_kx_rc: bool, ricci_flat: bool) -> str:
+def total_scalar_image(kx_rc: bool, anti_kx_rc: bool) -> str:
     """Image of the total scalar curvature over all Gauduchon metrics.
 
     Four cases: the whole real line when the canonical and anti-canonical
     bundles are both RC-positive, a half line when exactly one is, and {0}
-    when neither is (equivalently, when the manifold is Chern Ricci-flat).
+    when neither is.  The last case is exactly the Chern Ricci-flat one, so a
+    Ricci-flat flag would add nothing to the two bundle flags.
     """
-    if ricci_flat and (kx_rc or anti_kx_rc):
-        raise DescriptorError(
-            "inconsistent flags: a Ricci-flat manifold has neither the canonical "
-            "nor the anti-canonical bundle RC-positive")
     if kx_rc and anti_kx_rc:
         return "AllReals"
     if anti_kx_rc:
@@ -118,7 +115,7 @@ def classify_ruled(g: int, m: int) -> ClassificationReport:
     # cases (2)-(4) construct RC-positive metrics on the canonical bundle; the
     # other branches are obstructions to exactly that
     kx_rc = fired in (CASE_2, CASE_3, CASE_4)
-    image = total_scalar_image(kx_rc, anti_kx_rc_flag(g)[0], ricci_flat=False)
+    image = total_scalar_image(kx_rc, anti_kx_rc_flag(g)[0])
     return ClassificationReport("yes" if kx_rc else "no", "unknown" if kx_rc else "no",
                                 image, fired, attach)
 

@@ -43,6 +43,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="scalarflat",
         description="Scalar-flat Hermitian metric toolkit for ruled-surface models")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the split model P((L + trivial^(n-1))^*), read by classify split, rc-check and report
+    split_model = argparse.ArgumentParser(add_help=False)
+    split_model.add_argument("--genus", type=int, required=True)
+    split_model.add_argument("--deg-l", type=int, required=True)
+    split_model.add_argument("--n", type=int, default=2)
 
     classify = sub.add_parser("classify", help="existence verdicts from theorem tables")
     classify.set_defaults(handler=_cmd_classify)
@@ -52,20 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     ruled.add_argument("--genus", type=int, required=True)
     ruled.add_argument("--m", type=int, required=True)
 
-    split = csub.add_parser("split", help="split projective bundle P((L+triv^(n-1))^*)")
-    split.add_argument("--genus", type=int, required=True)
-    split.add_argument("--deg-l", type=int, required=True)
-    split.add_argument("--n", type=int, default=2)
+    csub.add_parser("split", parents=[split_model],
+                    help="split projective bundle P((L+triv^(n-1))^*)")
 
     minimal = csub.add_parser("minimal", help="minimal-surface class gate")
     minimal.add_argument("--class", dest="surface_class", required=True)
     minimal.add_argument("--genus", type=int, default=None)
     minimal.add_argument("--m", type=int, default=None)
 
-    rc = sub.add_parser("rc-check", help="constructive RC-positivity certificate")
-    rc.add_argument("--genus", type=int, required=True)
-    rc.add_argument("--deg-l", type=int, required=True)
-    rc.add_argument("--n", type=int, default=2)
+    rc = sub.add_parser("rc-check", parents=[split_model],
+                        help="constructive RC-positivity certificate")
     rc.set_defaults(handler=_cmd_rc_check)
 
     curv = sub.add_parser("curvature", help="scalar-curvature report of a stored metric")
@@ -87,10 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run every entry and compare against frozen expectations")
     cat.set_defaults(handler=_cmd_catalog)
 
-    report = sub.add_parser("report", help="classification + certificate + scan in one JSON")
-    report.add_argument("--genus", type=int, required=True)
-    report.add_argument("--deg-l", type=int, required=True)
-    report.add_argument("--n", type=int, default=2)
+    report = sub.add_parser("report", parents=[split_model],
+                            help="classification + certificate + scan in one JSON")
     report.set_defaults(handler=_cmd_report)
 
     return parser

@@ -33,6 +33,7 @@ from .geom_core import (
     OneOneForm,
     SplitBundle,
     _freeze,
+    _plain_file_name,
 )
 
 #: agreement demanded between the two defining expressions of total scalar curvature
@@ -618,12 +619,6 @@ def _read_twin(path: Path, resolution: int) -> dict[str, tuple[str, np.ndarray]]
         return {}
     return {c: (digest, grid) for c, (digest, grid) in entries.items()
             if grid.dtype == np.dtype(float) and grid.shape == (resolution,) * 4}
-
-
-def _plain_file_name(name) -> bool:
-    """Whether `name` names a file in the manifest's own directory."""
-    return (isinstance(name, str) and name not in ("", ".", "..") and "\0" not in name
-            and Path(name).name == name)
 
 
 def _manifest_fields(manifest, path: Path) -> tuple[int, dict[str, str], str | None]:

@@ -261,7 +261,7 @@ class OneOneForm:
         if s1.shape != (base.shape[0],):
             raise DescriptorError(
                 f"fiber sample count {s1.shape} does not match base component {base.shape}")
-        if np.any(s1 < 0.0) or np.any(s1 > 1.0):
+        if not np.all((s1 >= 0.0) & (s1 <= 1.0)):    # NaN fails both
             raise DescriptorError("fiber weights must lie in [0, 1]")
         if not np.all(np.isfinite(base)):
             raise DescriptorError("base component must be finite everywhere")
@@ -327,7 +327,10 @@ class ClassificationReport:
 
 def load_field_csv(path) -> np.ndarray:
     """Read an n x n density grid from CSV (row-major, decimal floats)."""
-    values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    try:
+        values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+    except ValueError as exc:    # text that is not UTF-8, or a value that is not a float
+        raise DescriptorError(f"{path}: {exc}") from exc
     if values.shape[0] != values.shape[1]:
         raise DescriptorError(f"field file {path} is {values.shape}, expected square")
     return values
@@ -337,13 +340,20 @@ def save_field_csv(path, field_values: np.ndarray) -> None:
     np.savetxt(path, np.asarray(field_values, dtype=float), delimiter=",")
 
 
+def _plain_file_name(name) -> bool:
+    """Whether `name` names a file in its referrer's own directory."""
+    return (isinstance(name, str) and name not in ("", ".", "..") and "\0" not in name
+            and Path(name).name == name)
+
+
 def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
     """Build (CurveModel, SplitBundle) from a JSON descriptor.
 
     Schema: {"genus": int, "resolution": int,
-             "summands": [{"degree": int, "profile": "constant" | {"file": path}}]}
-    Relative profile paths resolve against the descriptor's directory.  The
-    fiducial density is constant one.
+             "summands": [{"degree": int, "profile": "constant" | {"file": name}}]}
+    A profile file is a plain file name in the descriptor's directory (the
+    working directory for a dict source), checked before any file is opened.
+    The fiducial density is constant one.
     """
     base_dir = Path(".")
     if isinstance(source, dict):
@@ -351,8 +361,10 @@ def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
     else:
         path = Path(source)
         base_dir = path.parent
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:    # text that is not UTF-8 or not JSON
+            raise DescriptorError(f"{path}: not a JSON descriptor: {exc}") from exc
     try:
         genus = int(doc["genus"])
         resolution = int(doc["resolution"])
@@ -370,9 +382,10 @@ def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
         except (KeyError, TypeError, ValueError) as exc:
             raise DescriptorError(f"malformed summand entry {entry!r}: {exc}") from exc
         if isinstance(profile, dict):
-            if not isinstance(profile.get("file"), str):
+            if not _plain_file_name(profile.get("file")):
                 raise DescriptorError(
-                    f"malformed summand entry {entry!r}: profile needs a 'file' path")
+                    f"malformed summand entry {entry!r}: profile needs a 'file' "
+                    "name in the descriptor's directory")
             profile = load_field_csv(base_dir / profile["file"])
         summands.append(make_line_bundle(degree, profile, curve))
     return curve, SplitBundle(tuple(summands))

@@ -72,6 +72,8 @@ def poisson_periodic(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=float)
     mean = float(np.mean(rho))
+    if not math.isfinite(mean):
+        raise DescriptorError(f"Poisson data must be finite; its mean is {mean!r}")
     if abs(mean) > POISSON_MEAN_TOL:
         raise SolvabilityError(
             f"Poisson data has mean {mean!r}; the periodic problem is solvable "
@@ -96,6 +98,8 @@ def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndar
     target = np.asarray(target, dtype=float)
     curve = current.curve
     target_degree = integrate(target, curve) / np.pi
+    if not math.isfinite(target_degree):
+        raise DescriptorError(f"target density must be finite; its integral is {target_degree!r}")
     if abs(target_degree - current.degree) > DEGREE_INPUT_TOL:
         raise DegreeError(
             f"target integrates to degree {target_degree!r}, current model has "
@@ -204,7 +208,10 @@ class ConformalSolution:
 
     def __post_init__(self):
         f = np.asarray(self.f, dtype=float)
-        if abs(float(np.mean(f))) > 1e-12:
+        mean = float(np.mean(f))
+        if not math.isfinite(mean):
+            raise DescriptorError(f"conformal potential must be finite; its mean is {mean!r}")
+        if abs(mean) > 1e-12:
             raise DescriptorError("conformal potential must be normalized to zero mean")
         object.__setattr__(self, "f", _freeze(f))
 

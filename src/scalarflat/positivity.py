@@ -26,8 +26,6 @@ from .geom_core import CurveModel, OneOneForm, SplitBundle, make_line_bundle
 
 #: eigenvalue margin above which a scan counts as positive
 RC_TOLERANCE = 1e-9
-#: certificate margin must match a recomputation by split_margin
-MARGIN_RECOMPUTE_TOL = 1e-12
 #: how every certificate's densities are chosen (recorded in its dict)
 CERTIFICATE_STRATEGY = "constant"
 #: default fiber sampling: s1 in {0, 1/64, ..., 1} with exact endpoints
@@ -56,11 +54,10 @@ class RCReport:
 
     min_max_eigenvalue: float
     witness: dict
-    rc_positive: bool
 
-    def __post_init__(self):
-        if self.rc_positive != (self.min_max_eigenvalue > RC_TOLERANCE):
-            raise DescriptorError("rc_positive flag inconsistent with the scanned minimum")
+    @property
+    def rc_positive(self) -> bool:
+        return self.min_max_eigenvalue > RC_TOLERANCE
 
     def to_dict(self) -> dict:
         return {
@@ -92,39 +89,50 @@ def rc_scan(form: OneOneForm, curve: CurveModel) -> RCReport:
     k, i, j = np.unravel_index(flat_index, top.shape)
     min_max = float(top[k, i, j])
     witness = {"sample_index": int(k), "s1": float(form.s1[k]), "grid": [int(i), int(j)]}
-    return RCReport(min_max_eigenvalue=min_max, witness=witness,
-                    rc_positive=min_max > RC_TOLERANCE)
+    return RCReport(min_max_eigenvalue=min_max, witness=witness)
 
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Constructive RC-positivity certificate data for the canonical bundle of
-    a split projective-bundle model.
+    """Constructive RC-positivity certificate for the canonical bundle of
+    P((L + trivial^(n-1))^*) over a genus-g base, deg L = deg_l >= 0.
 
-    The densities are the constants pi * deg L and pi (2g - 2), so the margin
-    gamma - (n-1) kappa is split_margin(genus, deg_l, n) and the certificate
-    is issued exactly in_certified_range.  witness is None exactly for an
-    issued certificate; construction checks all three (DescriptorError)."""
+    The densities are the constants kappa = pi deg L and gamma = pi (2g - 2),
+    so the three integers determine the rest: the margin gamma - (n-1) kappa
+    is split_margin, and the certificate is issued exactly
+    in_certified_range, which roundoff in the margin cannot flip on the
+    boundary.  An unissued certificate carries a witness at grid point
+    (0, 0), the first in scan order, since every point attains the minimum."""
 
     genus: int
     deg_l: int
     n: int
-    margin: float
-    issued: bool
-    witness: dict | None = None
 
     def __post_init__(self):
-        recomputed = split_margin(self.genus, self.deg_l, self.n)
-        if abs(recomputed - self.margin) > MARGIN_RECOMPUTE_TOL:
-            raise DescriptorError(
-                f"stored margin {self.margin!r} disagrees with recomputation {recomputed!r}")
-        if self.issued != in_certified_range(self.genus, self.deg_l, self.n):
-            raise DescriptorError(
-                f"issued={self.issued} contradicts the certified range at "
-                f"(g, deg L, n) = ({self.genus}, {self.deg_l}, {self.n})")
-        if (self.witness is None) != self.issued:
-            raise DescriptorError(
-                "a certificate carries a witness exactly when it is not issued")
+        g, deg_l, n = self.genus, self.deg_l, self.n
+        if g < 2:
+            raise DescriptorError(f"certificate construction needs genus >= 2, got {g}")
+        if deg_l < 0:
+            raise DescriptorError(f"certificate construction needs deg L >= 0, got {deg_l}")
+        if n < 2:
+            raise DescriptorError(f"fiber rank n must be at least 2, got {n}")
+
+    @property
+    def margin(self) -> float:
+        return split_margin(self.genus, self.deg_l, self.n)
+
+    @property
+    def issued(self) -> bool:
+        return in_certified_range(self.genus, self.deg_l, self.n)
+
+    @property
+    def witness(self) -> dict | None:
+        if self.issued:
+            return None
+        margin = self.margin
+        # on the excluded boundary roundoff can leave the float margin positive
+        violation = "outside certified range" if margin > 0.0 else "margin not positive"
+        return {"violation": violation, "grid": [0, 0], "value": margin}
 
     def to_dict(self) -> dict:
         return {
@@ -139,33 +147,10 @@ class Certificate:
 
 
 def kx_certificate_split(g: int, deg_l: int, n: int) -> Certificate:
-    """Certificate that the canonical bundle of P((L + trivial^(n-1))^*) is
-    RC-positive, for a genus-g base and deg L = deg_l >= 0.
-
-    The densities are constant, kappa = pi * deg_l and gamma = pi (2g - 2),
-    so the margin is split_margin and the certificate is issued exactly
-    in_certified_range, which roundoff in the margin cannot flip on the
-    boundary.  A certificate that is not issued carries a witness; every
-    point of a constant density attains the minimum, so its grid point is
-    (0, 0), the first in scan order.  To scan non-constant densities, build
-    them with make_line_bundle and pass canonical_curvature_split's form to
-    rc_scan.
-    """
-    if g < 2:
-        raise DescriptorError(f"certificate construction needs genus >= 2, got {g}")
-    if deg_l < 0:
-        raise DescriptorError(f"certificate construction needs deg L >= 0, got {deg_l}")
-    if n < 2:
-        raise DescriptorError(f"fiber rank n must be at least 2, got {n}")
-    margin = split_margin(g, deg_l, n)
-    witness = None
-    issued = in_certified_range(g, deg_l, n)
-    if not issued:
-        # on the excluded boundary roundoff can leave the float margin positive
-        violation = "outside certified range" if margin > 0.0 else "margin not positive"
-        witness = {"violation": violation, "grid": [0, 0], "value": margin}
-    return Certificate(genus=g, deg_l=deg_l, n=n, margin=margin, issued=issued,
-                       witness=witness)
+    """The Certificate of (g, deg_l, n); DescriptorError outside its domain.
+    To scan non-constant densities, build them with make_line_bundle and pass
+    canonical_curvature_split's form to rc_scan."""
+    return Certificate(genus=g, deg_l=deg_l, n=n)
 
 
 def kx_curvature_form(certificate: Certificate, curve: CurveModel) -> OneOneForm:

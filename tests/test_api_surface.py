@@ -19,7 +19,7 @@ import scalarflat
 from scalarflat.cli import build_parser
 
 API = {
-    "Certificate": "genus, deg_l, n, margin, issued, witness=None",
+    "Certificate": "genus, deg_l, n",
     "Certificate.to_dict": "",
     "ClassificationReport": "scalar_flat_hermitian, scalar_flat_kahler, total_scalar_image, "
                             "fired_case, certificate=None",
@@ -42,7 +42,7 @@ API = {
     "MinimalSurfaceDescriptor": "kodaira_dim, surface_class=None, genus=None, m=None",
     "MinimalSurfaceDescriptor.of_class": "surface_class, genus=None, m=None",
     "OneOneForm": "base_component, s1, fs_multiple",
-    "RCReport": "min_max_eigenvalue, witness, rc_positive",
+    "RCReport": "min_max_eigenvalue, witness",
     "RCReport.to_dict": "",
     "RicciField": "ric",
     "SplitBundle": "summands",
@@ -72,7 +72,7 @@ API = {
     "tautological_base_curvature": "bundle, point",
     "tensor_product": "a, b",
     "total_scalar": "metric",
-    "total_scalar_image": "kx_rc, anti_kx_rc, ricci_flat",
+    "total_scalar_image": "kx_rc, anti_kx_rc",
     "validate_m": "m, g",
 }
 

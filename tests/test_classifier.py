@@ -113,14 +113,10 @@ def test_classify_split_rejects_negative_genus_for_every_rank(n):
 
 
 def test_total_scalar_image_table():
-    assert total_scalar_image(True, True, False) == "AllReals"
-    assert total_scalar_image(False, True, False) == "PositiveReals"
-    assert total_scalar_image(True, False, False) == "NegativeReals"
-    assert total_scalar_image(False, False, True) == "ZeroOnly"
-    with pytest.raises(DescriptorError):
-        total_scalar_image(True, False, True)
-    with pytest.raises(DescriptorError):
-        total_scalar_image(False, True, True)
+    assert total_scalar_image(True, True) == "AllReals"
+    assert total_scalar_image(False, True) == "PositiveReals"
+    assert total_scalar_image(True, False) == "NegativeReals"
+    assert total_scalar_image(False, False) == "ZeroOnly"
 
 
 def test_hirzebruch_section_count_against_oracle():

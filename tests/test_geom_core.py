@@ -194,6 +194,47 @@ def test_bundle_descriptor_rejects_malformed():
             load_bundle_descriptor({"genus": 2, "resolution": 16, "summands": [entry]})
 
 
+def test_bundle_descriptor_profile_names_a_file_in_its_directory(tmp_path):
+    outside = tmp_path / "secret.csv"
+    outside.write_text("root:x:0:0:root:/root:/bin/bash\n")
+    inner = tmp_path / "inner"
+    inner.mkdir()
+    (inner / "legit.csv").write_text("1,2\n3,4\n")
+    for name in (str(outside), "../secret.csv", "sub/legit.csv", "", ".", "..", "a\0b"):
+        doc = {"genus": 2, "resolution": 16,
+               "summands": [{"degree": 0, "profile": {"file": name}}]}
+        (inner / "bundle.json").write_text(json.dumps(doc))
+        with pytest.raises(DescriptorError, match="name in the descriptor's directory") as info:
+            load_bundle_descriptor(inner / "bundle.json")
+        assert "root:x" not in str(info.value)
+
+
+@pytest.mark.parametrize("descriptor, profile", [
+    (b"{not json", None),
+    (b'{"genus": 2, "resolution": 16, "summands": []}\xff', None),
+    (None, b"1,2\n3,x\n"),
+    (None, b"1,2\n\xff,4\n"),
+], ids=["descriptor-json", "descriptor-utf8", "profile-number", "profile-utf8"])
+def test_malformed_bundle_descriptor_contents_name_the_file(tmp_path, descriptor, profile):
+    doc = {"genus": 2, "resolution": 8,
+           "summands": [{"degree": 0, "profile": {"file": "kappa.csv"}}]}
+    (tmp_path / "bundle.json").write_bytes(descriptor or json.dumps(doc).encode())
+    (tmp_path / "kappa.csv").write_bytes(profile or b"0,0\n0,0\n")
+    bad = "bundle.json" if descriptor else "kappa.csv"
+    with pytest.raises(DescriptorError, match=bad):
+        load_bundle_descriptor(tmp_path / "bundle.json")
+
+
+def test_bundle_descriptor_os_errors_keep_their_names(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_bundle_descriptor(tmp_path / "missing.json")
+    doc = {"genus": 2, "resolution": 8,
+           "summands": [{"degree": 0, "profile": {"file": "missing.csv"}}]}
+    (tmp_path / "bundle.json").write_text(json.dumps(doc))
+    with pytest.raises(FileNotFoundError):
+        load_bundle_descriptor(tmp_path / "bundle.json")
+
+
 def test_models_are_immutable():
     curve = CurveModel.flat(2, 16)
     bundle = make_line_bundle(1, "constant", curve)

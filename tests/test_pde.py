@@ -16,6 +16,7 @@ from scalarflat import (
     DegreeError,
     DescriptorError,
     MetricModel4T,
+    OneOneForm,
     SolvabilityError,
     chern_scalar,
     conformal_scalar_flat,
@@ -275,6 +276,19 @@ def test_conformal_solution_requires_zero_mean():
     with pytest.raises(DescriptorError):
         ConformalSolution(f=np.ones((4, 4, 4, 4)), residual=0.0, solve_residual=0.0,
                           iterations=0, rounds=0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: poisson_periodic(np.full((16, 16), np.nan)),
+    lambda: prescribe_curvature(np.full((16, 16), np.nan),
+                                make_line_bundle(1, "constant", CurveModel.flat(2, 16))),
+    lambda: ConformalSolution(f=np.full((8, 8, 8, 8), np.nan), residual=0.0,
+                              solve_residual=0.0, iterations=0, rounds=0),
+    lambda: OneOneForm(base_component=np.zeros((1, 8, 8)), s1=[np.nan], fs_multiple=1.0),
+], ids=["poisson_periodic", "prescribe_curvature", "ConformalSolution", "OneOneForm"])
+def test_non_finite_input_is_refused(build):
+    with pytest.raises(DescriptorError, match="finite|fiber weights"):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -159,24 +159,20 @@ def test_certificate_preconditions():
         kx_curvature_form(kx_certificate_split(3, 1, 2), CurveModel.flat(2, 8))
 
 
-def test_certificate_margin_recompute_invariant():
-    with pytest.raises(DescriptorError):
-        Certificate(genus=2, deg_l=1, n=2, margin=1.0, issued=True)
+@pytest.mark.parametrize("g, deg_l, n, message", [
+    (1, 0, 2, "genus >= 2"), (2, -1, 2, "deg L >= 0"), (2, 1, 1, "at least 2")])
+def test_certificate_constructor_checks_the_domain(g, deg_l, n, message):
+    with pytest.raises(DescriptorError, match=message):
+        Certificate(g, deg_l, n)
 
 
-@pytest.mark.parametrize("g, deg_l, n", [(2, 1, 2), (2, 2, 2), (6, 5, 3)])
-def test_certificate_issued_flag_and_witness_follow_the_certified_range(g, deg_l, n):
-    cert = kx_certificate_split(g, deg_l, n)
-    margin = split_margin(g, deg_l, n)
-    witness = {"violation": "outside certified range", "grid": [0, 0], "value": margin}
-    # the flag flipped, with the witness that flag would need
-    with pytest.raises(DescriptorError, match="certified range"):
-        Certificate(genus=g, deg_l=deg_l, n=n, margin=margin, issued=not cert.issued,
-                    witness=None if cert.issued else witness)
-    # the right flag with the witness of the wrong one
-    with pytest.raises(DescriptorError, match="witness"):
-        Certificate(genus=g, deg_l=deg_l, n=n, margin=margin, issued=cert.issued,
-                    witness=witness if cert.issued else None)
+def test_certificate_is_its_three_integers():
+    for g, deg_l, n in [(2, 1, 2), (2, 2, 2), (6, 5, 3), (34, 22, 4)]:
+        assert Certificate(g, deg_l, n).to_dict() == kx_certificate_split(g, deg_l, n).to_dict()
+    # the margin is split_margin's with no tolerance in between, even where the
+    # textbook float pi (2g - 3) is 9.5e-7 away from it
+    assert Certificate(10 ** 9, 1, 2).margin == split_margin(10 ** 9, 1, 2)
+    assert Certificate(10 ** 9, 1, 2).issued
 
 
 def test_default_fiber_samples_cover_endpoints():
