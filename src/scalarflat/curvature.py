@@ -34,6 +34,7 @@ from .geom_core import (
     SplitBundle,
     _freeze,
     _plain_file_name,
+    _require_integer,
 )
 
 #: agreement demanded between the two defining expressions of total scalar curvature
@@ -627,9 +628,7 @@ def _manifest_fields(manifest, path: Path) -> tuple[int, dict[str, str], str | N
     a file name that reaches outside the manifest's directory."""
     if not isinstance(manifest, dict):
         raise DescriptorError(f"{path}: a metric manifest must be a JSON object")
-    resolution = manifest.get("resolution")
-    if not isinstance(resolution, int) or isinstance(resolution, bool):
-        raise DescriptorError(f"{path}: 'resolution' must be an integer, got {resolution!r}")
+    resolution = _require_integer(manifest.get("resolution"), f"{path}: 'resolution'")
     components = manifest.get("components")
     if not isinstance(components, dict):
         raise DescriptorError(f"{path}: 'components' must map each component to a CSV file")

@@ -17,6 +17,11 @@ Conventions used package-wide:
 The finite-difference backend of the 2-d kernels uses centered second-order
 stencils so convergence-order checks have something to converge.  The 4-d
 kernel is spectral only, since the stencils break the identity above.
+
+Every transform goes through ``_fft``, which imports scipy on first use
+(see _SciPyFFT), so the theory commands, which never transform, load no
+scipy.  Callers look ``_fft`` up at call time, so swapping it reaches every
+transform.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import os
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 
 SPECTRAL = "spectral"
 FINITE_DIFFERENCE = "fd"
@@ -48,6 +52,22 @@ def thread_workers() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+class _SciPyFFT:
+    """scipy.fft, imported on the first attribute read together with
+    scipy.sparse.linalg, which the conformal solver needs: imported later,
+    in the middle of a solve, it fragments the heap the solve has built."""
+
+    def __getattr__(self, name):
+        import scipy.fft
+        import scipy.sparse.linalg  # noqa: F401
+        value = getattr(scipy.fft, name)
+        setattr(self, name, value)    # later reads skip __getattr__
+        return value
+
+
+_fft = _SciPyFFT()
 
 
 def _check_backend(backend: str) -> None:

@@ -44,6 +44,14 @@ SIMPLEX_TOL = 1e-12
 MIN_RESOLUTION = 8
 
 
+def _require_integer(value, what: str) -> int:
+    """value as an int; DescriptorError naming `what` for a bool or anything
+    else that is not an int or a numpy integer (a float is not truncated)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DescriptorError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr)
     out = out.copy()
@@ -351,9 +359,11 @@ def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
 
     Schema: {"genus": int, "resolution": int,
              "summands": [{"degree": int, "profile": "constant" | {"file": name}}]}
-    A profile file is a plain file name in the descriptor's directory (the
-    working directory for a dict source), checked before any file is opened.
-    The fiducial density is constant one.
+    genus, resolution and every degree must be integers; a float or a
+    boolean is a DescriptorError, never truncated.  A profile file is a plain
+    file name in the descriptor's directory (the working directory for a dict
+    source), checked before any file is opened.  The fiducial density is
+    constant one.
     """
     base_dir = Path(".")
     if isinstance(source, dict):
@@ -366,21 +376,22 @@ def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
         except ValueError as exc:    # text that is not UTF-8 or not JSON
             raise DescriptorError(f"{path}: not a JSON descriptor: {exc}") from exc
     try:
-        genus = int(doc["genus"])
-        resolution = int(doc["resolution"])
-        raw_summands = doc["summands"]
-    except (KeyError, TypeError, ValueError) as exc:
+        genus, resolution, raw_summands = doc["genus"], doc["resolution"], doc["summands"]
+    except (KeyError, TypeError) as exc:
         raise DescriptorError(f"malformed bundle descriptor: {exc}") from exc
+    genus = _require_integer(genus, "malformed bundle descriptor: 'genus'")
+    resolution = _require_integer(resolution, "malformed bundle descriptor: 'resolution'")
     if not isinstance(raw_summands, list) or not raw_summands:
         raise DescriptorError("descriptor must list at least one summand")
     curve = CurveModel.flat(genus=genus, resolution=resolution)
     summands = []
     for entry in raw_summands:
         try:
-            degree = int(entry["degree"])
+            degree = entry["degree"]
             profile = entry.get("profile", "constant")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise DescriptorError(f"malformed summand entry {entry!r}: {exc}") from exc
+        degree = _require_integer(degree, f"malformed summand entry {entry!r}: 'degree'")
         if isinstance(profile, dict):
             if not _plain_file_name(profile.get("file")):
                 raise DescriptorError(

@@ -27,6 +27,10 @@ BiCGStab runs in float32, and everything that decides correctness runs in
 float64 -- the defect s_G - L f, the stall counter, the round limit, the
 tolerances, the gates and the end-to-end check.  A float32 round that does
 not halve the max-norm defect is redone in float64.
+
+scipy is imported on first use, through ``_fft`` (``fourier._fft``) and the
+module function ``bicgstab``; both are looked up at call time, so they can
+be swapped or wrapped.
 """
 
 from __future__ import annotations
@@ -36,8 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as _fft
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from . import fourier
 from .curvature import (MetricModel4T, _trace_weights, chern_scalar, total_scalar,
@@ -55,6 +57,8 @@ TOTAL_SCALAR_GATE = 1e-6
 SOLVE_TOL = 1e-10
 #: verification bound on max |s| of the rescaled metric
 VERIFY_TOL = 1e-6
+
+_fft = fourier._fft
 
 _MAX_ROUNDS = 24
 _INNER_MAXITER = 250
@@ -216,6 +220,12 @@ class ConformalSolution:
         object.__setattr__(self, "f", _freeze(f))
 
 
+def bicgstab(A, b, **kwargs):
+    """scipy.sparse.linalg.bicgstab, imported on first call."""
+    from scipy.sparse.linalg import bicgstab as scipy_bicgstab
+    return scipy_bicgstab(A, b, **kwargs)
+
+
 def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
                        tol: float) -> tuple[np.ndarray, float, int, int]:
     """Defect-correction rounds for tr_omega ddbar f = s_g; returns (f, max-norm
@@ -231,6 +241,8 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
     operator, its float32 tables and the Krylov vectors live in this frame,
     so they are freed before the caller's verification.
     """
+    from scipy.sparse.linalg import LinearOperator
+
     op = TraceOperator(metric)
     shape = op.shape
     size = s_g.size

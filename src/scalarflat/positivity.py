@@ -22,7 +22,7 @@ import numpy as np
 
 from .curvature import canonical_curvature_split
 from .errors import DescriptorError
-from .geom_core import CurveModel, OneOneForm, SplitBundle, make_line_bundle
+from .geom_core import CurveModel, OneOneForm, SplitBundle, _require_integer, make_line_bundle
 
 #: eigenvalue margin above which a scan counts as positive
 RC_TOLERANCE = 1e-9
@@ -102,13 +102,18 @@ class Certificate:
     is split_margin, and the certificate is issued exactly
     in_certified_range, which roundoff in the margin cannot flip on the
     boundary.  An unissued certificate carries a witness at grid point
-    (0, 0), the first in scan order, since every point attains the minimum."""
+    (0, 0), the first in scan order, since every point attains the minimum.
+    A bool or a non-integer argument is a DescriptorError; a numpy integer is
+    stored as int, so to_dict stays JSON-serialisable."""
 
     genus: int
     deg_l: int
     n: int
 
     def __post_init__(self):
+        for name in ("genus", "deg_l", "n"):
+            value = _require_integer(getattr(self, name), f"certificate {name}")
+            object.__setattr__(self, name, value)
         g, deg_l, n = self.genus, self.deg_l, self.n
         if g < 2:
             raise DescriptorError(f"certificate construction needs genus >= 2, got {g}")

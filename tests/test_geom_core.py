@@ -194,6 +194,23 @@ def test_bundle_descriptor_rejects_malformed():
             load_bundle_descriptor({"genus": 2, "resolution": 16, "summands": [entry]})
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"genus": 2.9}, "'genus'"),
+    ({"genus": True}, "'genus'"),
+    ({"genus": "2"}, "'genus'"),
+    ({"resolution": 16.7}, "'resolution'"),
+    ({"resolution": False}, "'resolution'"),
+    ({"summands": [{"degree": 1.5}]}, "'degree'"),
+    ({"summands": [{"degree": 1}, {"degree": True}]}, "'degree'"),
+    ({"summands": [{"degree": "1"}]}, "'degree'"),
+])
+def test_bundle_descriptor_refuses_non_integers(doc, field):
+    # int() used to truncate 2.9 to genus 2 and read true as degree 1
+    doc = {"genus": 2, "resolution": 16, "summands": [{"degree": 1}], **doc}
+    with pytest.raises(DescriptorError, match=f"{field} must be an integer"):
+        load_bundle_descriptor(doc)
+
+
 def test_bundle_descriptor_profile_names_a_file_in_its_directory(tmp_path):
     outside = tmp_path / "secret.csv"
     outside.write_text("root:x:0:0:root:/root:/bin/bash\n")

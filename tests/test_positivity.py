@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,21 @@ def test_certificate_preconditions():
 def test_certificate_constructor_checks_the_domain(g, deg_l, n, message):
     with pytest.raises(DescriptorError, match=message):
         Certificate(g, deg_l, n)
+
+
+@pytest.mark.parametrize("g, deg_l, n, field", [
+    (2.5, 1, 2, "genus"), (2, True, 2, "deg_l"), (2, 1, 2.0, "n"), (True, 1, 2, "genus"),
+    (2, "1", 2, "deg_l")])
+def test_certificate_refuses_non_integers(g, deg_l, n, field):
+    # checked before the domain, so a float is never truncated into range
+    with pytest.raises(DescriptorError, match=f"certificate {field} must be an integer"):
+        Certificate(g, deg_l, n)
+
+
+def test_certificate_stores_numpy_integers_as_int():
+    cert = Certificate(np.int64(6), np.int32(5), np.uint8(2))
+    assert [type(v) for v in (cert.genus, cert.deg_l, cert.n)] == [int, int, int]
+    assert json.loads(json.dumps(cert.to_dict())) == Certificate(6, 5, 2).to_dict()
 
 
 def test_certificate_is_its_three_integers():
