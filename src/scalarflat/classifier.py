@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DescriptorError, NagataViolation
-from .geom_core import ClassificationReport
+from .geom_core import ClassificationReport, _require_integer
 from .positivity import CERTIFICATE_STRATEGY, anti_kx_rc_flag, in_certified_range, split_margin
 
 # fired-case identifiers, one per proof branch of the ruled-surface theorem
@@ -34,11 +34,13 @@ CASE_4 = "case (4)"   # m >= 2g - 2: forces g = 2, m = 2, stable ample bundle
 
 def m_split_rank2(deg_l: int) -> int:
     """Twist invariant of the split model P(L + trivial): m = -|deg L|."""
-    return -abs(int(deg_l))
+    return -abs(deg_l)
 
 
 def validate_m(m: int, g: int) -> None:
-    """Reject descriptors with m > g, which no rank-two bundle realizes."""
+    """Reject a non-integer g or m, and m > g, which no rank-two bundle realizes."""
+    g = _require_integer(g, "genus")
+    m = _require_integer(m, "m")
     if g < 0:
         raise DescriptorError(f"genus must be nonnegative, got {g}")
     if m > g:
@@ -132,6 +134,8 @@ def classify_split(g: int, deg_l: int, n: int) -> ClassificationReport:
     the ruled-surface criterion with m = -|deg L|.  For n > 2 the verdict is
     "no" outside the range with the total-scalar image left unknown.
     """
+    deg_l = _require_integer(deg_l, "deg L")
+    n = _require_integer(n, "fiber rank n")
     if n < 2:
         raise DescriptorError(f"fiber rank n must be at least 2, got {n}")
     m = m_split_rank2(deg_l)
@@ -160,6 +164,7 @@ def hirzebruch_anticanonical_h0(k: int) -> int:
     max(0, degree + 1); the total (k+3) + 3 + max(0, 3-k) is always positive,
     which is the effectivity obstruction used by the classifier.
     """
+    k = _require_integer(k, "Hirzebruch twist")
     if k < 0:
         raise DescriptorError(f"Hirzebruch twist must be nonnegative, got {k}")
     return (k + 3) + 3 + max(0, 3 - k)

@@ -197,8 +197,8 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
 class MetricModel4T:
     """Hermitian metric on the periodic 4-grid: a positive 2x2 Hermitian
     matrix at every point, stored as (n, n, n, n) fields over axes
-    (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex), its
-    determinant and its inverse entries (inv12 = -g12 / det is the upper one).
+    (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex) and its
+    determinant, 40 bytes per point; _inverse_entries divides out the inverse.
 
     MetricModel4T(g) takes an (n, n, n, n, 2, 2) field, and the g and inverse
     properties build such fields anew on each access.  Instances are
@@ -209,9 +209,6 @@ class MetricModel4T:
     g22: np.ndarray
     g12: np.ndarray
     det: np.ndarray
-    inv11: np.ndarray
-    inv22: np.ndarray
-    inv12: np.ndarray
 
     def __init__(self, g: np.ndarray):
         g = np.asarray(g, dtype=complex)
@@ -239,11 +236,7 @@ class MetricModel4T:
             raise DescriptorError(
                 "metric is not positive definite "
                 f"(min leading entry {g11.min():.3e}, min determinant {det.min():.3e})")
-        inv12 = np.negative(g12)
-        inv12 /= det
-        fields = {"g11": g11, "g22": g22, "g12": g12, "det": det,
-                  "inv11": g22 / det, "inv22": g11 / det, "inv12": inv12}
-        for name, field in fields.items():
+        for name, field in zip(("g11", "g22", "g12", "det"), (g11, g22, g12, det)):
             field.setflags(write=False)
             object.__setattr__(self, name, field)
         object.__setattr__(self, "_derived", {})
@@ -256,7 +249,7 @@ class MetricModel4T:
     @property
     def inverse(self) -> np.ndarray:
         """The (n, n, n, n, 2, 2) inverse field, built anew on each access."""
-        return _hermitian_2x2(self.inv11, self.inv22, self.inv12)
+        return _hermitian_2x2(*_inverse_entries(self))
 
     @property
     def resolution(self) -> int:
@@ -318,15 +311,25 @@ def chern_ricci(metric: MetricModel4T) -> RicciField:
     return RicciField(_hermitian_2x2(*_ricci_components(metric)))
 
 
+def _inverse_entries(metric: MetricModel4T):
+    """The inverse's entries inv11, inv22 and upper inv12, fresh, one at a time."""
+    yield metric.g22 / metric.det
+    yield metric.g11 / metric.det
+    inv12 = np.negative(metric.g12)
+    inv12 /= metric.det
+    yield inv12
+
+
 def _trace_weights(metric: MetricModel4T):
     """Weights (inv11, inv22, 2 Re inv12, 2 Im inv12) pairing a real (1,1)-form's
     (a11, a22, Re a12, Im a12) with g^{i jbar}, one at a time; the trace operator
     and s_G sum the products in this order, so s_G == -L(log det g) exactly."""
-    yield metric.inv11
-    yield metric.inv22
+    entries = _inverse_entries(metric)
+    yield from itertools.islice(entries, 2)    # inv11, inv22
+    inv12 = next(entries)
     # g^{1 2bar} = conj(inv12) pairs with a12 and its conjugate with a21 = conj(a12)
-    yield 2.0 * metric.inv12.real
-    yield 2.0 * metric.inv12.imag
+    yield 2.0 * inv12.real
+    yield 2.0 * inv12.imag
 
 
 def _scalar_curvature(metric: MetricModel4T) -> tuple[np.ndarray, tuple[float, float]]:

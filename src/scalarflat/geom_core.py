@@ -83,6 +83,8 @@ class CurveModel:
     lam: np.ndarray
 
     def __post_init__(self):
+        for name in ("genus", "resolution"):
+            object.__setattr__(self, name, _require_integer(getattr(self, name), f"curve {name}"))
         if self.genus < 0:
             raise DescriptorError(f"genus must be nonnegative, got {self.genus}")
         if self.resolution < MIN_RESOLUTION:
@@ -99,7 +101,8 @@ class CurveModel:
     @classmethod
     def flat(cls, genus: int, resolution: int) -> "CurveModel":
         """Chart with the constant area density one."""
-        lam = np.ones((resolution, resolution))
+        # checked here too, since np.ones raises TypeError on a float
+        lam = np.ones((_require_integer(resolution, "curve resolution"),) * 2)
         return cls(genus=genus, resolution=resolution, lam=lam)
 
     @property
@@ -139,6 +142,7 @@ class LineBundleModel:
     curve: CurveModel
 
     def __post_init__(self):
+        object.__setattr__(self, "degree", _require_integer(self.degree, "line bundle degree"))
         kappa = np.asarray(self.kappa, dtype=float)
         n = self.curve.resolution
         if kappa.shape != (n, n):

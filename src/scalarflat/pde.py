@@ -117,12 +117,12 @@ class TraceOperator:
     """Discrete tr_omega ddbar: f -> sum_ij g^{i jbar} d^2 f / (dz^i dzbar^j).
 
     apply takes one rfftn and four irfftn (m11, m22, Re m12, Im m12 of the
-    half-spectrum symbol table).  Every symbol is real and even, so each
-    derivative is a symmetric operator and the transpose of apply,
-    apply_adjoint, takes four rfftn and one irfftn.  precondition is a
-    Jacobi-scaled periodic inverse: r -> irfftn(inv_mean_symbol * rfftn(r / D))
-    with D = (inv11 + inv22) / mean(inv11 + inv22), the exact inverse on
-    resolved modes when the metric is conformally flat.
+    half-spectrum symbol table, weighted by _trace_weights).  Every symbol is
+    real and even, so each derivative is a symmetric operator and the
+    transpose of apply, apply_adjoint, takes four rfftn and one irfftn.
+    precondition is a Jacobi-scaled periodic inverse:
+    r -> irfftn(inv_mean_symbol * rfftn(r / D)) with D = tr g^-1 / mean(tr g^-1),
+    the exact inverse on resolved modes when the metric is conformally flat.
 
     apply and precondition run in the precision of their input: float32
     input uses float32 copies of the weights, symbols and preconditioner
@@ -144,7 +144,7 @@ class TraceOperator:
         inv_symbol = np.zeros(mean_symbol.shape)
         nonzero = mean_symbol != 0.0
         inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
-        diagonal = self._weights[0] + self._weights[1]    # inv11 + inv22
+        diagonal = self._weights[0] + self._weights[1]    # tr g^-1
         return inv_symbol, diagonal.mean() / diagonal
 
     @cached_property

@@ -178,7 +178,7 @@ def anti_kx_rc_flag(g: int) -> tuple[bool, str]:
     curvature has a positive eigenvalue everywhere; the flag is therefore
     true for every model in scope.
     """
-    if not isinstance(g, (int, np.integer)) or g < 0:
+    if _require_integer(g, "genus") < 0:
         raise DescriptorError(
             f"expected a projective-bundle model over a curve (genus >= 0), got {g!r}")
     return True, ("uniruled: the model is covered by rational curves, "

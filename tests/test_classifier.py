@@ -6,6 +6,7 @@ from scalarflat import (
     DescriptorError,
     MinimalSurfaceDescriptor,
     NagataViolation,
+    anti_kx_rc_flag,
     classify_ruled,
     classify_split,
     hirzebruch_anticanonical_h0,
@@ -31,6 +32,29 @@ def test_validate_m():
         validate_m(3, 2)
     with pytest.raises(DescriptorError):
         validate_m(0, -1)
+
+
+@pytest.mark.parametrize("call, what", [
+    # each of these used to return a verdict: a bool read as genus 1, m = 0.5
+    # as a case (3) input, deg L = 1.5 truncated to 1, rank 2.5 as a higher rank
+    pytest.param(lambda: classify_ruled(True, 0), "genus", id="classify_ruled(True, 0)"),
+    pytest.param(lambda: classify_ruled(2, 0.5), "m", id="classify_ruled(2, 0.5)"),
+    pytest.param(lambda: classify_ruled(2.0, 0), "genus", id="classify_ruled(2.0, 0)"),
+    pytest.param(lambda: validate_m(0, 1.5), "genus", id="validate_m(0, 1.5)"),
+    pytest.param(lambda: classify_split(2, 1.5, 2), "deg L", id="classify_split(2, 1.5, 2)"),
+    pytest.param(lambda: classify_split(2, 0, 2.5), "fiber rank n",
+                 id="classify_split(2, 0, 2.5)"),
+    pytest.param(lambda: classify_split(2, False, 2), "deg L", id="classify_split(2, False, 2)"),
+    pytest.param(lambda: MinimalSurfaceDescriptor.of_class("Ruled", genus=2, m=0.5), "m",
+                 id="MinimalSurfaceDescriptor.of_class('Ruled', genus=2, m=0.5)"),
+    pytest.param(lambda: hirzebruch_anticanonical_h0(1.5), "Hirzebruch twist",
+                 id="hirzebruch_anticanonical_h0(1.5)"),
+    pytest.param(lambda: anti_kx_rc_flag(True), "genus", id="anti_kx_rc_flag(True)"),
+    pytest.param(lambda: anti_kx_rc_flag(2.0), "genus", id="anti_kx_rc_flag(2.0)"),
+])
+def test_theory_functions_refuse_non_integers(call, what):
+    with pytest.raises(DescriptorError, match=f"{what} must be an integer"):
+        call()
 
 
 def test_is_stable_rank2():

@@ -56,6 +56,33 @@ def test_curve_model_validation():
         CurveModel(genus=0, resolution=16, lam=np.ones((8, 8)))
 
 
+@pytest.mark.parametrize("call, what", [
+    # each of these used to build a model carrying the non-integer
+    pytest.param(lambda: CurveModel.flat(2.5, 16), "curve genus", id="genus 2.5"),
+    pytest.param(lambda: CurveModel.flat(True, 16), "curve genus", id="genus True"),
+    pytest.param(lambda: CurveModel(genus=2, resolution=16.0, lam=np.ones((16, 16))),
+                 "curve resolution", id="resolution 16.0"),
+    # this one raised numpy's TypeError
+    pytest.param(lambda: CurveModel.flat(2, 16.0), "curve resolution", id="flat resolution 16.0"),
+    pytest.param(lambda: make_line_bundle(1.5, "constant", CurveModel.flat(2, 16)),
+                 "line bundle degree", id="degree 1.5"),
+    pytest.param(lambda: make_line_bundle(True, "constant", CurveModel.flat(2, 16)),
+                 "line bundle degree", id="degree True"),
+    pytest.param(lambda: make_line_bundle(2.0, np.full((16, 16), 2.0 * np.pi),
+                                          CurveModel.flat(2, 16)),
+                 "line bundle degree", id="degree 2.0, supplied profile"),
+])
+def test_curve_chart_models_refuse_non_integers(call, what):
+    with pytest.raises(DescriptorError, match=f"{what} must be an integer"):
+        call()
+
+
+def test_curve_chart_models_store_numpy_integers_as_int():
+    curve = CurveModel.flat(np.int64(2), np.int32(16))
+    bundle = make_line_bundle(np.int16(3), "constant", curve)
+    assert type(curve.genus) is type(curve.resolution) is type(bundle.degree) is int
+
+
 def test_make_line_bundle_constant_profiles():
     curve = CurveModel.flat(2, 32)
     one = make_line_bundle(1, "constant", curve)

@@ -400,13 +400,15 @@ def test_preconditioner_built_on_first_use_is_bit_identical(n):
     rng = np.random.default_rng(200 + n)
     metric = random_metric(n, rng)
     r = rng.standard_normal((n,) * 4)
-    # reference: both tables computed from the metric's entries up front
-    weights = (metric.inv11, metric.inv22, 2.0 * metric.inv12.real, 2.0 * metric.inv12.imag)
+    # reference: both tables computed from the metric's inverse up front
+    inverse = metric.inverse
+    inv11, inv22, inv12 = inverse[..., 0, 0].real, inverse[..., 1, 1].real, inverse[..., 0, 1]
+    weights = (inv11, inv22, 2.0 * inv12.real, 2.0 * inv12.imag)
     mean_symbol = sum(w.mean() * m for w, m in zip(weights, half_symbols_4d(n)))
     inv_symbol = np.zeros(mean_symbol.shape)
     nonzero = mean_symbol != 0.0
     inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
-    diagonal = metric.inv11 + metric.inv22
+    diagonal = inv11 + inv22
     workers = thread_workers()
     spec = scipy.fft.rfftn(r * (diagonal.mean() / diagonal), workers=workers)
     want = scipy.fft.irfftn(inv_symbol * spec, s=(n,) * 4, workers=workers)

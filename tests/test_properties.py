@@ -134,7 +134,8 @@ def near_hermitian_field(seed, r, scale, ratio, damped, special_share):
     The diagonal is shifted up, so the field is positive, or damped, so the
     largest entries sit off the diagonal."""
     rng = np.random.default_rng(seed)
-    shape = (2,) * (6 if r == 2 else 2) + (r, r)
+    # r = 2 fields are metrics on the 2^4 grid, so the constructor sees them
+    shape = (2,) * (4 if r == 2 else 2) + (r, r)
     a = rng.uniform(-1.0, 1.0, shape) + 1j * rng.uniform(-1.0, 1.0, shape)
     if damped:
         a[..., range(r), range(r)] *= 1e-3
@@ -180,9 +181,12 @@ def test_entrywise_hermitian_part_matches_the_adjoint_formula(seed, r, exponent,
         return
     metric = built[1]
     det = g11 * g22 - np.abs(g12) ** 2
-    for name, value in {"g11": g11, "g22": g22, "g12": g12, "det": det, "inv11": g22 / det,
-                        "inv22": g11 / det, "inv12": -g12 / det}.items():
+    inverse = metric.inverse
+    for name, value in {"g11": g11, "g22": g22, "g12": g12, "det": det}.items():
         assert getattr(metric, name).tobytes() == value.tobytes(), name
+    for (i, j), value in {(0, 0): g22 / det, (1, 1): g11 / det, (0, 1): -g12 / det,
+                          (1, 0): np.conj(-g12 / det)}.items():
+        assert inverse[..., i, j].tobytes() == value.astype(complex).tobytes(), (i, j)
 
 
 @given(st.integers(min_value=2, max_value=24))
@@ -200,6 +204,18 @@ def test_total_scalar_routes_agree_on_random_metrics(seed, n, amplitude):
     metric = random_metric(n, np.random.default_rng(seed), amplitude)
     trace_route, wedge_route = total_scalar_routes(metric)
     assert abs(trace_route - wedge_route) <= TOTAL_SCALAR_CROSS_TOL
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=8),
+       st.floats(min_value=0.0, max_value=0.5))
+def test_inverse_inverts_the_metric(seed, n, amplitude):
+    # roundoff bound: det g = g11 g22 - |g12|^2 is off by at most about
+    # eps g11 g22, which moves every product in g @ inverse by about
+    # eps max|g| max|inverse|; the divisions and the two-term sums add a few more
+    metric = random_metric(n, np.random.default_rng(seed), amplitude)
+    g, inverse = metric.g, metric.inverse
+    bound = 8.0 * np.finfo(float).eps * np.max(np.abs(g)) * np.max(np.abs(inverse))
+    assert np.max(np.abs(g @ inverse - np.eye(2))) <= bound
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([8, 9, 12]))
