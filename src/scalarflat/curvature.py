@@ -102,7 +102,7 @@ def _hermitian_2x2(a11, a22, a12) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # bundle curvature over a curve chart
 
-def chern_curvature_matrix(h: np.ndarray, backend: str = fourier.SPECTRAL) -> np.ndarray:
+def chern_curvature_matrix(h: np.ndarray) -> np.ndarray:
     """Full Chern curvature of a Hermitian bundle metric over the curve chart.
 
     h is an (n, n, r, r) field of positive Hermitian matrices; the output
@@ -110,8 +110,9 @@ def chern_curvature_matrix(h: np.ndarray, backend: str = fourier.SPECTRAL) -> np
 
         R = -d^2 h / (dz dzbar) + (dh/dz) h^{-1} (dh/dzbar),
 
-    which includes the first-derivative correction term.  The result is
-    Hermitian in (a, b) at every grid point.
+    which includes the first-derivative correction term.  Every derivative
+    is spectral (fourier.dz, dzbar, ddbar).  The result is Hermitian in
+    (a, b) at every grid point.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 4 or h.shape[2] != h.shape[3]:
@@ -128,9 +129,9 @@ def chern_curvature_matrix(h: np.ndarray, backend: str = fourier.SPECTRAL) -> np
     hzzbar = np.empty_like(h)
     for a in range(r):
         for b in range(r):
-            hz[..., a, b] = fourier.dz(h[..., a, b], backend)
-            hzbar[..., a, b] = fourier.dzbar(h[..., a, b], backend)
-            hzzbar[..., a, b] = fourier.ddbar(h[..., a, b], backend)
+            hz[..., a, b] = fourier.dz(h[..., a, b])
+            hzbar[..., a, b] = fourier.dzbar(h[..., a, b])
+            hzzbar[..., a, b] = fourier.ddbar(h[..., a, b])
     correction = np.einsum("...ab,...bc,...cd->...ad", hz, np.linalg.inv(h), hzbar)
     curv = -hzzbar + correction
     # exact Hermitian symmetrization; the asymmetry is pure roundoff

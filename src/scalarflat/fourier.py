@@ -1,4 +1,4 @@
-"""Spectral and finite-difference derivative kernels on periodic unit grids.
+"""Spectral derivative kernels on periodic unit grids.
 
 Conventions used package-wide:
 
@@ -14,9 +14,7 @@ Conventions used package-wide:
 * the plain Laplacian used by the Poisson solver keeps the full -(2 pi k)^2
   symbol so it is invertible on every nonzero mode.
 
-The finite-difference backend of the 2-d kernels uses centered second-order
-stencils so convergence-order checks have something to converge.  The 4-d
-kernel is spectral only, since the stencils break the identity above.
+Every derivative in the package is spectral, on the 2-d and 4-d grids.
 
 Every transform goes through ``_fft``, which imports scipy on first use
 (see _SciPyFFT), so the theory commands, which never transform, load no
@@ -30,10 +28,6 @@ import os
 from functools import lru_cache
 
 import numpy as np
-
-SPECTRAL = "spectral"
-FINITE_DIFFERENCE = "fd"
-_BACKENDS = (SPECTRAL, FINITE_DIFFERENCE)
 
 
 def thread_workers() -> int:
@@ -70,11 +64,6 @@ class _SciPyFFT:
 _fft = _SciPyFFT()
 
 
-def _check_backend(backend: str) -> None:
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown differentiation backend {backend!r}; expected one of {_BACKENDS}")
-
-
 def wavenumbers(n: int) -> np.ndarray:
     """Integer wavenumbers of an n-point periodic unit-interval grid."""
     return np.fft.fftfreq(n, 1.0 / n)
@@ -87,19 +76,6 @@ def wavenumbers_no_nyquist(n: int) -> np.ndarray:
         k = k.copy()
         k[n // 2] = 0.0
     return k
-
-
-# ---------------------------------------------------------------------------
-# finite differences (centered, second order, periodic)
-
-def _dx_fd(field: np.ndarray, axis: int) -> np.ndarray:
-    n = field.shape[axis]
-    return (np.roll(field, -1, axis) - np.roll(field, 1, axis)) * (n / 2.0)
-
-
-def _dxx_fd(field: np.ndarray, axis: int) -> np.ndarray:
-    n = field.shape[axis]
-    return (np.roll(field, -1, axis) - 2.0 * field + np.roll(field, 1, axis)) * float(n) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +95,21 @@ def _apply_symbol_2d(field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     return _fft.ifft2(symbol * spec, workers=thread_workers())
 
 
-def dz(field: np.ndarray, backend: str = SPECTRAL) -> np.ndarray:
-    """Holomorphic derivative d/dz on a 2-d periodic grid (complex output)."""
-    _check_backend(backend)
-    if backend == FINITE_DIFFERENCE:
-        return 0.5 * (_dx_fd(field, 0) - 1j * _dx_fd(field, 1))
+def dz(field: np.ndarray) -> np.ndarray:
+    """Spectral holomorphic derivative d/dz on a 2-d periodic grid (complex output)."""
     return _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[0])
 
 
-def dzbar(field: np.ndarray, backend: str = SPECTRAL) -> np.ndarray:
-    """Anti-holomorphic derivative d/dzbar on a 2-d periodic grid."""
-    _check_backend(backend)
-    if backend == FINITE_DIFFERENCE:
-        return 0.5 * (_dx_fd(field, 0) + 1j * _dx_fd(field, 1))
+def dzbar(field: np.ndarray) -> np.ndarray:
+    """Spectral anti-holomorphic derivative d/dzbar on a 2-d periodic grid."""
     return _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[1])
 
 
-def ddbar(field: np.ndarray, backend: str = SPECTRAL) -> np.ndarray:
-    """Mixed second derivative d^2/(dz dzbar) = Laplacian/4 on a 2-d grid.
+def ddbar(field: np.ndarray) -> np.ndarray:
+    """Spectral mixed second derivative d^2/(dz dzbar) = Laplacian/4 on a 2-d grid.
 
     Real input produces real output (the symbol is real and even).
     """
-    _check_backend(backend)
-    if backend == FINITE_DIFFERENCE:
-        out = 0.25 * (_dxx_fd(field, 0) + _dxx_fd(field, 1))
-        return out
     out = _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[2])
     if np.isrealobj(field):
         return out.real

@@ -169,6 +169,7 @@ def make_line_bundle(degree: int, profile, curve: CurveModel) -> LineBundleModel
     quantization invariant holds exactly.  A larger mismatch signals an
     inconsistent input and is rejected rather than silently renormalized.
     """
+    degree = _require_integer(degree, "line bundle degree")
     n = curve.resolution
     if isinstance(profile, str):
         if profile != "constant":

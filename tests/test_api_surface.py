@@ -48,7 +48,7 @@ API = {
     "SplitBundle": "summands",
     "anti_kx_rc_flag": "g",
     "canonical_curvature_split": "bundle, canonical, s1",
-    "chern_curvature_matrix": "h, backend='spectral'",
+    "chern_curvature_matrix": "h",
     "chern_ricci": "metric",
     "chern_scalar": "metric",
     "classify_ruled": "g, m",

@@ -331,6 +331,26 @@ def test_output_is_byte_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("amplitude", [0.1 / np.pi ** 2, 0.1], ids=["mild", "near-degenerate"])
+def test_4grid_commands_are_byte_identical_at_one_and_two_fft_workers(
+        tmp_path, capsys, monkeypatch, amplitude):
+    manifest = save_metric(
+        MetricModel4T.from_kahler_potential(kahler_test_potential(16, amplitude)),
+        tmp_path / "metric")
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SCALARFLAT_THREADS", workers)
+        out_dir = tmp_path / f"workers-{workers}"
+        out_dir.mkdir()
+        assert run(["curvature", "--metric", str(manifest)]) == 0
+        curvature = capsys.readouterr().out
+        assert run(["solve", "scalar-flat", "--metric", str(manifest),
+                    "--out", str(out_dir / "solution.json")]) == 0
+        solve = capsys.readouterr().out
+        outputs.append((curvature, solve, (out_dir / "solution.f.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_the_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
     metric = MetricModel4T.from_kahler_potential(
         kahler_test_potential(8, 0.1 / np.pi ** 2))

@@ -374,20 +374,6 @@ def test_curvature_outputs_stay_hermitian():
     assert np.max(np.abs(curv - np.conj(np.swapaxes(curv, 2, 3)))) < 1e-12
 
 
-def test_finite_difference_mode_converges_at_second_order():
-    errors = {}
-    for n in (32, 64):
-        x, y = grid_coordinates(n)
-        u = np.broadcast_to(0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(2 * np.pi * y),
-                            (n, n))
-        h = diag_metric_field(n, [u, np.zeros((n, n))])
-        curv = chern_curvature_matrix(h, backend="fd")
-        kappa = (curv[..., 0, 0] / h[..., 0, 0]).real
-        analytic = -np.pi ** 2 * (0.3 * np.cos(2 * np.pi * x) + 0.2 * np.sin(2 * np.pi * y))
-        errors[n] = float(np.max(np.abs(kappa - np.broadcast_to(analytic, (n, n)))))
-    assert errors[32] / errors[64] >= 3.5
-
-
 def test_metric_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     metric = random_metric(8, rng)

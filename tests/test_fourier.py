@@ -37,17 +37,6 @@ def test_ddbar_equals_quarter_laplacian():
     assert fourier.ddbar(f).dtype.kind == "f"
 
 
-def test_fd_backend_agrees_on_smooth_data():
-    n = 128
-    x, y = grid_coordinates(n)
-    f = np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * np.ones((n, n))
-    spectral = fourier.ddbar(f)
-    fd = fourier.ddbar(f, backend="fd")
-    assert np.max(np.abs(spectral - fd)) < 0.05
-    with pytest.raises(ValueError):
-        fourier.ddbar(f, backend="mystery")
-
-
 def test_ddbar4_mixed_symbol_identity():
     # d1 d1bar . d2 d2bar == |d1 d2bar|^2 as symbols: checked via a Kahler-type
     # cancellation on a random band-limited potential

@@ -71,6 +71,9 @@ def test_curve_model_validation():
     pytest.param(lambda: make_line_bundle(2.0, np.full((16, 16), 2.0 * np.pi),
                                           CurveModel.flat(2, 16)),
                  "line bundle degree", id="degree 2.0, supplied profile"),
+    # this one raised DegreeError on the density's integral, not on the degree
+    pytest.param(lambda: make_line_bundle(1.5, np.zeros((16, 16)), CurveModel.flat(2, 16)),
+                 "line bundle degree", id="degree 1.5, supplied profile"),
 ])
 def test_curve_chart_models_refuse_non_integers(call, what):
     with pytest.raises(DescriptorError, match=f"{what} must be an integer"):

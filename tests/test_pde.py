@@ -117,17 +117,18 @@ def test_is_gauduchon_flat_and_kahler():
 
 def test_is_gauduchon_rejects_conformal_factor():
     n = 32
-    a = 0.3
     x1 = coords4(n)[0]
-    u = np.broadcast_to(a * np.sin(2 * np.pi * x1), (n,) * 4).copy()
-    flag, residual = is_gauduchon(MetricModel4T.conformal(u))
-    assert not flag
-    # closed form: the defect is ddbar_1(e^u), largest entry of
-    # pi^2 e^{a sin}(a^2 cos^2 - a sin) over the grid
     s = np.sin(2 * np.pi * x1)
     c = np.cos(2 * np.pi * x1)
-    analytic = np.pi ** 2 * np.exp(a * s) * (a ** 2 * c ** 2 - a * s)
-    assert residual == pytest.approx(float(np.max(np.abs(analytic))), abs=1e-6)
+    # at a = 1e-6 the residual, about pi^2 a, lies between GAUDUCHON_TOL and 1
+    for a in (0.3, 1e-6):
+        u = np.broadcast_to(a * s, (n,) * 4).copy()
+        flag, residual = is_gauduchon(MetricModel4T.conformal(u))
+        assert not flag
+        # closed form: the defect is ddbar_1(e^u), largest entry of
+        # pi^2 e^{a sin}(a^2 cos^2 - a sin) over the grid
+        analytic = np.pi ** 2 * np.exp(a * s) * (a ** 2 * c ** 2 - a * s)
+        assert residual == pytest.approx(float(np.max(np.abs(analytic))), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +197,13 @@ def test_conformal_solver_flattens_conformally_flat_input_when_ungated(ungated):
     assert solution.residual < 1e-6
     rescaled = metric.rescaled(solution.f / 2)
     assert float(np.ptp(rescaled.g[..., 0, 0].real)) < 1e-6
+
+
+def test_total_scalar_gate_refuses_a_small_nonzero_total(ungated, monkeypatch):
+    # a total of 1e-5 lies between TOTAL_SCALAR_GATE and 1
+    monkeypatch.setattr(pde, "total_scalar", lambda metric: 1e-5)
+    with pytest.raises(SolvabilityError, match="total scalar curvature 1e-05 is not zero"):
+        conformal_scalar_flat(MetricModel4T.flat(8))
 
 
 def _project_onto_resolved_modes(field):

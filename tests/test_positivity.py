@@ -38,6 +38,18 @@ def test_rc_scan_negative_reference_form():
     assert not report.rc_positive
 
 
+def test_rc_scan_divides_the_base_component_by_lam():
+    # against lam * dz^dzbar the base eigenvalue is 1 / lam, smallest where
+    # lam peaks at 1.5 (x = 1/4); multiplying by lam would give 0.5 instead
+    lam = 1.0 + 0.5 * np.broadcast_to(np.sin(2 * np.pi * grid_coordinates(16)[0]), (16, 16))
+    curve = CurveModel(genus=2, resolution=16, lam=lam)
+    form = OneOneForm(np.ones((1, 16, 16)), np.array([0.5]), -5.0)
+    report = rc_scan(form, curve)
+    assert report.min_max_eigenvalue == pytest.approx(1.0 / 1.5, abs=1e-14)
+    assert report.witness["grid"] == [4, 0]
+    assert report.rc_positive
+
+
 def test_rc_scan_canonical_constants():
     cert = kx_certificate_split(2, 1, 2)
     curve = CurveModel.flat(2, 32)
