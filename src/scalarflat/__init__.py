@@ -48,7 +48,6 @@ from .geom_core import (
 from .pde import (
     ConformalSolution,
     conformal_scalar_flat,
-    conformal_total_scalar_identity_check,
     is_gauduchon,
     poisson_periodic,
     prescribe_curvature,

@@ -123,17 +123,9 @@ def chern_curvature_matrix(h: np.ndarray) -> np.ndarray:
         raise DescriptorError(
             f"metric field is not positive definite (min eigenvalue {eigenvalues.min():.3e})")
 
-    r = h.shape[2]
-    hz = np.empty_like(h)
-    hzbar = np.empty_like(h)
-    hzzbar = np.empty_like(h)
-    for a in range(r):
-        for b in range(r):
-            hz[..., a, b] = fourier.dz(h[..., a, b])
-            hzbar[..., a, b] = fourier.dzbar(h[..., a, b])
-            hzzbar[..., a, b] = fourier.ddbar(h[..., a, b])
-    correction = np.einsum("...ab,...bc,...cd->...ad", hz, np.linalg.inv(h), hzbar)
-    curv = -hzzbar + correction
+    correction = np.einsum("...ab,...bc,...cd->...ad",
+                           fourier.dz(h), np.linalg.inv(h), fourier.dzbar(h))
+    curv = -fourier.ddbar(h) + correction
     # exact Hermitian symmetrization; the asymmetry is pure roundoff
     return 0.5 * (curv + np.conj(np.swapaxes(curv, 2, 3)))
 
@@ -385,13 +377,14 @@ def total_scalar_routes(metric: MetricModel4T) -> tuple[float, float]:
     return _scalar_curvature(metric)[1]
 
 
-def conformal_ricci(ric: RicciField, f: np.ndarray, n: int) -> RicciField:
-    """Ricci curvature after the conformal change omega -> e^f omega in
-    complex dimension n: returns ric - n * ddbar f componentwise."""
+def conformal_ricci(ric: RicciField, f: np.ndarray) -> RicciField:
+    """Ricci curvature after the conformal change omega -> e^f omega on the
+    complex 2-torus: det scales by e^(2f), so returns ric - 2 ddbar f
+    componentwise."""
     f = np.asarray(f, dtype=float)
     if f.shape != ric.ric.shape[:4]:
         raise ValueError(f"conformal factor shape {f.shape} does not match {ric.ric.shape[:4]}")
-    return RicciField(ric.ric - n * _hermitian_2x2(*fourier.ddbar4_components(f)))
+    return RicciField(ric.ric - 2 * _hermitian_2x2(*fourier.ddbar4_components(f)))
 
 
 def curvature_report(metric: MetricModel4T) -> dict:

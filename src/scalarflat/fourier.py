@@ -91,22 +91,25 @@ def _symbols_2d(nx: int, ny: int):
 
 
 def _apply_symbol_2d(field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    spec = _fft.fft2(field, workers=thread_workers())
-    return _fft.ifft2(symbol * spec, workers=thread_workers())
+    symbol = symbol.reshape(symbol.shape + (1,) * (field.ndim - 2))
+    spec = _fft.fft2(field, axes=(0, 1), workers=thread_workers())
+    return _fft.ifft2(symbol * spec, axes=(0, 1), workers=thread_workers())
 
 
 def dz(field: np.ndarray) -> np.ndarray:
-    """Spectral holomorphic derivative d/dz on a 2-d periodic grid (complex output)."""
+    """Spectral holomorphic derivative d/dz on the 2-d periodic grid of axes
+    (0, 1), entry by entry over any trailing axes (complex output)."""
     return _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[0])
 
 
 def dzbar(field: np.ndarray) -> np.ndarray:
-    """Spectral anti-holomorphic derivative d/dzbar on a 2-d periodic grid."""
+    """Spectral anti-holomorphic derivative d/dzbar on axes (0, 1), as dz."""
     return _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[1])
 
 
 def ddbar(field: np.ndarray) -> np.ndarray:
-    """Spectral mixed second derivative d^2/(dz dzbar) = Laplacian/4 on a 2-d grid.
+    """Spectral mixed second derivative d^2/(dz dzbar) = Laplacian/4 on axes
+    (0, 1), as dz.
 
     Real input produces real output (the symbol is real and even).
     """

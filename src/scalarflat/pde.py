@@ -42,8 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from . import fourier
-from .curvature import (MetricModel4T, _trace_weights, chern_scalar, total_scalar,
-                        total_scalar_routes)
+from .curvature import MetricModel4T, _trace_weights, chern_scalar, total_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
 from .geom_core import DEGREE_INPUT_TOL, MIN_RESOLUTION, LineBundleModel, _freeze, integrate
 
@@ -353,27 +352,3 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
             f"verification bound {VERIFY_TOL:.1e}")
     return ConformalSolution(f=f, residual=end_to_end, solve_residual=solve_residual,
                              iterations=iterations, rounds=rounds)
-
-
-def conformal_total_scalar_identity_check(metric: MetricModel4T, f: np.ndarray) -> float:
-    """Discrepancy between the two total-scalar expressions after rescaling.
-
-    For omega_f = e^f omega Gauduchon (a precondition that is checked), the
-    total scalar curvature of omega_f computed as the wedge integral
-    2 integral(Ric(omega_f) ^ omega_f) must equal
-    integral(e^f tr_omega Ric(omega) dV_omega); returns the absolute
-    difference.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != metric.det.shape:
-        raise ValueError(f"conformal factor shape {f.shape} does not match the grid")
-    rescaled = metric.rescaled(f)
-    flag, residual = is_gauduchon(rescaled)
-    if not flag:
-        raise SolvabilityError(
-            f"e^f omega is not Gauduchon (residual {residual:.3e}); the "
-            "integration-by-parts identity requires the Gauduchon gauge")
-    wedge_rescaled = total_scalar_routes(rescaled)[1]
-    s = chern_scalar(metric)
-    weighted = 8.0 * float(np.mean(np.exp(f) * s * metric.det))
-    return abs(wedge_rescaled - weighted)

@@ -53,9 +53,8 @@ API = {
     "chern_scalar": "metric",
     "classify_ruled": "g, m",
     "classify_split": "g, deg_l, n",
-    "conformal_ricci": "ric, f, n",
+    "conformal_ricci": "ric, f",
     "conformal_scalar_flat": "metric, tol=1e-10",
-    "conformal_total_scalar_identity_check": "metric, f",
     "hirzebruch_anticanonical_h0": "k",
     "integrate": "field_values, curve",
     "is_gauduchon": "metric",

@@ -180,6 +180,19 @@ def test_catalog_entries_have_provenance():
         assert ok, mismatches
 
 
+def test_catalog_catches_a_wrong_hirzebruch_section_count(monkeypatch):
+    # the entries' expected counts are frozen, so a wrong count patched into
+    # the classifier (and into the catalog, should it ever compute them)
+    # fails exactly the twists where k + 6 differs from max(9, k + 6)
+    import scalarflat.catalog as catalog_module
+    import scalarflat.classifier as classifier_module
+    for module in (classifier_module, catalog_module):
+        monkeypatch.setattr(module, "hirzebruch_anticanonical_h0", lambda k: k + 6,
+                            raising=False)
+    failed = {entry.name for entry in catalog_entries() if not check_entry(entry)[0]}
+    assert failed == {"hirzebruch-0", "hirzebruch-1", "hirzebruch-2"}
+
+
 def test_catalog_regression_failure_exits_3(capsys, monkeypatch):
     import scalarflat.cli as cli_module
     from scalarflat.catalog import CatalogEntry

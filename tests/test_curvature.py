@@ -344,11 +344,11 @@ def test_conformal_ricci_identity_and_closed_form():
     flat_ric = chern_ricci(MetricModel4T.flat(n))
     x1 = coords4(n)[0]
     f = np.broadcast_to(np.sin(2 * np.pi * x1), (n,) * 4).copy()
-    shifted = conformal_ricci(flat_ric, f, 2)
+    shifted = conformal_ricci(flat_ric, f)
     expected = np.broadcast_to(2 * np.pi ** 2 * np.sin(2 * np.pi * x1), (n,) * 4)
     assert np.max(np.abs(shifted.ric[..., 0, 0] - expected)) < 1e-8
 
-    same = conformal_ricci(flat_ric, np.zeros((n,) * 4), 2)
+    same = conformal_ricci(flat_ric, np.zeros((n,) * 4))
     assert np.max(np.abs(same.ric - flat_ric.ric)) == 0.0
 
 
@@ -359,7 +359,7 @@ def test_conformal_ricci_round_trip_on_random_metric():
     f = 0.3 * trig_field4(n, rng)
     rescaled = metric.rescaled(f)
     direct = chern_ricci(rescaled).ric
-    shifted = conformal_ricci(chern_ricci(metric), f, 2).ric
+    shifted = conformal_ricci(chern_ricci(metric), f).ric
     assert np.max(np.abs(direct - shifted)) < 1e-8
 
 

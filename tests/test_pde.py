@@ -20,7 +20,6 @@ from scalarflat import (
     SolvabilityError,
     chern_scalar,
     conformal_scalar_flat,
-    conformal_total_scalar_identity_check,
     is_gauduchon,
     make_line_bundle,
     pde,
@@ -297,32 +296,6 @@ def test_conformal_solution_requires_zero_mean():
 def test_non_finite_input_is_refused(build):
     with pytest.raises(DescriptorError, match="finite|fiber weights"):
         build()
-
-
-# ---------------------------------------------------------------------------
-# total-scalar identity after rescaling
-
-def test_identity_check_zero_and_constant_factor():
-    n = 16
-    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.05))
-    zero = conformal_total_scalar_identity_check(metric, np.zeros((n,) * 4))
-    assert zero < 1e-10
-    constant = conformal_total_scalar_identity_check(metric, np.full((n,) * 4, 0.3))
-    assert constant < 1e-10
-
-
-def test_identity_check_flat_metric():
-    n = 8
-    flat = MetricModel4T.flat(n)
-    assert conformal_total_scalar_identity_check(flat, np.full((n,) * 4, -0.7)) < 1e-8
-
-
-def test_identity_check_rejects_non_gauduchon_rescaling():
-    n = 16
-    flat = MetricModel4T.flat(n)
-    f = np.broadcast_to(0.3 * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy()
-    with pytest.raises(SolvabilityError):
-        conformal_total_scalar_identity_check(flat, f)
 
 
 def test_trace_operator_matches_flat_laplacian():

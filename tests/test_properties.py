@@ -206,6 +206,18 @@ def test_total_scalar_routes_agree_on_random_metrics(seed, n, amplitude):
     assert abs(trace_route - wedge_route) <= TOTAL_SCALAR_CROSS_TOL
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=12))
+def test_total_scalar_is_the_gauduchon_residual_paired_with_log_det(seed, n):
+    # s = -L(log det g) and L's adjoint is exact, so the trace route
+    # 8 mean(s det g) is -8 mean(log det g * L^T det g): a Gauduchon metric's
+    # total is at most 8 mean|log det g| times its residual max|L^T det g|
+    metric = random_metric(n, np.random.default_rng(seed))
+    residual = TraceOperator(metric).apply_adjoint(metric.det)
+    paired = np.log(metric.det) * residual
+    trace_route = total_scalar_routes(metric)[0]
+    assert abs(trace_route + 8.0 * np.mean(paired)) <= 1e-13 * 8.0 * np.mean(np.abs(paired))
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=8),
        st.floats(min_value=0.0, max_value=0.5))
 def test_inverse_inverts_the_metric(seed, n, amplitude):
