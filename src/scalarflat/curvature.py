@@ -6,9 +6,10 @@ canonical-bundle curvature of P(L + trivial^(n-1)) via the projection
 formula, and Chern-Ricci / scalar / total-scalar curvature of honest
 Hermitian metrics on a discretized complex 2-torus.
 
-On the 2-torus the volume normalization follows the package degree
-convention: with omega = sqrt(-1) sum g_ij dz^i ^ dzbar^j on the periodic
-unit 4-cube, omega^2 = 8 det(g) dx1 dy1 dx2 dy2, so the total scalar
+On the 2-torus s = -L(log det g), L = tr_omega ddbar (TraceOperator, which
+the conformal solver inverts).  The volume normalization follows the package
+degree convention: with omega = sqrt(-1) sum g_ij dz^i ^ dzbar^j on the
+periodic unit 4-cube, omega^2 = 8 det(g) dx1 dy1 dx2 dy2, so the total scalar
 curvature integral(s omega^2) is computed as 8 * mean(s * det g).
 """
 
@@ -195,8 +196,7 @@ class MetricModel4T:
 
     MetricModel4T(g) takes an (n, n, n, n, 2, 2) field, and the g and inverse
     properties build such fields anew on each access.  Instances are
-    immutable; a private memo stores derived curvature fields (recomputing
-    one concurrently is harmless, results are identical)."""
+    immutable and keep no derived field."""
 
     g11: np.ndarray
     g22: np.ndarray
@@ -232,7 +232,6 @@ class MetricModel4T:
         for name, field in zip(("g11", "g22", "g12", "det"), (g11, g22, g12, det)):
             field.setflags(write=False)
             object.__setattr__(self, name, field)
-        object.__setattr__(self, "_derived", {})
 
     @property
     def g(self) -> np.ndarray:
@@ -315,8 +314,8 @@ def _inverse_entries(metric: MetricModel4T):
 
 def _trace_weights(metric: MetricModel4T):
     """Weights (inv11, inv22, 2 Re inv12, 2 Im inv12) pairing a real (1,1)-form's
-    (a11, a22, Re a12, Im a12) with g^{i jbar}, one at a time; the trace operator
-    and s_G sum the products in this order, so s_G == -L(log det g) exactly."""
+    (a11, a22, Re a12, Im a12) with g^{i jbar}, one at a time, in the order
+    TraceOperator sums the products."""
     entries = _inverse_entries(metric)
     yield from itertools.islice(entries, 2)    # inv11, inv22
     inv12 = next(entries)
@@ -325,20 +324,95 @@ def _trace_weights(metric: MetricModel4T):
     yield 2.0 * inv12.imag
 
 
-def _scalar_curvature(metric: MetricModel4T) -> tuple[np.ndarray, tuple[float, float]]:
-    """(s, (trace route, wedge route)), memoized on the metric.  The Ricci
-    components they come from are computed once and not kept."""
-    cached = metric._derived.get("scalar")
-    if cached is not None:
-        return cached
+class TraceOperator:
+    """Discrete tr_omega ddbar: f -> sum_ij g^{i jbar} d^2 f / (dz^i dzbar^j).
+
+    apply takes one rfftn and four irfftn (m11, m22, Re m12, Im m12 of the
+    half-spectrum symbol table, weighted by _trace_weights).  Every symbol is
+    real and even, so each derivative is a symmetric operator and the
+    transpose of apply, apply_adjoint, takes four rfftn and one irfftn.
+    precondition is a Jacobi-scaled periodic inverse:
+    r -> irfftn(inv_mean_symbol * rfftn(r / D)) with D = tr g^-1 / mean(tr g^-1),
+    the exact inverse on resolved modes when the metric is conformally flat.
+    Each transform looks up fourier._fft when it runs.
+
+    apply and precondition run in the precision of their input: float32
+    input uses float32 copies of the weights, symbols and preconditioner
+    tables, any other input the float64 tables.  Every table beyond the
+    weights and symbols is built on the first call that needs it, so the
+    gates and chern_scalar build none and a float32 solve no float64
+    preconditioner.
+    """
+
+    def __init__(self, metric: MetricModel4T):
+        n = metric.resolution
+        self.shape = (n, n, n, n)
+        # the weights of the symbols (m11, m22, Re m12, Im m12)
+        self._weights = tuple(_trace_weights(metric))
+        self._symbols = fourier.half_symbols_4d(n)
+
+    def _preconditioner_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(inverse mean symbol, 1 / D) of precondition, in float64."""
+        mean_symbol = sum(w.mean() * m for w, m in zip(self._weights, self._symbols))
+        inv_symbol = np.zeros(mean_symbol.shape)
+        nonzero = mean_symbol != 0.0
+        inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
+        diagonal = self._weights[0] + self._weights[1]    # tr g^-1
+        return inv_symbol, diagonal.mean() / diagonal
+
+    @functools.cached_property
+    def _preconditioner(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._preconditioner_tables()
+
+    @functools.cached_property
+    def _single_operator(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """float32 copies of (weights, symbols)."""
+        return _single(self._weights), _single(self._symbols)
+
+    @functools.cached_property
+    def _single_preconditioner(self) -> tuple[np.ndarray, ...]:
+        """float32 copies of the preconditioner tables."""
+        return _single(self._preconditioner_tables())
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        weights, symbols = (self._single_operator if f.dtype == np.float32
+                            else (self._weights, self._symbols))
+        workers = fourier.thread_workers()
+        spec = fourier._fft.rfftn(f, workers=workers)
+        out = np.zeros(self.shape, dtype=weights[0].dtype)
+        for weight, symbol in zip(weights, symbols):
+            out += weight * fourier._fft.irfftn(symbol * spec, s=self.shape, workers=workers)
+        return out
+
+    def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
+        workers = fourier.thread_workers()
+        spec = sum(symbol * fourier._fft.rfftn(weight * u, workers=workers)
+                   for weight, symbol in zip(self._weights, self._symbols))
+        return fourier._fft.irfftn(spec, s=self.shape, workers=workers)
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        inv_symbol, inv_scale = (self._single_preconditioner if r.dtype == np.float32
+                                 else self._preconditioner)
+        workers = fourier.thread_workers()
+        spec = fourier._fft.rfftn(r * inv_scale, workers=workers)
+        return fourier._fft.irfftn(inv_symbol * spec, s=self.shape, workers=workers)
+
+
+def _single(arrays) -> tuple[np.ndarray, ...]:
+    return tuple(a.astype(np.float32) for a in arrays)
+
+
+def _scalar_from(op: TraceOperator, metric: MetricModel4T) -> np.ndarray:
+    """s = -L(log det g), fresh, with L = op the metric's operator; taken as
+    L(-log det g), so a zero of s is +0.0 (the flat metric prints 0.0)."""
+    minus_log_det = np.log(metric.det)
+    return op.apply(np.negative(minus_log_det, out=minus_log_det))
+
+
+def _total_routes(metric: MetricModel4T, s: np.ndarray) -> tuple[float, float]:
+    """(trace route, wedge route) of the total scalar curvature from s =
+    chern_scalar(metric); the wedge route pairs Ric with g, not g^-1."""
     r11, r22, r12 = _ricci_components(metric)
-    weights = _trace_weights(metric)
-    s = next(weights) * r11
-    product = np.empty_like(s)    # scratch for each product, then for s det
-    for r in (r22, r12.real, r12.imag):
-        s += np.multiply(next(weights), r, out=product)
-    s.setflags(write=False)
-    trace_route = 8.0 * float(np.mean(np.multiply(s, metric.det, out=product)))
     # the wedge integrand r11 g22 + r22 g11 - 2 Re(r12 conj(g12)), built in
     # r11 with r22 as scratch; the product stays out of place, since numpy's
     # in-place complex multiply may round differently
@@ -348,14 +422,13 @@ def _scalar_curvature(metric: MetricModel4T) -> tuple[np.ndarray, tuple[float, f
     wedge += r22
     np.multiply((r12 * np.conj(metric.g12)).real, 2.0, out=r22)
     wedge -= r22
-    cached = metric._derived["scalar"] = (s, (trace_route, 8.0 * float(np.mean(wedge))))
-    return cached
+    return 8.0 * float(np.mean(s * metric.det)), 8.0 * float(np.mean(wedge))
 
 
 def chern_scalar(metric: MetricModel4T) -> np.ndarray:
-    """Chern scalar curvature s = g^{i jbar} ric_{i jbar}, real by construction:
-    every term is a product of real fields."""
-    return _scalar_curvature(metric)[0]
+    """Chern scalar curvature s = g^{i jbar} ric_{i jbar}, computed as
+    -L(log det g) with L = TraceOperator(metric); a fresh array per call."""
+    return _scalar_from(TraceOperator(metric), metric)
 
 
 def total_scalar(metric: MetricModel4T) -> float:
@@ -374,7 +447,7 @@ def total_scalar(metric: MetricModel4T) -> float:
 
 def total_scalar_routes(metric: MetricModel4T) -> tuple[float, float]:
     """Both defining expressions of the total scalar curvature."""
-    return _scalar_curvature(metric)[1]
+    return _total_routes(metric, chern_scalar(metric))
 
 
 def conformal_ricci(ric: RicciField, f: np.ndarray) -> RicciField:
@@ -390,7 +463,7 @@ def conformal_ricci(ric: RicciField, f: np.ndarray) -> RicciField:
 def curvature_report(metric: MetricModel4T) -> dict:
     """Machine-readable scalar-curvature report for a metric."""
     s = chern_scalar(metric)
-    trace_route, wedge_route = total_scalar_routes(metric)
+    trace_route, wedge_route = _total_routes(metric, s)
     return {
         "min": float(s.min()),
         "max": float(s.max()),

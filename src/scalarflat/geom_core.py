@@ -349,10 +349,6 @@ def load_field_csv(path) -> np.ndarray:
     return values
 
 
-def save_field_csv(path, field_values: np.ndarray) -> None:
-    np.savetxt(path, np.asarray(field_values, dtype=float), delimiter=",")
-
-
 def _plain_file_name(name) -> bool:
     """Whether `name` names a file in its referrer's own directory."""
     return (isinstance(name, str) and name not in ("", ".", "..") and "\0" not in name

@@ -9,17 +9,18 @@ solves
 
 for a zero-mean potential f and verifies that the rescaled metric
 e^(f/2) * omega has pointwise scalar curvature at the roundoff floor.  The
-trace operator L is discretized exactly as g^{i jbar} d^2 f / (dz^i dzbar^j)
-with spectral derivatives and the pointwise metric inverse, applied with
-real-to-complex transforms.  The solver's two gates are discrete Fredholm
+trace operator L (curvature.TraceOperator) is discretized exactly as
+g^{i jbar} d^2 f / (dz^i dzbar^j) with spectral derivatives and the
+pointwise metric inverse, applied with real-to-complex transforms, and
+s_G = -L(log det g).  The solver's two gates are discrete Fredholm
 conditions of L: the metric is Gauduchon when det g is a left null vector
 of L (L^T det g is the single component of ddbar omega), and its total
 scalar curvature vanishes when s_G is orthogonal to det g; both gates run
-on every solve.  The linear system is solved by BiCGStab, preconditioned by
-the periodic inverse of the mean-coefficient operator applied after a
-diagonal (Jacobi) scaling by the pointwise trace of the metric inverse, and
-wrapped in outer defect-correction rounds that always measure the true
-residual.
+on every solve, on its one operator.  The linear system is solved by
+BiCGStab, preconditioned by the periodic inverse of the mean-coefficient
+operator applied after a diagonal (Jacobi) scaling by the pointwise trace
+of the metric inverse, and wrapped in outer defect-correction rounds that
+always measure the true residual.
 
 The rounds are mixed-precision iterative refinement (Moler, J. ACM 14,
 1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018): each round's inner
@@ -28,21 +29,20 @@ float64 -- the defect s_G - L f, the stall counter, the round limit, the
 tolerances, the gates and the end-to-end check.  A float32 round that does
 not halve the max-norm defect is redone in float64.
 
-scipy is imported on first use, through ``_fft`` (``fourier._fft``) and the
-module function ``bicgstab``; both are looked up at call time, so they can
-be swapped or wrapped.
+scipy is imported on first use, through ``fourier._fft`` and the module
+function ``bicgstab``; both are looked up at call time, so they can be
+swapped or wrapped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import fourier
-from .curvature import MetricModel4T, _trace_weights, chern_scalar, total_scalar
+from .curvature import MetricModel4T, TraceOperator, _scalar_from, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
 from .geom_core import DEGREE_INPUT_TOL, MIN_RESOLUTION, LineBundleModel, _freeze, integrate
 
@@ -57,6 +57,7 @@ SOLVE_TOL = 1e-10
 #: verification bound on max |s| of the rescaled metric
 VERIFY_TOL = 1e-6
 
+# unused here (TraceOperator looks up fourier._fft); kept for callers that wrap it
 _fft = fourier._fft
 
 _MAX_ROUNDS = 24
@@ -112,82 +113,6 @@ def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndar
     return fourier.poisson_inverse(4.0 * diff)
 
 
-class TraceOperator:
-    """Discrete tr_omega ddbar: f -> sum_ij g^{i jbar} d^2 f / (dz^i dzbar^j).
-
-    apply takes one rfftn and four irfftn (m11, m22, Re m12, Im m12 of the
-    half-spectrum symbol table, weighted by _trace_weights).  Every symbol is
-    real and even, so each derivative is a symmetric operator and the
-    transpose of apply, apply_adjoint, takes four rfftn and one irfftn.
-    precondition is a Jacobi-scaled periodic inverse:
-    r -> irfftn(inv_mean_symbol * rfftn(r / D)) with D = tr g^-1 / mean(tr g^-1),
-    the exact inverse on resolved modes when the metric is conformally flat.
-
-    apply and precondition run in the precision of their input: float32
-    input uses float32 copies of the weights, symbols and preconditioner
-    tables, any other input the float64 tables.  Every table beyond the
-    weights and symbols is built on the first call that needs it, so the
-    Gauduchon gate builds none and a float32 solve no float64 preconditioner.
-    """
-
-    def __init__(self, metric: MetricModel4T):
-        n = metric.resolution
-        self.shape = (n, n, n, n)
-        # the weights of the symbols (m11, m22, Re m12, Im m12)
-        self._weights = tuple(_trace_weights(metric))
-        self._symbols = fourier.half_symbols_4d(n)
-
-    def _preconditioner_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(inverse mean symbol, 1 / D) of precondition, in float64."""
-        mean_symbol = sum(w.mean() * m for w, m in zip(self._weights, self._symbols))
-        inv_symbol = np.zeros(mean_symbol.shape)
-        nonzero = mean_symbol != 0.0
-        inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
-        diagonal = self._weights[0] + self._weights[1]    # tr g^-1
-        return inv_symbol, diagonal.mean() / diagonal
-
-    @cached_property
-    def _preconditioner(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._preconditioner_tables()
-
-    @cached_property
-    def _single_operator(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """float32 copies of (weights, symbols)."""
-        return _single(self._weights), _single(self._symbols)
-
-    @cached_property
-    def _single_preconditioner(self) -> tuple[np.ndarray, ...]:
-        """float32 copies of the preconditioner tables."""
-        return _single(self._preconditioner_tables())
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        weights, symbols = (self._single_operator if f.dtype == np.float32
-                            else (self._weights, self._symbols))
-        workers = fourier.thread_workers()
-        spec = _fft.rfftn(f, workers=workers)
-        out = np.zeros(self.shape, dtype=weights[0].dtype)
-        for weight, symbol in zip(weights, symbols):
-            out += weight * _fft.irfftn(symbol * spec, s=self.shape, workers=workers)
-        return out
-
-    def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        workers = fourier.thread_workers()
-        spec = sum(symbol * _fft.rfftn(weight * u, workers=workers)
-                   for weight, symbol in zip(self._weights, self._symbols))
-        return _fft.irfftn(spec, s=self.shape, workers=workers)
-
-    def precondition(self, r: np.ndarray) -> np.ndarray:
-        inv_symbol, inv_scale = (self._single_preconditioner if r.dtype == np.float32
-                                 else self._preconditioner)
-        workers = fourier.thread_workers()
-        spec = _fft.rfftn(r * inv_scale, workers=workers)
-        return _fft.irfftn(inv_symbol * spec, s=self.shape, workers=workers)
-
-
-def _single(arrays) -> tuple[np.ndarray, ...]:
-    return tuple(a.astype(np.float32) for a in arrays)
-
-
 def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
     """Check ddbar(omega) = 0 on the 4-grid (complex dimension two), i.e.
     that det g is a left null vector of tr_omega ddbar: the single component
@@ -225,10 +150,10 @@ def bicgstab(A, b, **kwargs):
     return scipy_bicgstab(A, b, **kwargs)
 
 
-def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
-                       tol: float) -> tuple[np.ndarray, float, int, int]:
-    """Defect-correction rounds for tr_omega ddbar f = s_g; returns (f, max-norm
-    residual, iterations, rounds).
+def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, float, int, int]:
+    """The Gauduchon and total-scalar gates, then defect-correction rounds
+    for L f = s_G, on one operator L; returns (f, max-norm residual,
+    iterations, rounds).
 
     Every round measures the true defect s_g - L f in float64.  Its
     correction comes from BiCGStab in float32 on the defect scaled to unit
@@ -237,12 +162,23 @@ def _defect_correction(metric: MetricModel4T, s_g: np.ndarray,
     float64 from the same defect, and only a float64 round can stall.  A
     round that does not lower the defect is rejected and ends the solve at
     once, since the next round would start from the same defect.  The
-    operator, its float32 tables and the Krylov vectors live in this frame,
-    so they are freed before the caller's verification.
+    operator, its float32 tables, s_G and the Krylov vectors live in this
+    frame, so they are freed before the caller's verification.
     """
     from scipy.sparse.linalg import LinearOperator
 
     op = TraceOperator(metric)
+    residual = float(np.max(np.abs(op.apply_adjoint(metric.det))))
+    if not residual < GAUDUCHON_TOL:
+        raise SolvabilityError(
+            f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
+            "a Gauduchon metric is this method's hypothesis")
+    s_g = _scalar_from(op, metric)
+    total = 8.0 * float(np.mean(s_g * metric.det))    # total_scalar's trace route
+    if abs(total) > TOTAL_SCALAR_GATE:
+        raise SolvabilityError(
+            f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
+            "no conformal rescaling can reach a scalar-flat metric")
     shape = op.shape
     size = s_g.size
     preconditioned = [0]    # preconditioner applications in the current BiCGStab
@@ -312,8 +248,9 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     """Produce f with s(e^(f/2) omega) = 0 from a zero-total-scalar Gauduchon
     metric in complex dimension two.
 
-    Checks the Gauduchon and total-scalar gates (SolvabilityError), solves
-    s_G = tr_omega ddbar f to the max-norm residual tol (ConvergenceError
+    On one trace operator L, checks the Gauduchon and total-scalar gates
+    (SolvabilityError) and solves s_G = L f, s_G = -L(log det g), to the
+    max-norm residual tol (ConvergenceError
     after a round that does not lower the defect, after two rounds in a row
     that do not halve it, or after _MAX_ROUNDS rounds of at most two
     _INNER_MAXITER-step BiCGStab runs),
@@ -331,19 +268,7 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
         raise DescriptorError(
             f"conformal solve needs resolution at least {MIN_RESOLUTION}, "
             f"got {metric.resolution}")
-    flag, residual = is_gauduchon(metric)
-    if not flag:
-        raise SolvabilityError(
-            f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
-            "a Gauduchon metric is this method's hypothesis")
-    total = total_scalar(metric)
-    if abs(total) > TOTAL_SCALAR_GATE:
-        raise SolvabilityError(
-            f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
-            "no conformal rescaling can reach a scalar-flat metric")
-
-    s_g = chern_scalar(metric)
-    f, solve_residual, iterations, rounds = _defect_correction(metric, s_g, tol)
+    f, solve_residual, iterations, rounds = _defect_correction(metric, tol)
     rescaled = metric.rescaled(f / 2.0)
     end_to_end = float(np.max(np.abs(chern_scalar(rescaled))))
     if end_to_end > VERIFY_TOL:

@@ -21,7 +21,6 @@ from scalarflat import (
     tautological_base_curvature,
     total_scalar,
 )
-from scalarflat import fourier
 from scalarflat.curvature import (
     curvature_report,
     load_metric,
@@ -244,36 +243,14 @@ def test_chern_ricci_peak_stays_near_its_field():
     assert peak < 2.5 * ric.ric.nbytes
 
 
-def test_curvature_memo_keeps_the_scalar_field_only():
+def test_curvature_report_keeps_no_field_on_the_metric():
+    # a metric memoizes nothing, so a report leaves behind only its small dict
     n = 16
     curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
     metric = random_metric(n, np.random.default_rng(6))
     report, _peak, held = traced(lambda: curvature_report(metric))
     assert report["cross_check_residual"] < 1e-6
-    # s, plus a little for the memo's tuple and floats
-    assert held <= n ** 4 * 8 + 4096
-
-
-@pytest.mark.parametrize("calls", [
-    ("chern_scalar", "total_scalar_routes", "curvature_report"),
-    ("total_scalar_routes", "curvature_report", "chern_scalar"),
-    ("curvature_report", "chern_scalar", "total_scalar_routes"),
-])
-def test_curvature_memo_differentiates_log_det_once(monkeypatch, calls):
-    transforms = []
-    original = fourier.ddbar4_components
-
-    def counting(field, *args, **kwargs):
-        transforms.append(field.shape)
-        return original(field, *args, **kwargs)
-
-    monkeypatch.setattr(fourier, "ddbar4_components", counting)
-    metric = random_metric(8, np.random.default_rng(8))
-    functions = {"chern_scalar": chern_scalar, "total_scalar_routes": total_scalar_routes,
-                 "curvature_report": curvature_report}
-    for name in calls:
-        functions[name](metric)
-    assert len(transforms) == 1
+    assert held <= 4096
 
 
 def test_chern_ricci_flat_metric_vanishes():

@@ -17,7 +17,7 @@ from scalarflat import (
     make_line_bundle,
     tensor_product,
 )
-from scalarflat.geom_core import grid_coordinates, save_field_csv
+from scalarflat.geom_core import grid_coordinates
 
 
 def test_integrate_constant_one():
@@ -195,7 +195,7 @@ def test_classification_report_invariants():
 def test_bundle_descriptor_roundtrip(tmp_path):
     field = np.full((16, 16), 2 * np.pi)
     csv_path = tmp_path / "kappa.csv"
-    save_field_csv(csv_path, field)
+    np.savetxt(csv_path, field, delimiter=",")
     doc = {
         "genus": 2,
         "resolution": 16,

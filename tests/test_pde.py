@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -18,8 +20,11 @@ from scalarflat import (
     MetricModel4T,
     OneOneForm,
     SolvabilityError,
+    chern_ricci,
     chern_scalar,
     conformal_scalar_flat,
+    curvature,
+    fourier,
     is_gauduchon,
     make_line_bundle,
     pde,
@@ -182,8 +187,8 @@ def test_conformal_solver_gates_reject_non_gauduchon():
 @pytest.fixture
 def ungated(monkeypatch):
     """Let data that fails the solver's gates on purpose through both of them."""
-    monkeypatch.setattr(pde, "is_gauduchon", lambda metric: (True, 0.0))
-    monkeypatch.setattr(pde, "total_scalar", lambda metric: 0.0)
+    monkeypatch.setattr(pde, "GAUDUCHON_TOL", math.inf)
+    monkeypatch.setattr(pde, "TOTAL_SCALAR_GATE", math.inf)
 
 
 def test_conformal_solver_flattens_conformally_flat_input_when_ungated(ungated):
@@ -198,11 +203,15 @@ def test_conformal_solver_flattens_conformally_flat_input_when_ungated(ungated):
     assert float(np.ptp(rescaled.g[..., 0, 0].real)) < 1e-6
 
 
-def test_total_scalar_gate_refuses_a_small_nonzero_total(ungated, monkeypatch):
-    # a total of 1e-5 lies between TOTAL_SCALAR_GATE and 1
-    monkeypatch.setattr(pde, "total_scalar", lambda metric: 1e-5)
-    with pytest.raises(SolvabilityError, match="total scalar curvature 1e-05 is not zero"):
-        conformal_scalar_flat(MetricModel4T.flat(8))
+def test_total_scalar_gate_refuses_a_small_nonzero_total(monkeypatch):
+    # e^u flat with u = a sin(2 pi x1) has total 8 pi^2 a^2 = 7.1e-6 at
+    # a = 3e-4, between TOTAL_SCALAR_GATE and 1; only the Gauduchon gate,
+    # which this metric fails, is lifted
+    n = 16
+    u = np.broadcast_to(3e-4 * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy()
+    monkeypatch.setattr(pde, "GAUDUCHON_TOL", math.inf)
+    with pytest.raises(SolvabilityError, match="total scalar curvature 7.1[0-9]*e-06 is not zero"):
+        conformal_scalar_flat(MetricModel4T.conformal(u))
 
 
 def _project_onto_resolved_modes(field):
@@ -233,12 +242,12 @@ def test_conformal_solver_matches_volume_normalization_oracle():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_conformal_solver_rejects_resolution_below_minimum(n, monkeypatch):
-    # at N = 2 every mode is in the {0, Nyquist} null set; the check precedes the gates
-    def gate(metric):
-        raise AssertionError("a gate ran before the resolution check")
+    # at N = 2 every mode is in the {0, Nyquist} null set; the check precedes
+    # the gates, which need the trace operator
+    def build(metric):
+        raise AssertionError("a trace operator was built before the resolution check")
 
-    monkeypatch.setattr(pde, "is_gauduchon", gate)
-    monkeypatch.setattr(pde, "total_scalar", gate)
+    monkeypatch.setattr(pde, "TraceOperator", build)
     with pytest.raises(DescriptorError, match="resolution"):
         conformal_scalar_flat(MetricModel4T.flat(n))
 
@@ -309,10 +318,35 @@ def test_trace_operator_matches_flat_laplacian():
 
 @pytest.mark.parametrize("n", [4, 8, 9, 12, 16])
 def test_scalar_curvature_is_minus_the_trace_of_log_det(n):
-    # s_G = -L(log det g) on the torus chart; both sides pair the same
-    # derivatives with the same weights in the same order, so bit for bit
+    # chern_scalar computes s = -L(log det g); the definition s = Re tr(g^-1 Ric),
+    # from the 2x2 inverse and the Chern-Ricci field, must agree to roundoff
     metric = random_metric(n, np.random.default_rng(300 + n))
-    assert np.all(chern_scalar(metric) == -TraceOperator(metric).apply(np.log(metric.det)))
+    s = chern_scalar(metric)
+    oracle = np.einsum("...ji,...ij->...", metric.inverse, chern_ricci(metric).ric).real
+    assert np.max(np.abs(s - oracle)) <= 1e-13 * np.max(np.abs(s))
+
+
+def test_one_solve_builds_one_operator_per_metric(monkeypatch):
+    # the gates, s_G and the rounds share the input's operator, and the
+    # end-to-end check builds one for the rescaled metric; neither
+    # differentiates log det g through the Ricci components
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
+    calls = {"ddbar4_components": 0, "TraceOperator": 0}
+    ddbar4, init = fourier.ddbar4_components, TraceOperator.__init__
+
+    def counting_ddbar4(field):
+        calls["ddbar4_components"] += 1
+        return ddbar4(field)
+
+    def counting_init(self, m):
+        calls["TraceOperator"] += 1
+        init(self, m)
+
+    monkeypatch.setattr(fourier, "ddbar4_components", counting_ddbar4)
+    monkeypatch.setattr(TraceOperator, "__init__", counting_init)
+    conformal_scalar_flat(metric)
+    assert calls == {"ddbar4_components": 0, "TraceOperator": 2}
+    assert pde.TraceOperator is curvature.TraceOperator
 
 
 # ---------------------------------------------------------------------------
