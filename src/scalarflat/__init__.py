@@ -29,7 +29,6 @@ from .errors import (
     DegreeError,
     DescriptorError,
     NagataViolation,
-    NumericalInconsistencyError,
     ScalarFlatError,
     SolvabilityError,
 )

@@ -3,8 +3,8 @@
 Subcommands: classify (ruled / split / minimal), rc-check, curvature,
 solve scalar-flat, catalog, report.  All structured output is JSON on
 standard output with fixed key order; exit codes are 0 (computed),
-2 (invalid input), 3 (numerical inconsistency or regression failure),
-4 (solver non-convergence).
+2 (invalid input), 3 (a catalog --run-all regression), 4 (solver
+non-convergence).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .classifier import (
 )
 from .curvature import curvature_report, load_metric, save_field4
 from .geom_core import MIN_RESOLUTION, CurveModel
-from .errors import ConvergenceError, NumericalInconsistencyError, ScalarFlatError
+from .errors import ConvergenceError, ScalarFlatError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -205,8 +205,6 @@ def run(argv) -> int:
         return args.handler(args)
     except (ScalarFlatError, OSError, ValueError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
-        if isinstance(exc, NumericalInconsistencyError):
-            return EXIT_INCONSISTENT
         return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID
 
 

@@ -23,7 +23,3 @@ class SolvabilityError(ScalarFlatError):
 
 class ConvergenceError(ScalarFlatError):
     """A solve stalled short of its tolerance, or its result failed verification."""
-
-
-class NumericalInconsistencyError(ScalarFlatError):
-    """Two routes to the same quantity disagree beyond tolerance."""

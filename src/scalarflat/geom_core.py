@@ -52,6 +52,14 @@ def _require_integer(value, what: str) -> int:
     return int(value)
 
 
+def _require_resolution(value) -> int:
+    """value as an int of at least MIN_RESOLUTION, else DescriptorError."""
+    resolution = _require_integer(value, "curve resolution")
+    if resolution < MIN_RESOLUTION:
+        raise DescriptorError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
+    return resolution
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr)
     out = out.copy()
@@ -83,13 +91,10 @@ class CurveModel:
     lam: np.ndarray
 
     def __post_init__(self):
-        for name in ("genus", "resolution"):
-            object.__setattr__(self, name, _require_integer(getattr(self, name), f"curve {name}"))
+        object.__setattr__(self, "genus", _require_integer(self.genus, "curve genus"))
+        object.__setattr__(self, "resolution", _require_resolution(self.resolution))
         if self.genus < 0:
             raise DescriptorError(f"genus must be nonnegative, got {self.genus}")
-        if self.resolution < MIN_RESOLUTION:
-            raise DescriptorError(
-                f"resolution must be at least {MIN_RESOLUTION}, got {self.resolution}")
         lam = np.asarray(self.lam, dtype=float)
         if lam.shape != (self.resolution, self.resolution):
             raise DescriptorError(
@@ -101,8 +106,8 @@ class CurveModel:
     @classmethod
     def flat(cls, genus: int, resolution: int) -> "CurveModel":
         """Chart with the constant area density one."""
-        # checked here too, since np.ones raises TypeError on a float
-        lam = np.ones((_require_integer(resolution, "curve resolution"),) * 2)
+        # checked before np.ones, which raises on a float or a negative size
+        lam = np.ones((_require_resolution(resolution),) * 2)
         return cls(genus=genus, resolution=resolution, lam=lam)
 
     @property

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .curvature import MetricModel4T, TraceOperator, _scalar_from, chern_scalar
+from .curvature import MetricModel4T, TraceOperator, _scalar_from, _total, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
 from .geom_core import DEGREE_INPUT_TOL, MIN_RESOLUTION, LineBundleModel, _freeze, integrate
 
@@ -174,11 +174,11 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
             f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
             "a Gauduchon metric is this method's hypothesis")
     s_g = _scalar_from(op, metric)
-    total = 8.0 * float(np.mean(s_g * metric.det))    # total_scalar's trace route
+    total = _total(metric, s_g)
     if abs(total) > TOTAL_SCALAR_GATE:
         raise SolvabilityError(
             f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
-            "no conformal rescaling can reach a scalar-flat metric")
+            "a zero total is this method's hypothesis")
     shape = op.shape
     size = s_g.size
     preconditioned = [0]    # preconditioner applications in the current BiCGStab

@@ -5,6 +5,7 @@ import pytest
 from conftest import kahler_test_potential
 from test_golden_outputs import GOLDEN, digest, sweep
 
+import scalarflat
 from scalarflat import (
     CurveModel,
     DescriptorError,
@@ -204,6 +205,35 @@ def test_catalog_regression_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert not payload["all_pass"]
     assert payload["entries"][0]["mismatches"]
+
+
+#: every exception class scalarflat exports, the base class included
+DOMAIN_ERRORS = sorted(
+    (value for value in vars(scalarflat).values()
+     if isinstance(value, type) and issubclass(value, scalarflat.ScalarFlatError)),
+    key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS, ids=lambda cls: cls.__name__)
+def test_each_domain_error_maps_to_its_exit_code(capsys, monkeypatch, error):
+    # raised from inside a handler: a JSON error, exit 4 for a stalled solve
+    # and 2 for every other domain error (3 is a catalog regression only)
+    def raising_load_metric(path):
+        raise error("raised in the handler")
+
+    monkeypatch.setattr(cli, "load_metric", raising_load_metric)
+    code, payload = run_json(capsys, ["curvature", "--metric", "metric.json"])
+    assert payload == {"error": error.__name__, "message": "raised in the handler"}
+    assert code == (4 if error is scalarflat.ConvergenceError else 2)
+
+
+def test_flat_metric_curvature_prints_positive_zeros(tmp_path, capsys):
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    assert run(["curvature", "--metric", str(manifest)]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert [payload[key] for key in ("min", "max", "integral")] == [0.0] * 3
+    assert "-0.0" not in out
 
 
 def test_curvature_report_roundtrip(tmp_path, capsys):

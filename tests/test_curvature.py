@@ -286,6 +286,12 @@ def test_chern_scalar_flat_is_zero():
     assert np.max(np.abs(chern_scalar(MetricModel4T.flat(8)))) == 0.0
 
 
+def test_chern_scalar_flat_zeros_are_positive():
+    # s is taken as L(-log det g), so the flat metric's zeros are +0.0;
+    # -L(log det g) would negate +0.0 into -0.0
+    assert not np.signbit(chern_scalar(MetricModel4T.flat(8))).any()
+
+
 def test_total_scalar_flat_and_kahler():
     assert total_scalar(MetricModel4T.flat(8)) == 0.0
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(16, 0.1))
@@ -313,7 +319,16 @@ def test_total_scalar_cross_check_on_random_metrics():
         metric = random_metric(16, rng)
         trace_route, wedge_route = total_scalar_routes(metric)
         assert abs(trace_route - wedge_route) < 1e-6
-        total_scalar(metric)  # the internal assertion must accept these
+        assert total_scalar(metric) == trace_route
+
+
+def test_total_scalar_is_the_trace_route_on_a_scaled_metric():
+    # the near-degenerate Kahler metric scaled by 1e8: its two routes differ
+    # by about 2.6e-6, float order at that scale, and total_scalar returns
+    # the trace route without comparing them
+    base = MetricModel4T.from_kahler_potential(kahler_test_potential(16, 0.1))
+    metric = MetricModel4T._from_components(1e8 * base.g11, 1e8 * base.g22, 1e8 * base.g12)
+    assert total_scalar(metric).hex() == total_scalar_routes(metric)[0].hex()
 
 
 def test_conformal_ricci_identity_and_closed_form():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,16 +22,17 @@ from scalarflat import (
     DescriptorError,
     MetricModel4T,
     chern_curvature_matrix,
+    chern_scalar,
     classify_ruled,
     classify_split,
     kx_certificate_split,
+    load_bundle_descriptor,
     make_line_bundle,
     tensor_product,
 )
 from scalarflat.cli import run
 from scalarflat.curvature import (
     HERMITIAN_INPUT_TOL,
-    TOTAL_SCALAR_CROSS_TOL,
     hermitian_part,
     total_scalar_routes,
 )
@@ -203,7 +205,10 @@ def test_mixed_symbols_factor_exactly(n):
 def test_total_scalar_routes_agree_on_random_metrics(seed, n, amplitude):
     metric = random_metric(n, np.random.default_rng(seed), amplitude)
     trace_route, wedge_route = total_scalar_routes(metric)
-    assert abs(trace_route - wedge_route) <= TOTAL_SCALAR_CROSS_TOL
+    # both routes pair the same derivative fields, so they differ in float
+    # order only: a bound relative to the integrand's size
+    scale = 8.0 * float(np.mean(np.abs(chern_scalar(metric) * metric.det)))
+    assert abs(trace_route - wedge_route) <= 1e-13 * scale
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=4, max_value=12))
@@ -284,6 +289,25 @@ def test_tensor_product_degrees_add_and_stay_quantized(d1, d2, n, twist1, twist2
     product = tensor_product(a, b)
     assert product.degree == d1 + d2
     assert abs(product.measured_degree() - (d1 + d2)) <= DEGREE_QUANTIZATION_TOL
+
+
+@given(st.integers(max_value=MIN_RESOLUTION - 1))
+@example(-1)
+@example(-3)
+def test_curve_resolution_below_the_minimum_is_refused_before_allocating(resolution):
+    # both entry points refuse with the model's own message, and np.ones
+    # (which raises on a negative size) is never reached
+    entry_points = (
+        lambda: CurveModel.flat(2, resolution),
+        lambda: load_bundle_descriptor(
+            {"genus": 2, "resolution": resolution, "summands": [{"degree": 1}]}),
+    )
+    for call in entry_points:
+        with mock.patch.object(np, "ones", side_effect=AssertionError("allocated")), \
+                pytest.raises(DescriptorError,
+                              match=f"resolution must be at least {MIN_RESOLUTION}, "
+                                    f"got {resolution}$"):
+            call()
 
 
 def test_a_failing_property_test_does_not_end_the_run(tmp_path):
