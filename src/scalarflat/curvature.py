@@ -37,8 +37,10 @@ from .geom_core import (
     OneOneForm,
     SplitBundle,
     _freeze,
+    _no_data_row,
     _plain_file_name,
     _require_integer,
+    _require_resolution,
 )
 
 #: input Hermitian-asymmetry tolerance for metric fields
@@ -117,8 +119,8 @@ def chern_curvature_matrix(h: np.ndarray) -> np.ndarray:
     (a, b) at every grid point.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 4 or h.shape[2] != h.shape[3]:
-        raise ValueError(f"expected an (n, n, r, r) matrix field, got shape {h.shape}")
+    if h.ndim != 4 or h.shape[2] != h.shape[3] or 0 in h.shape:
+        raise DescriptorError(f"expected an (n, n, r, r) matrix field, got shape {h.shape}")
     h = hermitian_part(h, "metric field")
     eigenvalues = np.linalg.eigvalsh(h)
     if float(eigenvalues.min()) <= 0.0:
@@ -188,6 +190,13 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
 # ---------------------------------------------------------------------------
 # honest Hermitian metrics on the discretized complex 2-torus
 
+def _require_grid(shape: tuple) -> None:
+    """DescriptorError unless `shape` is an (n, n, n, n) grid with n >= 1."""
+    if len(shape) != 4 or shape != (shape[0],) * 4:
+        raise DescriptorError(f"expected an equal-resolution grid, got {shape}")
+    _require_resolution(shape[0], "grid resolution", 1)
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class MetricModel4T:
     """Hermitian metric on the periodic 4-grid: a positive 2x2 Hermitian
@@ -208,6 +217,7 @@ class MetricModel4T:
         g = np.asarray(g, dtype=complex)
         if g.ndim != 6 or g.shape[4:] != (2, 2):
             raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {g.shape}")
+        _require_grid(g.shape[:4])
         entry = _hermitian_entries(g, "metric")
         # copies, so the instance keeps no view of a complex diagonal
         self.__post_init__(entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1))
@@ -220,8 +230,7 @@ class MetricModel4T:
         return metric
 
     def __post_init__(self, g11, g22, g12):
-        if g11.ndim != 4 or g11.shape != (g11.shape[0],) * 4:
-            raise DescriptorError(f"expected an equal-resolution grid, got {g11.shape}")
+        _require_grid(g11.shape)
         if not all(np.isfinite(entry).all() for entry in (g11, g22, g12)):
             raise DescriptorError("metric entries must be finite")
         det = g11 * g22
@@ -250,7 +259,7 @@ class MetricModel4T:
 
     @classmethod
     def flat(cls, resolution: int) -> "MetricModel4T":
-        one = np.ones((resolution,) * 4)
+        one = np.ones((_require_resolution(resolution, "grid resolution", 1),) * 4)
         return cls._from_components(one, one, np.zeros(one.shape, dtype=complex))
 
     @classmethod
@@ -263,6 +272,7 @@ class MetricModel4T:
     def from_kahler_potential(cls, phi: np.ndarray) -> "MetricModel4T":
         """Perturbation of the flat metric by the complex Hessian of a potential."""
         phi = np.asarray(phi, dtype=float)
+        _require_grid(phi.shape)
         d11, d22, d12 = fourier.ddbar4_components(phi)
         return cls._from_components(1.0 + d11, 1.0 + d22, d12)
 
@@ -340,8 +350,8 @@ class TraceOperator:
     apply and precondition run in the precision of their input: float32
     input uses float32 copies of the weights, symbols and preconditioner
     tables, any other input the float64 tables.  Every table beyond the
-    weights and symbols is built on the first call that needs it, so the
-    gates and chern_scalar build none and a float32 solve no float64
+    weights and symbols is built on the first call that needs it, so
+    is_gauduchon and chern_scalar build none and a float32 solve no float64
     preconditioner.
     """
 
@@ -654,8 +664,7 @@ def _read_grid_csv(path: Path, component: str, resolution: int) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             first = handle.readline()
-            # loadtxt only warns on a file with no data row; stop at the first one
-            empty = not any(line.split("#", 1)[0].strip() for line in handle)
+            empty = _no_data_row(handle)
         if f"component={component}" not in first:
             raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
         if empty:

@@ -52,11 +52,11 @@ def _require_integer(value, what: str) -> int:
     return int(value)
 
 
-def _require_resolution(value) -> int:
-    """value as an int of at least MIN_RESOLUTION, else DescriptorError."""
-    resolution = _require_integer(value, "curve resolution")
-    if resolution < MIN_RESOLUTION:
-        raise DescriptorError(f"resolution must be at least {MIN_RESOLUTION}, got {resolution}")
+def _require_resolution(value, what="curve resolution", minimum=MIN_RESOLUTION) -> int:
+    """value as an int of at least `minimum`, else DescriptorError."""
+    resolution = _require_integer(value, what)
+    if resolution < minimum:
+        raise DescriptorError(f"resolution must be at least {minimum}, got {resolution}")
     return resolution
 
 
@@ -181,7 +181,10 @@ def make_line_bundle(degree: int, profile, curve: CurveModel) -> LineBundleModel
             raise DescriptorError(f"unknown profile {profile!r}")
         kappa = np.full((n, n), np.pi * degree)
     else:
-        supplied = np.asarray(profile, dtype=float)
+        try:
+            supplied = np.asarray(profile, dtype=float)
+        except (TypeError, ValueError) as exc:    # a ragged or non-numeric profile
+            raise DescriptorError(f"profile is not \"constant\" or a density grid: {exc}") from exc
         if supplied.shape != (n, n):
             raise DescriptorError(
                 f"supplied density shape {supplied.shape} does not match curve grid {(n, n)}")
@@ -343,9 +346,17 @@ class ClassificationReport:
 # ---------------------------------------------------------------------------
 # external interfaces: JSON bundle descriptors and CSV density grids
 
+def _no_data_row(lines) -> bool:
+    """Whether no line holds text outside a '#' comment (np.loadtxt warns then)."""
+    return not any(line.split("#", 1)[0].strip() for line in lines)
+
+
 def load_field_csv(path) -> np.ndarray:
     """Read an n x n density grid from CSV (row-major, decimal floats)."""
     try:
+        with open(path, "r", encoding="utf-8") as handle:
+            if _no_data_row(handle):
+                raise DescriptorError(f"{path}: no density values")
         values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:    # text that is not UTF-8, or a value that is not a float
         raise DescriptorError(f"{path}: {exc}") from exc

@@ -2,8 +2,7 @@
 potentials, the Gauduchon check, and the conformal scalar-flat solver.
 
 The conformal solver runs on honest metrics over the discretized complex
-2-torus only.  Given a Gauduchon metric with zero total scalar curvature it
-solves
+2-torus only.  Given any positive Hermitian metric it solves
 
     s_G  =  tr_omega ddbar f      (trace taken with the input metric)
 
@@ -12,22 +11,20 @@ e^(f/2) * omega has pointwise scalar curvature at the roundoff floor.  The
 trace operator L (curvature.TraceOperator) is discretized exactly as
 g^{i jbar} d^2 f / (dz^i dzbar^j) with spectral derivatives and the
 pointwise metric inverse, applied with real-to-complex transforms, and
-s_G = -L(log det g).  The solver's two gates are discrete Fredholm
-conditions of L: the metric is Gauduchon when det g is a left null vector
-of L (L^T det g is the single component of ddbar omega), and its total
-scalar curvature vanishes when s_G is orthogonal to det g; both gates run
-on every solve, on its one operator.  The linear system is solved by
-BiCGStab, preconditioned by the periodic inverse of the mean-coefficient
-operator applied after a diagonal (Jacobi) scaling by the pointwise trace
-of the metric inverse, and wrapped in outer defect-correction rounds that
-always measure the true residual.
+s_G = -L(log det g) lies in L's range for every metric.  The paper's
+hypothesis, a Gauduchon metric (L^T det g = 0, the single component of
+ddbar omega) of zero total scalar curvature, is checked by is_gauduchon and
+curvature.total_scalar, not by the solve.  BiCGStab solves the system,
+preconditioned by the periodic inverse of the mean-coefficient operator
+after a Jacobi scaling by the pointwise trace of the metric inverse, inside
+outer defect-correction rounds that always measure the true residual.
 
 The rounds are mixed-precision iterative refinement (Moler, J. ACM 14,
 1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018): each round's inner
 BiCGStab runs in float32, and everything that decides correctness runs in
-float64 -- the defect s_G - L f, the stall counter, the round limit, the
-tolerances, the gates and the end-to-end check.  A float32 round that does
-not halve the max-norm defect is redone in float64.
+float64 -- s_G, the defect s_G - L f, the stall counter, the round limit,
+the tolerances and the end-to-end check.  A float32 round that does not
+halve the max-norm defect is redone in float64.
 
 scipy is imported on first use, through ``fourier._fft`` and the module
 function ``bicgstab``; both are looked up at call time, so they can be
@@ -42,16 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .curvature import MetricModel4T, TraceOperator, _scalar_from, _total, chern_scalar
+from .curvature import MetricModel4T, TraceOperator, _scalar_from, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
-from .geom_core import DEGREE_INPUT_TOL, MIN_RESOLUTION, LineBundleModel, _freeze, integrate
+from .geom_core import DEGREE_INPUT_TOL, LineBundleModel, _freeze, _require_resolution, integrate
 
 #: compatibility gate on mean(rho) for the Poisson solve
 POISSON_MEAN_TOL = 1e-8
 #: Gauduchon residual below which a metric counts as Gauduchon
 GAUDUCHON_TOL = 1e-8
-#: total-scalar gate for the conformal solve (the solvability hypothesis)
-TOTAL_SCALAR_GATE = 1e-6
 #: default equation-residual target of the conformal solve (max norm)
 SOLVE_TOL = 1e-10
 #: verification bound on max |s| of the rescaled metric
@@ -151,9 +146,8 @@ def bicgstab(A, b, **kwargs):
 
 
 def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, float, int, int]:
-    """The Gauduchon and total-scalar gates, then defect-correction rounds
-    for L f = s_G, on one operator L; returns (f, max-norm residual,
-    iterations, rounds).
+    """Defect-correction rounds for L f = s_G on one operator L; returns
+    (f, max-norm residual, iterations, rounds).
 
     Every round measures the true defect s_g - L f in float64.  Its
     correction comes from BiCGStab in float32 on the defect scaled to unit
@@ -168,17 +162,7 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     from scipy.sparse.linalg import LinearOperator
 
     op = TraceOperator(metric)
-    residual = float(np.max(np.abs(op.apply_adjoint(metric.det))))
-    if not residual < GAUDUCHON_TOL:
-        raise SolvabilityError(
-            f"metric is not Gauduchon (ddbar omega residual {residual:.3e}); "
-            "a Gauduchon metric is this method's hypothesis")
     s_g = _scalar_from(op, metric)
-    total = _total(metric, s_g)
-    if abs(total) > TOTAL_SCALAR_GATE:
-        raise SolvabilityError(
-            f"total scalar curvature {total!r} is not zero (gate {TOTAL_SCALAR_GATE}); "
-            "a zero total is this method's hypothesis")
     shape = op.shape
     size = s_g.size
     preconditioned = [0]    # preconditioner applications in the current BiCGStab
@@ -245,29 +229,24 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
 
 
 def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> ConformalSolution:
-    """Produce f with s(e^(f/2) omega) = 0 from a zero-total-scalar Gauduchon
-    metric in complex dimension two.
+    """Produce f with s(e^(f/2) omega) = 0 from any positive Hermitian
+    metric in complex dimension two (s_G lies in L's range for every metric).
 
-    On one trace operator L, checks the Gauduchon and total-scalar gates
-    (SolvabilityError) and solves s_G = L f, s_G = -L(log det g), to the
-    max-norm residual tol (ConvergenceError
-    after a round that does not lower the defect, after two rounds in a row
-    that do not halve it, or after _MAX_ROUNDS rounds of at most two
-    _INNER_MAXITER-step BiCGStab runs),
-    then rescales and recomputes the scalar curvature of e^(f/2) omega as an
-    independent end-to-end check.  Iterations count the BiCGStab steps
+    On one trace operator L, solves s_G = L f, s_G = -L(log det g), to the
+    max-norm residual tol (ConvergenceError after a round that does not
+    lower the defect, after two rounds in a row that do not halve it, or
+    after _MAX_ROUNDS rounds of at most two _INNER_MAXITER-step BiCGStab
+    runs), then rescales and recomputes the scalar curvature of e^(f/2) omega
+    as an independent end-to-end check.  Iterations count the BiCGStab steps
     begun: a full step applies the preconditioner twice, a step that
     converges at its half step (unseen by scipy's callback) once.  A tol
     that is not finite and positive, and resolutions below MIN_RESOLUTION
     (at N = 2 every mode lies in the operator's {0, Nyquist} null set) raise
-    DescriptorError before any gate runs.
+    DescriptorError before L is built.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DescriptorError(f"solve tolerance must be finite and positive, got {tol!r}")
-    if metric.resolution < MIN_RESOLUTION:
-        raise DescriptorError(
-            f"conformal solve needs resolution at least {MIN_RESOLUTION}, "
-            f"got {metric.resolution}")
+    _require_resolution(metric.resolution, "grid resolution")
     f, solve_residual, iterations, rounds = _defect_correction(metric, tol)
     rescaled = metric.rescaled(f / 2.0)
     end_to_end = float(np.max(np.abs(chern_scalar(rescaled))))

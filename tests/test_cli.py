@@ -263,6 +263,19 @@ def test_solve_scalar_flat_pipeline(tmp_path, capsys):
     assert (tmp_path / payload["f_csv"]).exists()
 
 
+def test_solve_of_a_non_gauduchon_metric_exits_0(tmp_path, capsys):
+    # e^u * flat with u = 0.2 sin(2 pi x1) is not Gauduchon; the solve needs
+    # no such hypothesis
+    t = np.arange(8) / 8
+    u = np.broadcast_to(0.2 * np.sin(2 * np.pi * t[:, None, None, None]), (8,) * 4).copy()
+    manifest = save_metric(MetricModel4T.conformal(u), tmp_path / "metric")
+    code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
+                                      "--out", str(tmp_path / "solution.json")])
+    assert code == 0
+    assert payload["end_to_end_residual"] < 1e-6
+    assert (tmp_path / "solution.f.csv").exists()
+
+
 @pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
                          ids=["curvature", "solve"])
 def test_out_file_holds_the_bytes_printed(tmp_path, capsys, command):

@@ -212,6 +212,24 @@ def test_metric_grid_is_checked_on_every_construction_path(build):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: MetricModel4T.flat(0), "at least 1, got 0"),
+    (lambda: MetricModel4T.flat(-1), "at least 1, got -1"),
+    (lambda: MetricModel4T.flat(2.5), "grid resolution must be an integer"),
+    (lambda: MetricModel4T(np.zeros((0, 0, 0, 0, 2, 2))), "at least 1, got 0"),
+    (lambda: MetricModel4T.conformal(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
+    (lambda: MetricModel4T.from_kahler_potential(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
+    (lambda: chern_curvature_matrix(np.ones((8, 8, 0, 0))), r"\(n, n, r, r\)"),
+    (lambda: chern_curvature_matrix(np.ones((0, 0, 1, 1))), r"\(n, n, r, r\)"),
+], ids=["flat 0", "flat -1", "flat 2.5", "public empty", "conformal empty",
+        "kahler empty", "curve rank 0", "curve grid 0"])
+def test_empty_or_invalid_grid_sizes_are_descriptor_errors(build, message):
+    # refused before numpy meets an empty, negative or float size (a raw
+    # empty-reduction, negative-dimension, TypeError or ZeroDivisionError)
+    with pytest.raises(DescriptorError, match=message):
+        build()
+
+
 def traced(build):
     """(build(), tracemalloc's peak and final traced bytes while it ran, both
     above what was traced when it started)."""

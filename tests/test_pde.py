@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.fft
@@ -177,41 +175,47 @@ def test_conformal_solver_near_degenerate_kahler_metric():
     assert solution.residual < 1e-6
 
 
-def test_conformal_solver_gates_reject_non_gauduchon():
-    n = 16
-    u = np.broadcast_to(0.2 * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy()
-    with pytest.raises(SolvabilityError):
-        conformal_scalar_flat(MetricModel4T.conformal(u))
+def _conformal_sine(n, a):
+    """e^u * flat with u = a sin(2 pi x1), which is not Gauduchon for a != 0."""
+    return MetricModel4T.conformal(
+        np.broadcast_to(a * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy())
 
 
-@pytest.fixture
-def ungated(monkeypatch):
-    """Let data that fails the solver's gates on purpose through both of them."""
-    monkeypatch.setattr(pde, "GAUDUCHON_TOL", math.inf)
-    monkeypatch.setattr(pde, "TOTAL_SCALAR_GATE", math.inf)
+def _scaled(metric, c):
+    return MetricModel4T._from_components(c * metric.g11, c * metric.g22, c * metric.g12)
 
 
-def test_conformal_solver_flattens_conformally_flat_input_when_ungated(ungated):
-    # e^u * flat fails the Gauduchon gate, but with the gates passed the
-    # solver finds the exact rescaling back to a constant metric
-    n = 16
-    u = np.broadcast_to(0.2 * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy()
-    metric = MetricModel4T.conformal(u)
+def test_conformal_solver_flattens_conformally_flat_input():
+    # e^u * flat is not Gauduchon, and the solver finds the exact rescaling
+    # back to a constant metric
+    metric = _conformal_sine(16, 0.2)
     solution = conformal_scalar_flat(metric)
     assert solution.residual < 1e-6
     rescaled = metric.rescaled(solution.f / 2)
     assert float(np.ptp(rescaled.g[..., 0, 0].real)) < 1e-6
 
 
-def test_total_scalar_gate_refuses_a_small_nonzero_total(monkeypatch):
-    # e^u flat with u = a sin(2 pi x1) has total 8 pi^2 a^2 = 7.1e-6 at
-    # a = 3e-4, between TOTAL_SCALAR_GATE and 1; only the Gauduchon gate,
-    # which this metric fails, is lifted
-    n = 16
-    u = np.broadcast_to(3e-4 * np.sin(2 * np.pi * coords4(n)[0]), (n,) * 4).copy()
-    monkeypatch.setattr(pde, "GAUDUCHON_TOL", math.inf)
-    with pytest.raises(SolvabilityError, match="total scalar curvature 7.1[0-9]*e-06 is not zero"):
-        conformal_scalar_flat(MetricModel4T.conformal(u))
+@pytest.mark.parametrize("build, tol", [
+    pytest.param(lambda: random_metric(9, np.random.default_rng(11)), pde.SOLVE_TOL,
+                 id="random_metric"),
+    # total 8 pi^2 a^2 = 7.1e-6 at a = 3e-4
+    pytest.param(lambda: _conformal_sine(16, 3e-4), pde.SOLVE_TOL, id="conformal, small total"),
+    # exactly Kahler, so Gauduchon, but is_gauduchon's residual grows like the
+    # scale against an absolute bound
+    pytest.param(lambda: _scaled(MetricModel4T.from_kahler_potential(
+        kahler_test_potential(16, 0.1 / np.pi ** 2)), 1e6), pde.SOLVE_TOL, id="mild kahler x1e6"),
+    pytest.param(lambda: _scaled(MetricModel4T.from_kahler_potential(
+        kahler_test_potential(16, 0.1)), 1e8), 1e-8, id="near-degenerate kahler x1e8"),
+])
+def test_conformal_solver_solves_metrics_is_gauduchon_rejects(build, tol):
+    # s_G = -L(log det g) lies in L's range for every metric, so the solve
+    # needs neither a Gauduchon metric nor a zero total, and takes each of
+    # these, which is_gauduchon's flag rejects
+    metric = build()
+    assert not is_gauduchon(metric)[0]
+    solution = conformal_scalar_flat(metric, tol=tol)
+    assert solution.solve_residual < tol
+    assert solution.residual < pde.VERIFY_TOL
 
 
 def _project_onto_resolved_modes(field):
@@ -243,7 +247,7 @@ def test_conformal_solver_matches_volume_normalization_oracle():
 @pytest.mark.parametrize("n", [2, 4])
 def test_conformal_solver_rejects_resolution_below_minimum(n, monkeypatch):
     # at N = 2 every mode is in the {0, Nyquist} null set; the check precedes
-    # the gates, which need the trace operator
+    # the trace operator
     def build(metric):
         raise AssertionError("a trace operator was built before the resolution check")
 
@@ -327,7 +331,7 @@ def test_scalar_curvature_is_minus_the_trace_of_log_det(n):
 
 
 def test_one_solve_builds_one_operator_per_metric(monkeypatch):
-    # the gates, s_G and the rounds share the input's operator, and the
+    # s_G and the rounds share the input's operator, and the
     # end-to-end check builds one for the rescaled metric; neither
     # differentiates log det g through the Ricci components
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
@@ -448,7 +452,7 @@ def test_scaled_preconditioner_inverts_conformally_flat_operator(n):
     assert np.max(np.abs(gap)) < 1e-10
 
 
-def test_conformally_flat_solve_takes_one_iteration_per_round(ungated):
+def test_conformally_flat_solve_takes_one_iteration_per_round():
     solution = conformal_scalar_flat(_conformal_test_metric(12))
     assert solution.residual < 1e-6
     # an exact preconditioner converges at the half step of a round's first

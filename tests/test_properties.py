@@ -4,8 +4,11 @@ import contextlib
 import io
 import itertools
 import json
+import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 from unittest import mock
@@ -21,6 +24,7 @@ from scalarflat import (
     DegreeError,
     DescriptorError,
     MetricModel4T,
+    ScalarFlatError,
     chern_curvature_matrix,
     chern_scalar,
     classify_ruled,
@@ -34,6 +38,8 @@ from scalarflat.cli import run
 from scalarflat.curvature import (
     HERMITIAN_INPUT_TOL,
     hermitian_part,
+    load_metric,
+    save_metric,
     total_scalar_routes,
 )
 from scalarflat.fourier import half_symbols_4d
@@ -308,6 +314,140 @@ def test_curve_resolution_below_the_minimum_is_refused_before_allocating(resolut
                               match=f"resolution must be at least {MIN_RESOLUTION}, "
                                     f"got {resolution}$"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# file contracts under corruption
+
+CORRUPTION_KINDS = ("flip a bit", "change a digit", "truncate", "insert a token",
+                    "duplicate a line", "delete a line")
+TOKENS = (b",", b"-", b".", b"#", b"\n", b" ", b"x", b"\xff", b"0", b"nan", b"inf",
+          b"1e999", b"1e-320", b"{", b'"')
+
+
+@st.composite
+def corruptions(draw):
+    """(kind, where in [0, 1), a bit or digit, a token) of one corruption."""
+    return (draw(st.sampled_from(CORRUPTION_KINDS)),
+            draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+            draw(st.integers(min_value=0, max_value=7)), draw(st.sampled_from(TOKENS)))
+
+
+def corrupt(data, corruption):
+    kind, where, small, token = corruption
+    at = int(where * len(data))
+    lines = data.split(b"\n")
+    line = int(where * len(lines))
+    if kind == "flip a bit":
+        return data[:at] + bytes([data[at] ^ (1 << small)]) + data[at + 1:]
+    if kind == "change a digit":
+        digits = [m.start() for m in re.finditer(rb"[0-9]", data)]
+        if not digits:
+            return data
+        at = digits[int(where * len(digits))]
+        return data[:at] + str((int(chr(data[at])) + 1 + small) % 10).encode() + data[at + 1:]
+    if kind == "truncate":
+        return data[:at]
+    if kind == "insert a token":
+        return data[:at] + token + data[at:]
+    if kind == "duplicate a line":
+        return b"\n".join(lines[:line + 1] + lines[line:])
+    return b"\n".join(lines[:line] + lines[line + 1:])
+
+
+@pytest.fixture(scope="module")
+def stored_metrics(tmp_path_factory):
+    """resolution -> directory of a saved random metric: its manifest, four
+    CSVs and binary twin."""
+    root = tmp_path_factory.mktemp("stored")
+    return {n: save_metric(random_metric(n, np.random.default_rng(n)), root / str(n)).parent
+            for n in (2, 3, 4)}
+
+
+@given(st.sampled_from((2, 3, 4)),
+       st.sampled_from(("metric.json", "g11.csv", "g22.csv", "g12_re.csv", "g12_im.csv",
+                        "metric.npz")),
+       corruptions())
+def test_a_corrupted_metric_loads_what_its_csvs_parse_to_or_is_refused(stored_metrics, n,
+                                                                      name, corruption):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for path in stored_metrics[n].iterdir():
+            shutil.copyfile(path, directory / path.name)
+        target = directory / name
+        target.write_bytes(corrupt(target.read_bytes(), corruption))
+        try:
+            metric = load_metric(directory / "metric.json")
+        except (ScalarFlatError, OSError):
+            return
+        # loaded: bit for bit what the CSVs the manifest names parse to,
+        # whether each grid came from the twin or from its CSV
+        files = json.loads((directory / "metric.json").read_text())["components"]
+        parsed = {c: np.loadtxt(directory / files[c], delimiter=",", comments="#")
+                  for c in ("11", "22", "12re", "12im")}
+        for loaded, component in ((metric.g11, "11"), (metric.g22, "22"),
+                                  (metric.g12.real, "12re"), (metric.g12.imag, "12im")):
+            assert loaded.tobytes() == parsed[component].reshape(loaded.shape).tobytes()
+
+
+BUNDLE_DESCRIPTOR = {"genus": 2, "resolution": 8,
+                     "summands": [{"degree": 1, "profile": "constant"},
+                                  {"degree": 0, "profile": {"file": "kappa.csv"}}]}
+#: every place in BUNDLE_DESCRIPTOR a mutation may replace or delete
+DESCRIPTOR_PATHS = (("genus",), ("resolution",), ("summands",), ("summands", 0),
+                    ("summands", 1), ("summands", 0, "degree"), ("summands", 0, "profile"),
+                    ("summands", 1, "degree"), ("summands", 1, "profile"),
+                    ("summands", 1, "profile", "file"))
+# small integers only: a resolution is allocated as an n x n grid
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10, max_value=40) | st.floats()
+    | st.text(max_size=6) | st.just("constant") | st.just("kappa.csv"),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.sampled_from(("file", "degree", "profile", "x")),
+                                        children, max_size=2)),
+    max_leaves=5)
+
+
+def mutated_descriptor(mutations):
+    """BUNDLE_DESCRIPTOR with each (path, delete, value) applied in turn; a
+    path an earlier mutation removed is skipped."""
+    doc = json.loads(json.dumps(BUNDLE_DESCRIPTOR))
+    for path, delete, value in mutations:
+        try:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass
+    return doc
+
+
+@given(st.lists(st.tuples(st.sampled_from(DESCRIPTOR_PATHS), st.booleans(), json_values),
+                max_size=3),
+       st.none() | corruptions())
+@example([], ("truncate", 0.0, 0, b","))    # an empty profile CSV, on which np.loadtxt warns
+def test_a_mutated_bundle_descriptor_loads_or_raises_a_domain_error(mutations, corruption):
+    x, _y = grid_coordinates(8)
+    kappa = np.broadcast_to(0.5 * np.cos(2 * np.pi * x), (8, 8))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        profile = directory / "kappa.csv"
+        np.savetxt(profile, kappa, fmt="%.18e", delimiter=",")
+        if corruption is not None:
+            profile.write_bytes(corrupt(profile.read_bytes(), corruption))
+        descriptor = directory / "bundle.json"
+        descriptor.write_text(json.dumps(mutated_descriptor(mutations)))
+        try:
+            load_bundle_descriptor(descriptor)
+        except ScalarFlatError:
+            pass
+        except FileNotFoundError as exc:
+            # a profile naming a file that is not there keeps its OS error
+            assert not Path(exc.filename).exists()
 
 
 def test_a_failing_property_test_does_not_end_the_run(tmp_path):
