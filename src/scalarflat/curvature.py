@@ -280,7 +280,8 @@ class MetricModel4T:
         """Conformally rescaled metric e^w * g for a real field w."""
         w = np.asarray(exponent, dtype=float)
         if w.shape != self.det.shape:
-            raise ValueError(f"exponent shape {w.shape} does not match grid {self.det.shape}")
+            raise DescriptorError(
+                f"exponent shape {w.shape} does not match grid {self.det.shape}")
         factor = np.exp(w)
         return MetricModel4T._from_components(self.g11 * factor, self.g22 * factor,
                                               self.g12 * factor)
@@ -345,14 +346,17 @@ class TraceOperator:
     precondition is a Jacobi-scaled periodic inverse:
     r -> irfftn(inv_mean_symbol * rfftn(r / D)) with D = tr g^-1 / mean(tr g^-1),
     the exact inverse on resolved modes when the metric is conformally flat.
-    Each transform looks up fourier._fft when it runs.
+    _apply_preconditioned, the conformal solver's Krylov operator, is
+    apply(precondition(r)) without the irfftn and rfftn between the two, so
+    one rfftn and four irfftn.  Each transform looks up fourier._fft when it
+    runs.
 
-    apply and precondition run in the precision of their input: float32
-    input uses float32 copies of the weights, symbols and preconditioner
-    tables, any other input the float64 tables.  Every table beyond the
-    weights and symbols is built on the first call that needs it, so
-    is_gauduchon and chern_scalar build none and a float32 solve no float64
-    preconditioner.
+    apply, precondition and _apply_preconditioned run in the precision of
+    their input: float32 input uses float32 copies of the weights, symbols
+    and preconditioner tables, any other input the float64 tables.  Every
+    table beyond the weights and symbols is built on the first call that
+    needs it, so is_gauduchon and chern_scalar build none and a float32 solve
+    no float64 preconditioner.
     """
 
     def __init__(self, metric: MetricModel4T):
@@ -385,15 +389,19 @@ class TraceOperator:
         """float32 copies of the preconditioner tables."""
         return _single(self._preconditioner_tables())
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        weights, symbols = (self._single_operator if f.dtype == np.float32
+    def _trace_of_spectrum(self, spec: np.ndarray) -> np.ndarray:
+        """sum_a w_a irfftn(m_a spec) of a half-spectrum, in its precision
+        (the float32 tables for a complex64 spectrum)."""
+        weights, symbols = (self._single_operator if spec.dtype == np.complex64
                             else (self._weights, self._symbols))
         workers = fourier.thread_workers()
-        spec = fourier._fft.rfftn(f, workers=workers)
         out = np.zeros(self.shape, dtype=weights[0].dtype)
         for weight, symbol in zip(weights, symbols):
             out += weight * fourier._fft.irfftn(symbol * spec, s=self.shape, workers=workers)
         return out
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        return self._trace_of_spectrum(fourier._fft.rfftn(f, workers=fourier.thread_workers()))
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         workers = fourier.thread_workers()
@@ -401,12 +409,19 @@ class TraceOperator:
                    for weight, symbol in zip(self._weights, self._symbols))
         return fourier._fft.irfftn(spec, s=self.shape, workers=workers)
 
-    def precondition(self, r: np.ndarray) -> np.ndarray:
+    def _preconditioned_spectrum(self, r: np.ndarray) -> np.ndarray:
+        """inv_mean_symbol * rfftn(r / D), the half-spectrum of precondition(r)."""
         inv_symbol, inv_scale = (self._single_preconditioner if r.dtype == np.float32
                                  else self._preconditioner)
-        workers = fourier.thread_workers()
-        spec = fourier._fft.rfftn(r * inv_scale, workers=workers)
-        return fourier._fft.irfftn(inv_symbol * spec, s=self.shape, workers=workers)
+        return inv_symbol * fourier._fft.rfftn(r * inv_scale, workers=fourier.thread_workers())
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        return fourier._fft.irfftn(self._preconditioned_spectrum(r), s=self.shape,
+                                   workers=fourier.thread_workers())
+
+    def _apply_preconditioned(self, r: np.ndarray) -> np.ndarray:
+        """apply(precondition(r)) without the irfftn/rfftn pair between them."""
+        return self._trace_of_spectrum(self._preconditioned_spectrum(r))
 
 
 def _single(arrays) -> tuple[np.ndarray, ...]:
@@ -465,7 +480,8 @@ def conformal_ricci(ric: RicciField, f: np.ndarray) -> RicciField:
     componentwise."""
     f = np.asarray(f, dtype=float)
     if f.shape != ric.ric.shape[:4]:
-        raise ValueError(f"conformal factor shape {f.shape} does not match {ric.ric.shape[:4]}")
+        raise DescriptorError(
+            f"conformal factor shape {f.shape} does not match {ric.ric.shape[:4]}")
     return RicciField(ric.ric - 2 * _hermitian_2x2(*fourier.ddbar4_components(f)))
 
 
@@ -634,9 +650,8 @@ def _write_grid_csv(path: Path, values: np.ndarray, component: str) -> str:
     (n^3, n) flattening with delimiter "," and header "N=n component=..",
     one x1-slab at a time; returns the sha256 of the bytes written."""
     values = np.asarray(values, dtype=float)
+    _require_grid(values.shape)
     n = values.shape[0]
-    if values.shape != (n, n, n, n):
-        raise ValueError(f"expected an (n, n, n, n) grid, got shape {values.shape}")
     separators = np.full((n * n, n), ord(","), dtype=np.uint8)
     separators[:, -1] = ord("\n")
     separators = separators.ravel()

@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DescriptorError
+
 
 def thread_workers() -> int:
     """Worker count for FFT calls.
@@ -206,7 +208,7 @@ def ddbar4_components(field: np.ndarray):
     real and imaginary parts.
     """
     if field.ndim != 4 or field.shape != (field.shape[0],) * 4:
-        raise ValueError(f"expected an equal-resolution 4-d grid, got shape {field.shape}")
+        raise DescriptorError(f"expected an equal-resolution 4-d grid, got shape {field.shape}")
     if np.iscomplexobj(field):
         re, im = _ddbar4_real(field.real), _ddbar4_real(field.imag)
         return tuple(a + 1j * b for a, b in zip(re, im))

@@ -15,9 +15,11 @@ s_G = -L(log det g) lies in L's range for every metric.  The paper's
 hypothesis, a Gauduchon metric (L^T det g = 0, the single component of
 ddbar omega) of zero total scalar curvature, is checked by is_gauduchon and
 curvature.total_scalar, not by the solve.  BiCGStab solves the system,
-preconditioned by the periodic inverse of the mean-coefficient operator
-after a Jacobi scaling by the pointwise trace of the metric inverse, inside
-outer defect-correction rounds that always measure the true residual.
+right-preconditioned by P, the periodic inverse of the mean-coefficient
+operator after a Jacobi scaling by the pointwise trace of the metric
+inverse: it iterates on L P y = defect, whose residual is the true residual
+of P y, and the update is P y.  It runs inside outer defect-correction
+rounds that always measure the true residual.
 
 The rounds are mixed-precision iterative refinement (Moler, J. ACM 14,
 1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018): each round's inner
@@ -150,14 +152,16 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     (f, max-norm residual, iterations, rounds).
 
     Every round measures the true defect s_g - L f in float64.  Its
-    correction comes from BiCGStab in float32 on the defect scaled to unit
-    max norm, to a relative tolerance no finer than _SINGLE_RTOL; a round
-    whose float32 correction does not halve the max-norm defect is redone in
-    float64 from the same defect, and only a float64 round can stall.  A
-    round that does not lower the defect is rejected and ends the solve at
-    once, since the next round would start from the same defect.  The
-    operator, its float32 tables, s_G and the Krylov vectors live in this
-    frame, so they are freed before the caller's verification.
+    correction is P y, one precondition of the y that BiCGStab finds for
+    L P y = defect in float32 (each matvec one TraceOperator
+    _apply_preconditioned) on the defect scaled to unit max norm, to a
+    relative tolerance no finer than _SINGLE_RTOL; a round whose float32
+    correction does not halve the max-norm defect is redone in float64 from
+    the same defect, and only a float64 round can stall.  A round that does
+    not lower the defect is rejected and ends the solve at once, since the
+    next round would start from the same defect.  The operator, its float32
+    tables, s_G and the Krylov vectors live in this frame, so they are freed
+    before the caller's verification.
     """
     from scipy.sparse.linalg import LinearOperator
 
@@ -165,15 +169,13 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     s_g = _scalar_from(op, metric)
     shape = op.shape
     size = s_g.size
-    preconditioned = [0]    # preconditioner applications in the current BiCGStab
+    matvecs = [0]    # applications of L P in the current BiCGStab
 
-    def precondition(v):
-        preconditioned[0] += 1
-        return op.precondition(v.reshape(shape)).ravel()
+    def apply_preconditioned(v):
+        matvecs[0] += 1
+        return op._apply_preconditioned(v.reshape(shape)).ravel()
 
-    operators = {dtype: (LinearOperator((size, size), dtype=dtype,
-                                        matvec=lambda v: op.apply(v.reshape(shape)).ravel()),
-                         LinearOperator((size, size), dtype=dtype, matvec=precondition))
+    operators = {dtype: LinearOperator((size, size), dtype=dtype, matvec=apply_preconditioned)
                  for dtype in (np.float32, np.float64)}
 
     f = np.zeros(shape)
@@ -193,13 +195,11 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
             # the defect scaled to unit max norm stays far from float32
             # overflow and underflow
             scale, inner_rtol = rmax, max(inner_rtol, _SINGLE_RTOL)
-        a_op, m_op = operators[dtype]
-        preconditioned[0] = 0
-        update, _info = bicgstab(
-            a_op, np.asarray(defect / scale, dtype=dtype).ravel(), M=m_op,
-            rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
-        iterations += (preconditioned[0] + 1) // 2
-        candidate = f + scale * np.asarray(update, dtype=float).reshape(shape)
+        matvecs[0] = 0
+        y, _info = bicgstab(operators[dtype], np.asarray(defect / scale, dtype=dtype).ravel(),
+                            rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
+        iterations += (matvecs[0] + 1) // 2
+        candidate = f + scale * np.asarray(op.precondition(y.reshape(shape)), dtype=float)
         candidate -= candidate.mean()
         if not np.all(np.isfinite(candidate)):
             return candidate, None, math.inf
@@ -238,8 +238,8 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     after _MAX_ROUNDS rounds of at most two _INNER_MAXITER-step BiCGStab
     runs), then rescales and recomputes the scalar curvature of e^(f/2) omega
     as an independent end-to-end check.  Iterations count the BiCGStab steps
-    begun: a full step applies the preconditioner twice, a step that
-    converges at its half step (unseen by scipy's callback) once.  A tol
+    begun, from the matvecs of L P: a full step takes two, a step that
+    converges at its half step (unseen by scipy's callback) one.  A tol
     that is not finite and positive, and resolutions below MIN_RESOLUTION
     (at N = 2 every mode lies in the operator's {0, Nyquist} null set) raise
     DescriptorError before L is built.

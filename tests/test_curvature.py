@@ -17,6 +17,7 @@ from scalarflat import (
     chern_ricci,
     chern_scalar,
     conformal_ricci,
+    fourier,
     make_line_bundle,
     tautological_base_curvature,
     total_scalar,
@@ -24,6 +25,7 @@ from scalarflat import (
 from scalarflat.curvature import (
     curvature_report,
     load_metric,
+    save_field4,
     save_metric,
     total_scalar_routes,
 )
@@ -228,6 +230,18 @@ def test_empty_or_invalid_grid_sizes_are_descriptor_errors(build, message):
     # empty-reduction, negative-dimension, TypeError or ZeroDivisionError)
     with pytest.raises(DescriptorError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda path: MetricModel4T.flat(4).rescaled(np.zeros(3)),
+    lambda path: conformal_ricci(chern_ricci(MetricModel4T.flat(4)), np.zeros(3)),
+    lambda path: save_field4(path, np.zeros((2, 3))),
+    lambda path: fourier.ddbar4_components(np.zeros((4, 4, 4, 5))),
+], ids=["rescaled", "conformal_ricci", "save_field4", "ddbar4_components"])
+def test_misshapen_4_grid_fields_are_descriptor_errors(build, tmp_path):
+    with pytest.raises(DescriptorError, match="grid|shape"):
+        build(tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def traced(build):

@@ -40,12 +40,12 @@ GOLDEN_FILES = {
     "metric/g12_re.csv": "3a3febb30414e1d78987c036997a6edac1da297d07fc1829da4b67264724b38a",
     "metric/g12_im.csv": "2b0264abe4c688ae74ec06c6aad615ec0e468382c3bb7d15a45a2c1f42d7069b",
     "metric/metric.json": "15325cd6fb5b560c456bdf563b5df6e02ef9a09b219b5747f1abde9c22738445",
-    "solution.f.csv": "74036d1a93587da26664739e2e7ec64b465b2579a45e3d4ba043e4a5b8cbba42",
+    "solution.f.csv": "50bfec1f2bd9c4ea9fd27c134759e25c0afb604e5b3f9e86b2148f8c00f6fdc2",
 }
 #: sha256 of exit code and stdout of `curvature` and `solve` on those files
 GOLDEN_STDOUT = {
     "curvature": "2bc6a01fcb246ae96a381c34a0ab5c77baeb01e2103318d3169509a5fad00f0d",
-    "solve": "c224d090116ac5a25015df70221200de7758673d0d23562757cc86158bf4c75e",
+    "solve": "082bb41e990903cb43ab98e7aa2618bba6a9b399104eec8e5de9c87e1b1c258d",
 }
 
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -281,6 +283,43 @@ def test_stalled_solve_never_repeats_a_bicgstab_call(monkeypatch):
     assert len(set(right_hand_sides)) == len(right_hand_sides)
 
 
+def test_a_solve_spends_five_transforms_per_operator_and_two_per_update(monkeypatch):
+    # L and the Krylov operator L P each take one rfftn and four irfftn, and
+    # a round's update P y one rfftn and one irfftn
+    metric = _mild_metric(8)
+    transforms = Counter()
+    fft = fourier._fft
+
+    class CountingFFT:
+        def __getattr__(self, name):
+            def transform(*args, **kwargs):
+                transforms[name] += 1
+                return getattr(fft, name)(*args, **kwargs)
+            return transform
+
+    runs = matvecs = 0
+
+    def counting(a_op, b, **kwargs):
+        nonlocal runs, matvecs
+        runs += 1
+
+        def matvec(v):
+            nonlocal matvecs
+            matvecs += 1
+            return a_op.matvec(v)
+
+        return bicgstab(LinearOperator(a_op.shape, dtype=a_op.dtype, matvec=matvec), b,
+                        **kwargs)
+
+    monkeypatch.setattr(fourier, "_fft", CountingFFT())
+    monkeypatch.setattr(pde, "bicgstab", counting)
+    solution = conformal_scalar_flat(metric)
+    assert solution.rounds >= 1 and matvecs > 0
+    # s_G, one defect per BiCGStab run, every matvec and the verification
+    applications = 1 + runs + matvecs + 1
+    assert transforms == {"rfftn": applications + runs, "irfftn": 4 * applications + runs}
+
+
 def test_conformal_solver_is_bit_deterministic():
     n = 8
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.02))
@@ -452,6 +491,27 @@ def test_scaled_preconditioner_inverts_conformally_flat_operator(n):
     assert np.max(np.abs(gap)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_fused_matvec_is_the_operator_after_the_preconditioner(n):
+    rng = np.random.default_rng(400 + n)
+    op = TraceOperator(random_metric(n, rng))
+    r = rng.standard_normal((n,) * 4)
+    for dtype, rel in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        want = op.apply(op.precondition(r.astype(dtype)))
+        got = op._apply_preconditioned(r.astype(dtype))
+        assert got.dtype == dtype
+        assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_fused_matvec_is_the_identity_on_the_range_of_a_conformally_flat_operator(n):
+    # P L is the identity on resolved modes (the test above), so L P is the
+    # identity on L's range, where every BiCGStab right-hand side lies
+    op = TraceOperator(_conformal_test_metric(n))
+    r = op.apply(np.random.default_rng(8).standard_normal((n,) * 4))
+    assert np.max(np.abs(op._apply_preconditioned(r) - r)) <= 1e-12 * np.max(np.abs(r))
+
+
 def test_conformally_flat_solve_takes_one_iteration_per_round():
     solution = conformal_scalar_flat(_conformal_test_metric(12))
     assert solution.residual < 1e-6
@@ -463,15 +523,18 @@ def test_conformally_flat_solve_takes_one_iteration_per_round():
 
 
 def test_solver_never_applies_the_operator_to_zero(monkeypatch):
-    # scipy probes an operator without a dtype with a zero matvec
-    apply = TraceOperator.apply
+    # scipy probes an operator without a dtype with a zero matvec; BiCGStab's
+    # operator is L P, the defects and s_G apply L alone
     zero_inputs = []
 
-    def recording_apply(self, f):
-        zero_inputs.append(not np.any(f))
-        return apply(self, f)
+    def recording(method):
+        def wrapper(self, f):
+            zero_inputs.append(not np.any(f))
+            return method(self, f)
+        return wrapper
 
-    monkeypatch.setattr(TraceOperator, "apply", recording_apply)
+    for name in ("apply", "_apply_preconditioned"):
+        monkeypatch.setattr(TraceOperator, name, recording(getattr(TraceOperator, name)))
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.02))
     solution = conformal_scalar_flat(metric)
     assert solution.iterations > 0
@@ -530,23 +593,22 @@ def test_single_precision_operator_matches_double(n):
 
 
 def _float64_reference_solve(metric, tol=pde.SOLVE_TOL):
-    """The defect-correction solve with every BiCGStab in float64."""
+    """The defect-correction solve with every BiCGStab in float64: BiCGStab
+    on L P, right-preconditioned, then the update P y."""
     op = TraceOperator(metric)
     s_g = chern_scalar(metric)
     size = s_g.size
     a_op = LinearOperator((size, size), dtype=float,
-                          matvec=lambda v: op.apply(v.reshape(op.shape)).ravel())
-    m_op = LinearOperator((size, size), dtype=float,
-                          matvec=lambda v: op.precondition(v.reshape(op.shape)).ravel())
+                          matvec=lambda v: op._apply_preconditioned(v.reshape(op.shape)).ravel())
     f = np.zeros(op.shape)
     for _ in range(pde._MAX_ROUNDS):
         defect = s_g - op.apply(f)
         if np.max(np.abs(defect)) < tol:
             return f
         rtol = min(3e-2, max(1e-9, 0.3 * tol / float(np.linalg.norm(defect.ravel()))))
-        update, _info = bicgstab(a_op, defect.ravel(), M=m_op, rtol=rtol, atol=0.0,
-                                 maxiter=pde._INNER_MAXITER)
-        f = f + update.reshape(op.shape)
+        y, _info = bicgstab(a_op, defect.ravel(), rtol=rtol, atol=0.0,
+                            maxiter=pde._INNER_MAXITER)
+        f = f + op.precondition(y.reshape(op.shape))
         f -= f.mean()
     raise AssertionError("the float64 reference solve did not converge")
 
@@ -564,8 +626,8 @@ def test_mixed_precision_potential_matches_float64_reference_on_resolved_modes()
 
 
 def _break_precondition(monkeypatch, broken_dtypes):
-    """Make precondition return zeros, which breaks BiCGStab down at once,
-    for inputs of the given dtypes."""
+    """Make precondition return zeros for inputs of the given dtypes, which
+    zeroes the update of a round in that precision."""
     precondition = TraceOperator.precondition
 
     def broken(self, r):
