@@ -39,6 +39,7 @@ from .geom_core import (
     _freeze,
     _no_data_row,
     _plain_file_name,
+    _require_grid,
     _require_integer,
     _require_resolution,
 )
@@ -190,11 +191,11 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
 # ---------------------------------------------------------------------------
 # honest Hermitian metrics on the discretized complex 2-torus
 
-def _require_grid(shape: tuple) -> None:
-    """DescriptorError unless `shape` is an (n, n, n, n) grid with n >= 1."""
-    if len(shape) != 4 or shape != (shape[0],) * 4:
-        raise DescriptorError(f"expected an equal-resolution grid, got {shape}")
-    _require_resolution(shape[0], "grid resolution", 1)
+def _real(values) -> np.ndarray:
+    """values as a float array; DescriptorError for a complex one (never truncated)."""
+    if np.iscomplexobj(values):
+        raise DescriptorError("expected a real field, got a complex one")
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -215,9 +216,7 @@ class MetricModel4T:
 
     def __init__(self, g: np.ndarray):
         g = np.asarray(g, dtype=complex)
-        if g.ndim != 6 or g.shape[4:] != (2, 2):
-            raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {g.shape}")
-        _require_grid(g.shape[:4])
+        _require_grid(g.shape, (2, 2))
         entry = _hermitian_entries(g, "metric")
         # copies, so the instance keeps no view of a complex diagonal
         self.__post_init__(entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1))
@@ -265,23 +264,19 @@ class MetricModel4T:
     @classmethod
     def conformal(cls, exponent: np.ndarray) -> "MetricModel4T":
         """Metric e^u * (flat) for a real exponent field u."""
-        factor = np.exp(np.asarray(exponent, dtype=float))
+        factor = np.exp(_real(exponent))
         return cls._from_components(factor, factor, np.zeros(factor.shape, dtype=complex))
 
     @classmethod
     def from_kahler_potential(cls, phi: np.ndarray) -> "MetricModel4T":
         """Perturbation of the flat metric by the complex Hessian of a potential."""
-        phi = np.asarray(phi, dtype=float)
-        _require_grid(phi.shape)
-        d11, d22, d12 = fourier.ddbar4_components(phi)
+        d11, d22, d12 = fourier.ddbar4_components(_real(phi))
         return cls._from_components(1.0 + d11, 1.0 + d22, d12)
 
     def rescaled(self, exponent: np.ndarray) -> "MetricModel4T":
         """Conformally rescaled metric e^w * g for a real field w."""
-        w = np.asarray(exponent, dtype=float)
-        if w.shape != self.det.shape:
-            raise DescriptorError(
-                f"exponent shape {w.shape} does not match grid {self.det.shape}")
+        w = _real(exponent)
+        _require_grid(w.shape, n=self.resolution)
         factor = np.exp(w)
         return MetricModel4T._from_components(self.g11 * factor, self.g22 * factor,
                                               self.g12 * factor)
@@ -295,8 +290,7 @@ class RicciField:
 
     def __post_init__(self):
         ric = np.asarray(self.ric, dtype=complex)
-        if ric.ndim != 6 or ric.shape[4:] != (2, 2):
-            raise DescriptorError(f"expected shape (n, n, n, n, 2, 2), got {ric.shape}")
+        _require_grid(ric.shape, (2, 2))
         ric = hermitian_part(ric, "Ricci field")    # fresh, so frozen in place
         ric.setflags(write=False)
         object.__setattr__(self, "ric", ric)
@@ -478,10 +472,8 @@ def conformal_ricci(ric: RicciField, f: np.ndarray) -> RicciField:
     """Ricci curvature after the conformal change omega -> e^f omega on the
     complex 2-torus: det scales by e^(2f), so returns ric - 2 ddbar f
     componentwise."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != ric.ric.shape[:4]:
-        raise DescriptorError(
-            f"conformal factor shape {f.shape} does not match {ric.ric.shape[:4]}")
+    f = _real(f)
+    _require_grid(f.shape, n=ric.ric.shape[0])
     return RicciField(ric.ric - 2 * _hermitian_2x2(*fourier.ddbar4_components(f)))
 
 
@@ -649,9 +641,8 @@ def _write_grid_csv(path: Path, values: np.ndarray, component: str) -> str:
     """Write a real (n, n, n, n) grid byte for byte as np.savetxt writes its
     (n^3, n) flattening with delimiter "," and header "N=n component=..",
     one x1-slab at a time; returns the sha256 of the bytes written."""
-    values = np.asarray(values, dtype=float)
-    _require_grid(values.shape)
-    n = values.shape[0]
+    values = _real(values)
+    n = _require_grid(values.shape)
     separators = np.full((n * n, n), ord(","), dtype=np.uint8)
     separators[:, -1] = ord("\n")
     separators = separators.ravel()

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DescriptorError
+from .geom_core import _require_grid
 
 
 def thread_workers() -> int:
@@ -207,8 +207,7 @@ def ddbar4_components(field: np.ndarray):
     are returned real for real input.  A complex field is transformed as its
     real and imaginary parts.
     """
-    if field.ndim != 4 or field.shape != (field.shape[0],) * 4:
-        raise DescriptorError(f"expected an equal-resolution 4-d grid, got shape {field.shape}")
+    _require_grid(field.shape)
     if np.iscomplexobj(field):
         re, im = _ddbar4_real(field.real), _ddbar4_real(field.imag)
         return tuple(a + 1j * b for a, b in zip(re, im))

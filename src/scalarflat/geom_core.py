@@ -60,6 +60,22 @@ def _require_resolution(value, what="curve resolution", minimum=MIN_RESOLUTION) 
     return resolution
 
 
+def _require_grid(shape: tuple, trailing: tuple = (), n=None) -> int:
+    """The side n >= 1 of an (n, n, n, n) + `trailing` shape, equal to `n`
+    when given; DescriptorError for any other shape."""
+    if (len(shape) != 4 + len(trailing) or shape[4:] != trailing
+            or shape[:4] != (shape[0],) * 4 or n not in (None, shape[0])):
+        raise DescriptorError(
+            f"expected an equal-resolution grid ({n or 'n'},) * 4 + {trailing}, got {shape}")
+    return _require_resolution(shape[0], "grid resolution", 1)
+
+
+def _require_chart(shape: tuple, n: int, what: str) -> None:
+    """DescriptorError naming `what` unless `shape` is the (n, n) curve grid."""
+    if shape != (n, n):
+        raise DescriptorError(f"{what} shape {shape} does not match curve grid {(n, n)}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.asarray(arr)
     out = out.copy()
@@ -96,9 +112,7 @@ class CurveModel:
         if self.genus < 0:
             raise DescriptorError(f"genus must be nonnegative, got {self.genus}")
         lam = np.asarray(self.lam, dtype=float)
-        if lam.shape != (self.resolution, self.resolution):
-            raise DescriptorError(
-                f"area density shape {lam.shape} does not match resolution {self.resolution}")
+        _require_chart(lam.shape, self.resolution, "area density")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
             raise DescriptorError("area density must be finite and positive everywhere")
         object.__setattr__(self, "lam", _freeze(lam))
@@ -127,9 +141,7 @@ class CurveModel:
 def integrate(field_values: np.ndarray, curve: CurveModel) -> float:
     """Integral of a density over the unit square: sum * cell area."""
     values = np.asarray(field_values)
-    n = curve.resolution
-    if values.shape != (n, n):
-        raise ValueError(f"field shape {values.shape} does not match curve grid {(n, n)}")
+    _require_chart(values.shape, curve.resolution, "field")
     return float(np.sum(values) * curve.cell_area)
 
 
@@ -149,10 +161,7 @@ class LineBundleModel:
     def __post_init__(self):
         object.__setattr__(self, "degree", _require_integer(self.degree, "line bundle degree"))
         kappa = np.asarray(self.kappa, dtype=float)
-        n = self.curve.resolution
-        if kappa.shape != (n, n):
-            raise DescriptorError(
-                f"curvature density shape {kappa.shape} does not match curve grid {(n, n)}")
+        _require_chart(kappa.shape, self.curve.resolution, "curvature density")
         if not np.all(np.isfinite(kappa)):
             raise DescriptorError("curvature density must be finite")
         measured = integrate(kappa, self.curve) / np.pi
@@ -185,10 +194,7 @@ def make_line_bundle(degree: int, profile, curve: CurveModel) -> LineBundleModel
             supplied = np.asarray(profile, dtype=float)
         except (TypeError, ValueError) as exc:    # a ragged or non-numeric profile
             raise DescriptorError(f"profile is not \"constant\" or a density grid: {exc}") from exc
-        if supplied.shape != (n, n):
-            raise DescriptorError(
-                f"supplied density shape {supplied.shape} does not match curve grid {(n, n)}")
-        raw = integrate(supplied, curve)
+        raw = integrate(supplied, curve)    # which refuses a field off the curve grid
         if abs(raw - np.pi * degree) > DEGREE_INPUT_TOL:
             raise DegreeError(
                 f"supplied density integrates to {raw!r}, expected {np.pi * degree!r} "

@@ -72,6 +72,8 @@ def poisson_periodic(rho: np.ndarray) -> np.ndarray:
     SolvabilityError rather than silently projecting.
     """
     rho = np.asarray(rho, dtype=float)
+    if rho.size == 0:    # np.mean would warn before the finiteness check
+        raise DescriptorError(f"Poisson data must be a nonempty grid, got shape {rho.shape}")
     mean = float(np.mean(rho))
     if not math.isfinite(mean):
         raise DescriptorError(f"Poisson data must be finite; its mean is {mean!r}")

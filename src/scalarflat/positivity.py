@@ -22,7 +22,8 @@ import numpy as np
 
 from .curvature import canonical_curvature_split
 from .errors import DescriptorError
-from .geom_core import CurveModel, OneOneForm, SplitBundle, _require_integer, make_line_bundle
+from .geom_core import (CurveModel, OneOneForm, SplitBundle, _require_chart, _require_integer,
+                        make_line_bundle)
 
 #: eigenvalue margin above which a scan counts as positive
 RC_TOLERANCE = 1e-9
@@ -80,10 +81,7 @@ def rc_scan(form: OneOneForm, curve: CurveModel) -> RCReport:
     """
     if form.sample_count == 0:
         raise ValueError("cannot scan an empty fiber sample set")
-    n = curve.resolution
-    if form.base_component.shape[1:] != (n, n):
-        raise ValueError(
-            f"form base grid {form.base_component.shape[1:]} does not match curve {(n, n)}")
+    _require_chart(form.base_component.shape[1:], curve.resolution, "form base")
     top = np.maximum(form.base_component / curve.lam[None, :, :], form.fs_multiple)
     flat_index = int(np.argmin(top))
     k, i, j = np.unravel_index(flat_index, top.shape)

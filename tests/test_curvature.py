@@ -11,6 +11,7 @@ from scalarflat import (
     DescriptorError,
     FiberSimplexPoint,
     MetricModel4T,
+    RicciField,
     SplitBundle,
     canonical_curvature_split,
     chern_curvature_matrix,
@@ -19,6 +20,7 @@ from scalarflat import (
     conformal_ricci,
     fourier,
     make_line_bundle,
+    poisson_periodic,
     tautological_base_curvature,
     total_scalar,
 )
@@ -223,8 +225,12 @@ def test_metric_grid_is_checked_on_every_construction_path(build):
     (lambda: MetricModel4T.from_kahler_potential(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
     (lambda: chern_curvature_matrix(np.ones((8, 8, 0, 0))), r"\(n, n, r, r\)"),
     (lambda: chern_curvature_matrix(np.ones((0, 0, 1, 1))), r"\(n, n, r, r\)"),
+    (lambda: fourier.ddbar4_components(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
+    (lambda: RicciField(np.zeros((0, 0, 0, 0, 2, 2))), "at least 1, got 0"),
+    (lambda: poisson_periodic(np.zeros((0, 0))), "nonempty grid"),
 ], ids=["flat 0", "flat -1", "flat 2.5", "public empty", "conformal empty",
-        "kahler empty", "curve rank 0", "curve grid 0"])
+        "kahler empty", "curve rank 0", "curve grid 0", "ddbar4 empty", "ricci empty",
+        "poisson empty"])
 def test_empty_or_invalid_grid_sizes_are_descriptor_errors(build, message):
     # refused before numpy meets an empty, negative or float size (a raw
     # empty-reduction, negative-dimension, TypeError or ZeroDivisionError)
@@ -237,10 +243,26 @@ def test_empty_or_invalid_grid_sizes_are_descriptor_errors(build, message):
     lambda path: conformal_ricci(chern_ricci(MetricModel4T.flat(4)), np.zeros(3)),
     lambda path: save_field4(path, np.zeros((2, 3))),
     lambda path: fourier.ddbar4_components(np.zeros((4, 4, 4, 5))),
-], ids=["rescaled", "conformal_ricci", "save_field4", "ddbar4_components"])
+    lambda path: RicciField(np.zeros((2, 3, 4, 5, 2, 2))),
+], ids=["rescaled", "conformal_ricci", "save_field4", "ddbar4_components", "RicciField"])
 def test_misshapen_4_grid_fields_are_descriptor_errors(build, tmp_path):
     with pytest.raises(DescriptorError, match="grid|shape"):
         build(tmp_path / "f.csv")
+    assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda field, path: MetricModel4T.from_kahler_potential(field),
+    lambda field, path: MetricModel4T.conformal(field),
+    lambda field, path: MetricModel4T.flat(8).rescaled(field),
+    lambda field, path: conformal_ricci(chern_ricci(MetricModel4T.flat(8)), field),
+    lambda field, path: save_field4(path, field),
+], ids=["from_kahler_potential", "conformal", "rescaled", "conformal_ricci", "save_field4"])
+def test_complex_fields_are_refused_not_truncated(build, tmp_path):
+    # a float conversion would keep the real part and drop 0.01j with a ComplexWarning
+    field = np.zeros((8,) * 4, dtype=complex) + 0.01j
+    with pytest.raises(DescriptorError, match="real field"):
+        build(field, tmp_path / "f.csv")
     assert not (tmp_path / "f.csv").exists()
 
 

@@ -41,7 +41,7 @@ def test_integrate_sinusoid_vanishes():
 
 def test_integrate_rejects_dimension_mismatch():
     curve = CurveModel.flat(0, 16)
-    with pytest.raises(ValueError):
+    with pytest.raises(DescriptorError, match="does not match curve grid"):
         integrate(np.ones((8, 8)), curve)
 
 

@@ -15,6 +15,7 @@ from scalarflat import (
     kx_certificate_split,
     kx_curvature_form,
     make_line_bundle,
+    prescribe_curvature,
     rc_scan,
 )
 from scalarflat.geom_core import grid_coordinates
@@ -65,6 +66,15 @@ def test_rc_scan_empty_samples_rejected():
     form = OneOneForm(np.zeros((0, 16, 16)), np.zeros(0), -2.0)
     with pytest.raises(ValueError):
         rc_scan(form, curve)
+
+
+@pytest.mark.parametrize("build", [
+    lambda curve: rc_scan(OneOneForm(np.zeros((1, 8, 8)), [0.5], -2.0), curve),
+    lambda curve: prescribe_curvature(np.zeros((8, 8)), make_line_bundle(0, "constant", curve)),
+], ids=["rc_scan", "prescribe_curvature"])
+def test_curve_chart_fields_off_the_grid_are_descriptor_errors(build):
+    with pytest.raises(DescriptorError, match=r"does not match curve grid \(16, 16\)"):
+        build(CurveModel.flat(2, 16))
 
 
 def test_rc_scan_affine_minimum_sits_at_endpoints():

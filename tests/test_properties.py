@@ -24,11 +24,14 @@ from scalarflat import (
     DegreeError,
     DescriptorError,
     MetricModel4T,
+    RicciField,
     ScalarFlatError,
     chern_curvature_matrix,
+    chern_ricci,
     chern_scalar,
     classify_ruled,
     classify_split,
+    conformal_ricci,
     kx_certificate_split,
     load_bundle_descriptor,
     make_line_bundle,
@@ -39,10 +42,11 @@ from scalarflat.curvature import (
     HERMITIAN_INPUT_TOL,
     hermitian_part,
     load_metric,
+    save_field4,
     save_metric,
     total_scalar_routes,
 )
-from scalarflat.fourier import half_symbols_4d
+from scalarflat.fourier import ddbar4_components, half_symbols_4d
 from scalarflat.geom_core import (
     DEGREE_INPUT_TOL,
     DEGREE_QUANTIZATION_TOL,
@@ -314,6 +318,56 @@ def test_curve_resolution_below_the_minimum_is_refused_before_allocating(resolut
                               match=f"resolution must be at least {MIN_RESOLUTION}, "
                                     f"got {resolution}$"):
             call()
+
+
+def identity_like(shape):
+    """Zeros of `shape` with ones on the diagonal of its last two axes when
+    they are square."""
+    g = np.zeros(shape, dtype=complex)
+    if len(shape) >= 2 and shape[-1] == shape[-2]:
+        for i in range(shape[-1]):
+            g[..., i, i] = 1.0
+    return g
+
+
+def is_grid(shape, trailing=(), n=None):
+    """Whether `shape` is (m, m, m, m) + trailing with m >= 1, and m = n when given."""
+    return (shape[4:] == trailing and len(shape) == 4 + len(trailing)
+            and shape[:4] == (shape[0],) * 4 and shape[0] >= 1 and n in (None, shape[0]))
+
+
+sizes = st.integers(min_value=0, max_value=5)
+# at most 6 axes of at most 5 points, so no array exceeds 5^6 entries; the
+# second kind puts 4-grids and their near misses among the draws
+shapes = (st.lists(sizes, max_size=6).map(tuple)
+          | st.builds(lambda n, trailing: (n,) * 4 + tuple(trailing),
+                      sizes, st.lists(sizes, max_size=2)))
+
+
+@given(shapes)
+@example((0, 0, 0, 0))
+@example((0, 0, 0, 0, 2, 2))
+@example((2, 3, 4, 5, 2, 2))
+def test_every_4_grid_entry_point_builds_exactly_on_its_grid(shape):
+    flat4 = MetricModel4T.flat(4)
+    scalar, matrix, on_flat4 = is_grid(shape), is_grid(shape, (2, 2)), is_grid(shape, n=4)
+    with tempfile.TemporaryDirectory() as tmp:
+        for build, on_grid in [
+            (ddbar4_components, scalar),
+            (lambda f: MetricModel4T(identity_like(f.shape)), matrix),
+            (RicciField, matrix),
+            (MetricModel4T.conformal, scalar),
+            (MetricModel4T.from_kahler_potential, scalar),
+            (lambda f: save_field4(Path(tmp) / "f.csv", f), scalar),
+            (flat4.rescaled, on_flat4),
+            (lambda f: conformal_ricci(chern_ricci(flat4), f), on_flat4),
+        ]:
+            try:
+                build(np.zeros(shape))
+            except DescriptorError:
+                assert not on_grid
+            else:
+                assert on_grid
 
 
 # ---------------------------------------------------------------------------
