@@ -39,6 +39,7 @@ from .geom_core import (
     _freeze,
     _no_data_row,
     _plain_file_name,
+    _real,
     _require_grid,
     _require_integer,
     _require_resolution,
@@ -179,9 +180,9 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
         raise DegreeError(
             f"canonical degree {canonical.degree} inconsistent with genus {curve.genus} "
             f"(expected {2 * curve.genus - 2})")
-    samples = np.atleast_1d(np.asarray(s1, dtype=float))
-    if samples.ndim != 1 or np.any(samples < 0.0) or np.any(samples > 1.0):
-        raise DescriptorError("fiber weight s1 must lie in [0, 1]")
+    samples = np.atleast_1d(_real(s1, "fiber weight vector"))
+    if samples.ndim != 1:    # OneOneForm checks the range
+        raise DescriptorError(f"fiber weights must be a scalar or a vector, got {samples.shape}")
     kappa = lead.kappa
     gamma = canonical.kappa
     base = (kappa + gamma)[None, :, :] - n * kappa[None, :, :] * samples[:, None, None]
@@ -190,13 +191,6 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
 
 # ---------------------------------------------------------------------------
 # honest Hermitian metrics on the discretized complex 2-torus
-
-def _real(values) -> np.ndarray:
-    """values as a float array; DescriptorError for a complex one (never truncated)."""
-    if np.iscomplexobj(values):
-        raise DescriptorError("expected a real field, got a complex one")
-    return np.asarray(values, dtype=float)
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class MetricModel4T:

@@ -70,10 +70,24 @@ def _require_grid(shape: tuple, trailing: tuple = (), n=None) -> int:
     return _require_resolution(shape[0], "grid resolution", 1)
 
 
-def _require_chart(shape: tuple, n: int, what: str) -> None:
-    """DescriptorError naming `what` unless `shape` is the (n, n) curve grid."""
-    if shape != (n, n):
-        raise DescriptorError(f"{what} shape {shape} does not match curve grid {(n, n)}")
+def _real(values, what="field") -> np.ndarray:
+    """values as a float64 array; DescriptorError naming `what` for a complex
+    (never truncated), ragged or non-numeric one."""
+    try:    # np.iscomplexobj itself raises on a ragged list
+        if not np.iscomplexobj(values):
+            return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DescriptorError(f"expected a real {what}: {exc}") from exc
+    raise DescriptorError(f"expected a real {what}, got a complex one")
+
+
+def _require_chart(values, n: int, what: str) -> np.ndarray:
+    """values as a real (n, n) curve-grid field; DescriptorError naming
+    `what` for anything else."""
+    values = _real(values, what)
+    if values.shape != (n, n):
+        raise DescriptorError(f"{what} shape {values.shape} does not match curve grid {(n, n)}")
+    return values
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -111,8 +125,7 @@ class CurveModel:
         object.__setattr__(self, "resolution", _require_resolution(self.resolution))
         if self.genus < 0:
             raise DescriptorError(f"genus must be nonnegative, got {self.genus}")
-        lam = np.asarray(self.lam, dtype=float)
-        _require_chart(lam.shape, self.resolution, "area density")
+        lam = _require_chart(self.lam, self.resolution, "area density")
         if not np.all(np.isfinite(lam)) or np.any(lam <= 0.0):
             raise DescriptorError("area density must be finite and positive everywhere")
         object.__setattr__(self, "lam", _freeze(lam))
@@ -140,8 +153,7 @@ class CurveModel:
 
 def integrate(field_values: np.ndarray, curve: CurveModel) -> float:
     """Integral of a density over the unit square: sum * cell area."""
-    values = np.asarray(field_values)
-    _require_chart(values.shape, curve.resolution, "field")
+    values = _require_chart(field_values, curve.resolution, "field")
     return float(np.sum(values) * curve.cell_area)
 
 
@@ -160,8 +172,7 @@ class LineBundleModel:
 
     def __post_init__(self):
         object.__setattr__(self, "degree", _require_integer(self.degree, "line bundle degree"))
-        kappa = np.asarray(self.kappa, dtype=float)
-        _require_chart(kappa.shape, self.curve.resolution, "curvature density")
+        kappa = _require_chart(self.kappa, self.curve.resolution, "curvature density")
         if not np.all(np.isfinite(kappa)):
             raise DescriptorError("curvature density must be finite")
         measured = integrate(kappa, self.curve) / np.pi
@@ -190,11 +201,8 @@ def make_line_bundle(degree: int, profile, curve: CurveModel) -> LineBundleModel
             raise DescriptorError(f"unknown profile {profile!r}")
         kappa = np.full((n, n), np.pi * degree)
     else:
-        try:
-            supplied = np.asarray(profile, dtype=float)
-        except (TypeError, ValueError) as exc:    # a ragged or non-numeric profile
-            raise DescriptorError(f"profile is not \"constant\" or a density grid: {exc}") from exc
-        raw = integrate(supplied, curve)    # which refuses a field off the curve grid
+        supplied = _require_chart(profile, n, "density profile")
+        raw = integrate(supplied, curve)
         if abs(raw - np.pi * degree) > DEGREE_INPUT_TOL:
             raise DegreeError(
                 f"supplied density integrates to {raw!r}, expected {np.pi * degree!r} "
@@ -247,7 +255,7 @@ class FiberSimplexPoint:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+        w = _real(self.weights, "simplex weight vector")
         if w.ndim != 1 or w.size < 1:
             raise DescriptorError("weights must be a nonempty vector")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
@@ -280,11 +288,11 @@ class OneOneForm:
     fs_multiple: float
 
     def __post_init__(self):
-        base = np.asarray(self.base_component, dtype=float)
-        s1 = np.atleast_1d(np.asarray(self.s1, dtype=float))
-        if base.ndim != 3:
+        base = _real(self.base_component, "base component")
+        s1 = np.atleast_1d(_real(self.s1, "fiber weight vector"))
+        if base.ndim != 3 or len(base) == 0:
             raise DescriptorError(
-                f"base component must be (samples, n, n), got shape {base.shape}")
+                f"base component must be (samples >= 1, n, n), got shape {base.shape}")
         if s1.shape != (base.shape[0],):
             raise DescriptorError(
                 f"fiber sample count {s1.shape} does not match base component {base.shape}")

@@ -43,7 +43,8 @@ import numpy as np
 from . import fourier
 from .curvature import MetricModel4T, TraceOperator, _scalar_from, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
-from .geom_core import DEGREE_INPUT_TOL, LineBundleModel, _freeze, _require_resolution, integrate
+from .geom_core import (DEGREE_INPUT_TOL, LineBundleModel, _freeze, _real, _require_resolution,
+                        integrate)
 
 #: compatibility gate on mean(rho) for the Poisson solve
 POISSON_MEAN_TOL = 1e-8
@@ -71,7 +72,7 @@ def poisson_periodic(rho: np.ndarray) -> np.ndarray:
     violating it means the problem has no solution and raises
     SolvabilityError rather than silently projecting.
     """
-    rho = np.asarray(rho, dtype=float)
+    rho = _real(rho, "Poisson source")
     if rho.size == 0:    # np.mean would warn before the finiteness check
         raise DescriptorError(f"Poisson data must be a nonempty grid, got shape {rho.shape}")
     mean = float(np.mean(rho))
@@ -87,7 +88,10 @@ def poisson_periodic(rho: np.ndarray) -> np.ndarray:
 def ddbar_density(u: np.ndarray) -> np.ndarray:
     """Curvature-density change d^2 u / (dz dzbar) = Laplacian(u)/4 induced by
     twisting a bundle metric by e^(-u)."""
-    return 0.25 * fourier.laplacian(np.asarray(u, dtype=float))
+    u = _real(u, "potential")
+    if u.size == 0:    # the transform would raise scipy's ValueError
+        raise DescriptorError(f"potential must be a nonempty grid, got shape {u.shape}")
+    return 0.25 * fourier.laplacian(u)
 
 
 def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndarray:
@@ -98,7 +102,7 @@ def prescribe_curvature(target: np.ndarray, current: LineBundleModel) -> np.ndar
     current.kappa + ddbar_density(u) = target up to the projected-out mean
     discrepancy, and it leaves the degree exactly unchanged.
     """
-    target = np.asarray(target, dtype=float)
+    target = _real(target, "target density")
     curve = current.curve
     target_degree = integrate(target, curve) / np.pi
     if not math.isfinite(target_degree):
@@ -134,7 +138,10 @@ class ConformalSolution:
     rounds: int
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
+        f = _real(self.f, "conformal potential")
+        if f.size == 0:    # np.mean would warn before the finiteness check
+            raise DescriptorError(
+                f"conformal potential must be a nonempty grid, got shape {f.shape}")
         mean = float(np.mean(f))
         if not math.isfinite(mean):
             raise DescriptorError(f"conformal potential must be finite; its mean is {mean!r}")

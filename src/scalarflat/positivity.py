@@ -79,9 +79,7 @@ def rc_scan(form: OneOneForm, curve: CurveModel) -> RCReport:
     point (in fixed scan order) attaining the minimum; the scan is positive
     when that minimum exceeds RC_TOLERANCE.
     """
-    if form.sample_count == 0:
-        raise ValueError("cannot scan an empty fiber sample set")
-    _require_chart(form.base_component.shape[1:], curve.resolution, "form base")
+    _require_chart(form.base_component[0], curve.resolution, "form base")
     top = np.maximum(form.base_component / curve.lam[None, :, :], form.fs_multiple)
     flat_index = int(np.argmin(top))
     k, i, j = np.unravel_index(flat_index, top.shape)

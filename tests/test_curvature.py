@@ -10,7 +10,9 @@ from scalarflat import (
     DegreeError,
     DescriptorError,
     FiberSimplexPoint,
+    LineBundleModel,
     MetricModel4T,
+    OneOneForm,
     RicciField,
     SplitBundle,
     canonical_curvature_split,
@@ -19,8 +21,10 @@ from scalarflat import (
     chern_scalar,
     conformal_ricci,
     fourier,
+    integrate,
     make_line_bundle,
     poisson_periodic,
+    prescribe_curvature,
     tautological_base_curvature,
     total_scalar,
 )
@@ -32,6 +36,7 @@ from scalarflat.curvature import (
     total_scalar_routes,
 )
 from scalarflat.geom_core import grid_coordinates
+from scalarflat.pde import ConformalSolution, ddbar_density
 
 
 def diag_metric_field(n, exponents):
@@ -228,9 +233,12 @@ def test_metric_grid_is_checked_on_every_construction_path(build):
     (lambda: fourier.ddbar4_components(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
     (lambda: RicciField(np.zeros((0, 0, 0, 0, 2, 2))), "at least 1, got 0"),
     (lambda: poisson_periodic(np.zeros((0, 0))), "nonempty grid"),
+    (lambda: ddbar_density(np.zeros((0, 0))), "nonempty grid"),
+    (lambda: ConformalSolution(f=np.zeros(0), residual=0.0, solve_residual=0.0,
+                               iterations=0, rounds=0), "nonempty grid"),
 ], ids=["flat 0", "flat -1", "flat 2.5", "public empty", "conformal empty",
         "kahler empty", "curve rank 0", "curve grid 0", "ddbar4 empty", "ricci empty",
-        "poisson empty"])
+        "poisson empty", "ddbar_density empty", "ConformalSolution empty"])
 def test_empty_or_invalid_grid_sizes_are_descriptor_errors(build, message):
     # refused before numpy meets an empty, negative or float size (a raw
     # empty-reduction, negative-dimension, TypeError or ZeroDivisionError)
@@ -251,19 +259,67 @@ def test_misshapen_4_grid_fields_are_descriptor_errors(build, tmp_path):
     assert not (tmp_path / "f.csv").exists()
 
 
-@pytest.mark.parametrize("build", [
-    lambda field, path: MetricModel4T.from_kahler_potential(field),
-    lambda field, path: MetricModel4T.conformal(field),
-    lambda field, path: MetricModel4T.flat(8).rescaled(field),
-    lambda field, path: conformal_ricci(chern_ricci(MetricModel4T.flat(8)), field),
-    lambda field, path: save_field4(path, field),
-], ids=["from_kahler_potential", "conformal", "rescaled", "conformal_ricci", "save_field4"])
-def test_complex_fields_are_refused_not_truncated(build, tmp_path):
+def complex_grid(*shape):
+    """A complex field 0.01j of the given shape, whose real part alone is valid."""
+    return np.zeros(shape, dtype=complex) + 0.01j
+
+
+def canonical_split_with_fiber_weights(s1):
+    curve = CurveModel.flat(2, 8)
+    bundle = SplitBundle((make_line_bundle(1, "constant", curve),
+                          make_line_bundle(0, "constant", curve)))
+    return canonical_curvature_split(bundle, make_line_bundle(2, "constant", curve), s1)
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda path: MetricModel4T.from_kahler_potential(complex_grid(8, 8, 8, 8)), "field"),
+    (lambda path: MetricModel4T.conformal(complex_grid(8, 8, 8, 8)), "field"),
+    (lambda path: MetricModel4T.flat(8).rescaled(complex_grid(8, 8, 8, 8)), "field"),
+    (lambda path: conformal_ricci(chern_ricci(MetricModel4T.flat(8)), complex_grid(8, 8, 8, 8)),
+     "field"),
+    (lambda path: save_field4(path, complex_grid(8, 8, 8, 8)), "field"),
+    (lambda path: CurveModel(2, 8, 1.0 + complex_grid(8, 8)), "area density"),
+    (lambda path: integrate(complex_grid(8, 8), CurveModel.flat(2, 8)), "field"),
+    (lambda path: LineBundleModel(0, complex_grid(8, 8), CurveModel.flat(2, 8)),
+     "curvature density"),
+    (lambda path: make_line_bundle(0, complex_grid(8, 8), CurveModel.flat(2, 8)),
+     "density profile"),
+    (lambda path: FiberSimplexPoint(np.array([0.5, 0.5]) + complex_grid(2)),
+     "simplex weight vector"),
+    (lambda path: OneOneForm(complex_grid(1, 8, 8), [0.5], -2.0), "base component"),
+    (lambda path: OneOneForm(np.zeros((1, 8, 8)), 0.5 + complex_grid(1), -2.0),
+     "fiber weight vector"),
+    (lambda path: canonical_split_with_fiber_weights(0.5 + complex_grid(3)),
+     "fiber weight vector"),
+    (lambda path: poisson_periodic(complex_grid(8, 8)), "Poisson source"),
+    (lambda path: ddbar_density(complex_grid(8, 8)), "potential"),
+    (lambda path: prescribe_curvature(complex_grid(8, 8),
+                                      make_line_bundle(0, "constant", CurveModel.flat(2, 8))),
+     "target density"),
+    (lambda path: ConformalSolution(f=complex_grid(8, 8, 8, 8), residual=0.0,
+                                    solve_residual=0.0, iterations=0, rounds=0),
+     "conformal potential"),
+], ids=["from_kahler_potential", "conformal", "rescaled", "conformal_ricci", "save_field4",
+        "CurveModel", "integrate", "LineBundleModel", "make_line_bundle", "FiberSimplexPoint",
+        "OneOneForm base", "OneOneForm s1", "canonical_curvature_split", "poisson_periodic",
+        "ddbar_density", "prescribe_curvature", "ConformalSolution"])
+def test_complex_fields_are_refused_not_truncated(build, what, tmp_path):
     # a float conversion would keep the real part and drop 0.01j with a ComplexWarning
-    field = np.zeros((8,) * 4, dtype=complex) + 0.01j
-    with pytest.raises(DescriptorError, match="real field"):
-        build(field, tmp_path / "f.csv")
+    with pytest.raises(DescriptorError, match=f"expected a real {what}, got a complex one"):
+        build(tmp_path / "f.csv")
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize("build", [
+    lambda field: CurveModel(2, 8, field),
+    lambda field: integrate(field, CurveModel.flat(2, 8)),
+    lambda field: prescribe_curvature(field,
+                                      make_line_bundle(0, "constant", CurveModel.flat(2, 8))),
+], ids=["CurveModel", "integrate", "prescribe_curvature"])
+def test_ragged_fields_are_descriptor_errors(build):
+    # np.asarray raises a raw ValueError on a ragged list
+    with pytest.raises(DescriptorError, match="expected a real"):
+        build([[1.0], [2.0, 3.0]])
 
 
 def traced(build):

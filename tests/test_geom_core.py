@@ -109,6 +109,15 @@ def test_make_line_bundle_rejects_wrong_integral():
         make_line_bundle(2, field, curve)
 
 
+def test_make_line_bundle_input_tolerance_is_one_millionth():
+    # a supplied density's integral may miss pi * degree by DEGREE_INPUT_TOL
+    # (1e-6) and is then shifted onto it; a miss of 1e-3 is refused
+    curve = CurveModel.flat(2, 16)
+    assert make_line_bundle(2, np.full((16, 16), 2 * np.pi + 5e-7), curve).degree == 2
+    with pytest.raises(DegreeError):
+        make_line_bundle(2, np.full((16, 16), 2 * np.pi + 1e-3), curve)
+
+
 def test_degree_quantization_is_tight():
     curve = CurveModel.flat(1, 64)
     rng = np.random.default_rng(7)
@@ -144,12 +153,15 @@ def test_split_bundle_requires_shared_grid():
                           make_line_bundle(0, "constant", curve_a)))
     assert bundle.rank == 2
     assert bundle.total_degree == 1
+    single = SplitBundle((make_line_bundle(3, "constant", curve_a),))
+    assert (single.rank, single.total_degree) == (1, 3)
 
 
 def test_fiber_simplex_point_validation():
     good = FiberSimplexPoint(np.array([0.25, 0.75]))
     assert good.rank == 2
     FiberSimplexPoint(np.array([1.0, 0.0, 0.0]))  # boundary of the simplex is fine
+    assert FiberSimplexPoint(np.array([1.0])).rank == 1    # a rank-1 fiber is a point
     with pytest.raises(DescriptorError):
         FiberSimplexPoint(np.array([0.5, 0.6]))
     with pytest.raises(DescriptorError):
@@ -306,4 +318,17 @@ def test_quantization_bound_scales_with_the_degree(degree):
     assert make_line_bundle(degree, "constant", curve).degree == degree
     with pytest.raises(DegreeError):
         LineBundleModel(degree=degree, kappa=np.full((8, 8), np.pi * degree * (1 + 1e-7)),
+                        curve=curve)
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1])
+def test_quantization_bound_is_absolute_below_degree_two(degree):
+    # the bound is DEGREE_QUANTIZATION_TOL * max(1, |degree|), so 1e-8 for
+    # |degree| <= 1: a density 0.5e-8 off in degree passes, 1.5e-8 off fails
+    curve = CurveModel.flat(2, 8)
+    ok = LineBundleModel(degree=degree, kappa=np.full((8, 8), np.pi * (degree + 0.5e-8)),
+                         curve=curve)
+    assert ok.degree == degree
+    with pytest.raises(DegreeError):
+        LineBundleModel(degree=degree, kappa=np.full((8, 8), np.pi * (degree + 1.5e-8)),
                         curve=curve)

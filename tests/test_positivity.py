@@ -62,10 +62,9 @@ def test_rc_scan_canonical_constants():
 
 
 def test_rc_scan_empty_samples_rejected():
-    curve = CurveModel.flat(2, 16)
-    form = OneOneForm(np.zeros((0, 16, 16)), np.zeros(0), -2.0)
-    with pytest.raises(ValueError):
-        rc_scan(form, curve)
+    # a form with no fiber sample is refused where it is built, before any scan
+    with pytest.raises(DescriptorError, match="samples >= 1"):
+        OneOneForm(np.zeros((0, 16, 16)), np.zeros(0), -2.0)
 
 
 @pytest.mark.parametrize("build", [
