@@ -11,9 +11,10 @@ the conformal solver inverts).  The volume normalization follows the package
 degree convention: with omega = sqrt(-1) sum g_ij dz^i ^ dzbar^j on the
 periodic unit 4-cube, omega^2 = 8 det(g) dx1 dy1 dx2 dy2, so the total scalar
 curvature integral(s omega^2) is 8 * mean(s * det g), computed in _total.
-The wedge route of total_scalar_routes and curvature_report pairs the same
-derivatives with g; the two routes differ in float order only, and nothing
-raises on their gap.
+chern_ricci is the one producer of the Chern-Ricci form (RicciField, stored
+as its entries): conformal_ricci shifts them, and the wedge route of
+total_scalar_routes and curvature_report pairs them with g.  The two routes
+differ in float order only, and nothing raises on their gap.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .geom_core import (
     _no_data_row,
     _plain_file_name,
     _real,
+    _require_finite,
     _require_grid,
     _require_integer,
     _require_resolution,
@@ -56,9 +58,7 @@ def _hermitian_entries(field: np.ndarray, what: str):
     asymmetry max |f_ij - conj(f_ji)| above HERMITIAN_INPUT_TOL (relative to
     the largest entry).  Works one index pair at a time, so no temporary is
     larger than one entry."""
-    field = np.asarray(field, dtype=complex)
-    if not np.all(np.isfinite(field)):
-        raise DescriptorError(f"{what} entries must be finite")
+    field = _require_finite(np.asarray(field, dtype=complex), what)
     r = field.shape[-1]
     largest = asym = 0.0
     for i in range(r):
@@ -81,6 +81,15 @@ def _hermitian_entries(field: np.ndarray, what: str):
         return out
 
     return entry
+
+
+def _dense_entries(field: np.ndarray, what: str):
+    """(f11, f22, f12) of an (n, n, n, n, 2, 2) field's Hermitian part, fresh,
+    the diagonal real; validated as _hermitian_entries validates it."""
+    _require_grid(np.shape(field), (2, 2))
+    entry = _hermitian_entries(field, what)
+    # copies, so no entry is a view of a complex diagonal
+    return entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1)
 
 
 def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
@@ -192,8 +201,20 @@ def canonical_curvature_split(bundle: SplitBundle, canonical: LineBundleModel,
 # ---------------------------------------------------------------------------
 # honest Hermitian metrics on the discretized complex 2-torus
 
+class _EntryFields:
+    """A field of 2x2 Hermitian matrices on the 4-grid, stored as read-only
+    (n, n, n, n) fields of its entries by __post_init__(e11, e22, e12)."""
+
+    @classmethod
+    def _from_components(cls, e11, e22, e12):
+        """An instance from fresh entry fields, frozen in place (no 2x2 validation)."""
+        instance = cls.__new__(cls)
+        instance.__post_init__(e11, e22, e12)
+        return instance
+
+
 @dataclass(frozen=True, eq=False, init=False)
-class MetricModel4T:
+class MetricModel4T(_EntryFields):
     """Hermitian metric on the periodic 4-grid: a positive 2x2 Hermitian
     matrix at every point, stored as (n, n, n, n) fields over axes
     (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex) and its
@@ -209,23 +230,12 @@ class MetricModel4T:
     det: np.ndarray
 
     def __init__(self, g: np.ndarray):
-        g = np.asarray(g, dtype=complex)
-        _require_grid(g.shape, (2, 2))
-        entry = _hermitian_entries(g, "metric")
-        # copies, so the instance keeps no view of a complex diagonal
-        self.__post_init__(entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1))
-
-    @classmethod
-    def _from_components(cls, g11, g22, g12) -> "MetricModel4T":
-        """Metric from fresh entry fields, frozen in place (no 2x2 validation)."""
-        metric = cls.__new__(cls)
-        metric.__post_init__(g11, g22, g12)
-        return metric
+        self.__post_init__(*_dense_entries(g, "metric"))
 
     def __post_init__(self, g11, g22, g12):
         _require_grid(g11.shape)
-        if not all(np.isfinite(entry).all() for entry in (g11, g22, g12)):
-            raise DescriptorError("metric entries must be finite")
+        for entry in (g11, g22, g12):
+            _require_finite(entry, "metric")
         det = g11 * g22
         det -= np.abs(g12) ** 2
         if float(g11.min()) <= 0.0 or float(det.min()) <= 0.0:
@@ -271,36 +281,41 @@ class MetricModel4T:
         """Conformally rescaled metric e^w * g for a real field w."""
         w = _real(exponent)
         _require_grid(w.shape, n=self.resolution)
-        factor = np.exp(w)
+        factor = np.exp(_require_finite(w))
         return MetricModel4T._from_components(self.g11 * factor, self.g22 * factor,
                                               self.g12 * factor)
 
 
-@dataclass(frozen=True, eq=False)
-class RicciField:
-    """Components of the Chern-Ricci form in the dz^i ^ dzbar^j basis."""
+@dataclass(frozen=True, eq=False, init=False)
+class RicciField(_EntryFields):
+    """Chern-Ricci form in the dz^i ^ dzbar^j basis, stored as MetricModel4T
+    stores g, as its entries r11, r22 (real) and r12 (complex); RicciField(ric)
+    takes an (n, n, n, n, 2, 2) field, which ric builds anew on each access."""
 
-    ric: np.ndarray
+    r11: np.ndarray
+    r22: np.ndarray
+    r12: np.ndarray
 
-    def __post_init__(self):
-        ric = np.asarray(self.ric, dtype=complex)
-        _require_grid(ric.shape, (2, 2))
-        ric = hermitian_part(ric, "Ricci field")    # fresh, so frozen in place
-        ric.setflags(write=False)
-        object.__setattr__(self, "ric", ric)
+    def __init__(self, ric: np.ndarray):
+        self.__post_init__(*_dense_entries(ric, "Ricci field"))
 
+    def __post_init__(self, r11, r22, r12):
+        for name, field in zip(("r11", "r22", "r12"), (r11, r22, r12)):
+            _require_finite(field, "Ricci field").setflags(write=False)
+            object.__setattr__(self, name, field)
 
-def _ricci_components(metric: MetricModel4T):
-    """(R11, R22, R12) of -ddbar log det g, fresh arrays on every call."""
-    components = fourier.ddbar4_components(np.log(metric.det))
-    for d in components:
-        np.negative(d, out=d)
-    return components
+    @property
+    def ric(self) -> np.ndarray:
+        """The (n, n, n, n, 2, 2) Ricci field, built anew on each access."""
+        return _hermitian_2x2(self.r11, self.r22, self.r12)
 
 
 def chern_ricci(metric: MetricModel4T) -> RicciField:
     """Chern-Ricci curvature: ric_ij = -d^2 log det(g) / (dz^i dzbar^j)."""
-    return RicciField(_hermitian_2x2(*_ricci_components(metric)))
+    entries = fourier.ddbar4_components(np.log(metric.det))
+    for d in entries:
+        np.negative(d, out=d)
+    return RicciField._from_components(*entries)
 
 
 def _inverse_entries(metric: MetricModel4T):
@@ -432,16 +447,14 @@ def _total(metric: MetricModel4T, s: np.ndarray) -> float:
 def _total_routes(metric: MetricModel4T, s: np.ndarray) -> tuple[float, float]:
     """(trace route, wedge route) of the total scalar curvature from s =
     chern_scalar(metric); the wedge route pairs Ric with g, not g^-1."""
-    r11, r22, r12 = _ricci_components(metric)
-    # the wedge integrand r11 g22 + r22 g11 - 2 Re(r12 conj(g12)), built in
-    # r11 with r22 as scratch; the product stays out of place, since numpy's
-    # in-place complex multiply may round differently
-    wedge = r11
-    wedge *= metric.g22
-    r22 *= metric.g11
-    wedge += r22
-    np.multiply((r12 * np.conj(metric.g12)).real, 2.0, out=r22)
-    wedge -= r22
+    ric = chern_ricci(metric)
+    # the wedge integrand r11 g22 + r22 g11 - 2 Re(r12 conj(g12)); the
+    # complex product is taken one x1-slab at a time, so it stays small, and
+    # out of place, since numpy's in-place complex multiply may round differently
+    wedge = ric.r11 * metric.g22
+    wedge += ric.r22 * metric.g11
+    for out, r12, g12 in zip(wedge, ric.r12, metric.g12):
+        out -= 2.0 * (r12 * np.conj(g12)).real
     return _total(metric, s), 8.0 * float(np.mean(wedge))
 
 
@@ -465,10 +478,14 @@ def total_scalar_routes(metric: MetricModel4T) -> tuple[float, float]:
 def conformal_ricci(ric: RicciField, f: np.ndarray) -> RicciField:
     """Ricci curvature after the conformal change omega -> e^f omega on the
     complex 2-torus: det scales by e^(2f), so returns ric - 2 ddbar f
-    componentwise."""
+    entry by entry."""
     f = _real(f)
-    _require_grid(f.shape, n=ric.ric.shape[0])
-    return RicciField(ric.ric - 2 * _hermitian_2x2(*fourier.ddbar4_components(f)))
+    _require_grid(f.shape, n=ric.r11.shape[0])
+    entries = fourier.ddbar4_components(f)
+    for r, d in zip((ric.r11, ric.r22, ric.r12), entries):
+        d *= 2    # exact, so the in-place complex multiply rounds nothing
+        np.subtract(r, d, out=d)
+    return RicciField._from_components(*entries)
 
 
 def curvature_report(metric: MetricModel4T) -> dict:

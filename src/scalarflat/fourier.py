@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom_core import _require_grid
+from .geom_core import _require_finite, _require_grid
 
 
 def thread_workers() -> int:
@@ -205,9 +205,10 @@ def ddbar4_components(field: np.ndarray):
     Returns (d11, d22, d12) with dij = d^2 field / (dz^i dzbar^j); the missing
     d21 is conj(d12) for real input and is never materialized.  d11 and d22
     are returned real for real input.  A complex field is transformed as its
-    real and imaginary parts.
+    real and imaginary parts.  A NaN or infinite entry is a DescriptorError.
     """
     _require_grid(field.shape)
+    _require_finite(field)
     if np.iscomplexobj(field):
         re, im = _ddbar4_real(field.real), _ddbar4_real(field.imag)
         return tuple(a + 1j * b for a, b in zip(re, im))

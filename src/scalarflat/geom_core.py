@@ -81,6 +81,13 @@ def _real(values, what="field") -> np.ndarray:
     raise DescriptorError(f"expected a real {what}, got a complex one")
 
 
+def _require_finite(values: np.ndarray, what="field") -> np.ndarray:
+    """values; DescriptorError naming `what` if an entry is NaN or infinite."""
+    if not np.isfinite(values).all():
+        raise DescriptorError(f"{what} entries must be finite")
+    return values
+
+
 def _require_chart(values, n: int, what: str) -> np.ndarray:
     """values as a real (n, n) curve-grid field; DescriptorError naming
     `what` for anything else."""
@@ -173,8 +180,7 @@ class LineBundleModel:
     def __post_init__(self):
         object.__setattr__(self, "degree", _require_integer(self.degree, "line bundle degree"))
         kappa = _require_chart(self.kappa, self.curve.resolution, "curvature density")
-        if not np.all(np.isfinite(kappa)):
-            raise DescriptorError("curvature density must be finite")
+        _require_finite(kappa, "curvature density")
         measured = integrate(kappa, self.curve) / np.pi
         if abs(measured - self.degree) > DEGREE_QUANTIZATION_TOL * max(1, abs(self.degree)):
             raise DegreeError(
@@ -298,8 +304,7 @@ class OneOneForm:
                 f"fiber sample count {s1.shape} does not match base component {base.shape}")
         if not np.all((s1 >= 0.0) & (s1 <= 1.0)):    # NaN fails both
             raise DescriptorError("fiber weights must lie in [0, 1]")
-        if not np.all(np.isfinite(base)):
-            raise DescriptorError("base component must be finite everywhere")
+        _require_finite(base, "base component")
         if not np.isfinite(self.fs_multiple):
             raise DescriptorError("fiber multiple must be finite")
         object.__setattr__(self, "base_component", _freeze(base))

@@ -43,8 +43,8 @@ import numpy as np
 from . import fourier
 from .curvature import MetricModel4T, TraceOperator, _scalar_from, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
-from .geom_core import (DEGREE_INPUT_TOL, LineBundleModel, _freeze, _real, _require_resolution,
-                        integrate)
+from .geom_core import (DEGREE_INPUT_TOL, LineBundleModel, _freeze, _real, _require_finite,
+                        _require_resolution, integrate)
 
 #: compatibility gate on mean(rho) for the Poisson solve
 POISSON_MEAN_TOL = 1e-8
@@ -88,7 +88,7 @@ def poisson_periodic(rho: np.ndarray) -> np.ndarray:
 def ddbar_density(u: np.ndarray) -> np.ndarray:
     """Curvature-density change d^2 u / (dz dzbar) = Laplacian(u)/4 induced by
     twisting a bundle metric by e^(-u)."""
-    u = _real(u, "potential")
+    u = _require_finite(_real(u, "potential"), "potential")
     if u.size == 0:    # the transform would raise scipy's ValueError
         raise DescriptorError(f"potential must be a nonempty grid, got shape {u.shape}")
     return 0.25 * fourier.laplacian(u)

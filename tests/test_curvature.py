@@ -29,7 +29,9 @@ from scalarflat import (
     total_scalar,
 )
 from scalarflat.curvature import (
+    _hermitian_2x2,
     curvature_report,
+    hermitian_part,
     load_metric,
     save_field4,
     save_metric,
@@ -322,6 +324,26 @@ def test_ragged_fields_are_descriptor_errors(build):
         build([[1.0], [2.0, 3.0]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda ric, field: conformal_ricci(ric, field),
+    lambda ric, field: MetricModel4T.from_kahler_potential(field),
+    lambda ric, field: fourier.ddbar4_components(field),
+    lambda ric, field: ddbar_density(field[1, 2]),
+    lambda ric, field: MetricModel4T.flat(8).rescaled(field),
+], ids=["conformal_ricci", "from_kahler_potential", "ddbar4_components", "ddbar_density",
+        "rescaled"])
+def test_non_finite_fields_are_refused_before_any_transform(build, value, monkeypatch):
+    # a transform of +-inf warned "invalid value encountered in multiply", and
+    # one of NaN came back as a NaN field
+    ric = chern_ricci(MetricModel4T.flat(8))
+    field = np.zeros((8,) * 4)
+    field[1, 2, 3, 4] = value
+    monkeypatch.setattr(fourier, "_fft", None)    # a transform raises AttributeError
+    with pytest.raises(DescriptorError, match="entries must be finite"):
+        build(ric, field)
+
+
 def traced(build):
     """(build(), tracemalloc's peak and final traced bytes while it ran, both
     above what was traced when it started)."""
@@ -344,13 +366,26 @@ def test_public_constructor_peak_stays_near_its_stored_fields():
 
 
 def test_chern_ricci_peak_stays_near_its_field():
-    # the 2x2 field and its Hermitian part (1x each) plus one entry (0.25x);
-    # freezing the result copies nothing
+    # against the dense (n, n, n, n, 2, 2) field, which no producer builds:
+    # the three entries it stores (0.5x), log det g, the half spectrum and
+    # one inverse transform's input and output; negating and freezing the
+    # entries copies nothing (0.91x at N = 16 and 24)
     n = 16
     curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
     metric = random_metric(n, np.random.default_rng(5))
     ric, peak, _current = traced(lambda: chern_ricci(metric))
-    assert peak < 2.5 * ric.ric.nbytes
+    assert peak < 1.0 * ric.ric.nbytes
+
+
+def test_conformal_ricci_peak_stays_near_its_fields():
+    # chern_ricci's entries, then 2 ddbar f's entries, which are shifted in
+    # place into the result's (1.28x at N = 16 and 24)
+    n = 16
+    curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
+    metric = random_metric(n, np.random.default_rng(5))
+    f = 0.3 * trig_field4(n, np.random.default_rng(7))
+    ric, peak, _current = traced(lambda: conformal_ricci(chern_ricci(metric), f))
+    assert peak < 2.0 * ric.ric.nbytes
 
 
 def test_curvature_report_keeps_no_field_on_the_metric():
@@ -463,6 +498,64 @@ def test_conformal_ricci_round_trip_on_random_metric():
     direct = chern_ricci(rescaled).ric
     shifted = conformal_ricci(chern_ricci(metric), f).ric
     assert np.max(np.abs(direct - shifted)) < 1e-8
+
+
+def minus_ddbar_log_det(metric):
+    """(r11, r22, r12), the negated ddbar4_components of log det g."""
+    return tuple(-d for d in fourier.ddbar4_components(np.log(metric.det)))
+
+
+def dense_chern_ricci(metric):
+    """The dense formula chern_ricci replaced, kept as the reference: the
+    entries as a 2x2 field, then its Hermitian part."""
+    return hermitian_part(_hermitian_2x2(*minus_ddbar_log_det(metric)), "Ricci field")
+
+
+def dense_conformal_ricci(ric, f):
+    """The dense formula conformal_ricci replaced, on a dense Ricci field."""
+    return hermitian_part(ric - 2 * _hermitian_2x2(*fourier.ddbar4_components(f)), "Ricci field")
+
+
+def dense_routes(metric):
+    """total_scalar_routes from minus_ddbar_log_det."""
+    r11, r22, r12 = minus_ddbar_log_det(metric)
+    wedge = r11 * metric.g22 + r22 * metric.g11 - 2.0 * (r12 * np.conj(metric.g12)).real
+    return total_scalar(metric), 8.0 * float(np.mean(wedge))
+
+
+REFERENCE_METRICS = {
+    **{f"random {n}": (lambda n=n: random_metric(n, np.random.default_rng(n))) for n in (4, 9, 16)},
+    "flat 8": lambda: MetricModel4T.flat(8),
+    "conformal 8": lambda: MetricModel4T.conformal(0.3 * trig_field4(8, np.random.default_rng(1))),
+    "mild kahler 8": lambda: MetricModel4T.from_kahler_potential(
+        kahler_test_potential(8, 0.1 / np.pi ** 2)),
+    "near-degenerate kahler 8": lambda: MetricModel4T.from_kahler_potential(
+        kahler_test_potential(8, 0.1)),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_METRICS)
+def test_entry_producers_match_the_dense_formulas(name):
+    metric = REFERENCE_METRICS[name]()
+    f = 0.3 * trig_field4(metric.resolution, np.random.default_rng(99))
+    ric, expected = chern_ricci(metric), dense_chern_ricci(metric)
+    assert ([entry.tobytes() for entry in (ric.r11, ric.r22, ric.r12)]
+            == [entry.tobytes() for entry in minus_ddbar_log_det(metric)])
+    for got, want in [(ric.ric, expected), (conformal_ricci(ric, f).ric,
+                                             dense_conformal_ricci(expected, f))]:
+        # bit for bit up to the sign of a zero: the dense Hermitian part
+        # halves x + x as a complex product with 0.5 + 0j, which turns an
+        # entry -0.0 - 5j into +0.0 - 5j; the entries keep the zeros of
+        # ddbar, and the random metrics have none
+        assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+        if name.startswith("random"):
+            assert got.tobytes() == want.tobytes()
+    trace_route, wedge_route = dense_routes(metric)
+    assert [x.hex() for x in total_scalar_routes(metric)] == [trace_route.hex(), wedge_route.hex()]
+    s = chern_scalar(metric)
+    assert json.dumps(curvature_report(metric)) == json.dumps({
+        "min": float(s.min()), "max": float(s.max()), "integral": trace_route,
+        "cross_check_residual": abs(trace_route - wedge_route)})
 
 
 def test_curvature_outputs_stay_hermitian():

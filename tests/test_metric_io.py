@@ -13,7 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scalarflat import DescriptorError, MetricModel4T, conformal_scalar_flat
+from scalarflat import (DescriptorError, MetricModel4T, RicciField, chern_ricci, conformal_ricci,
+                        conformal_scalar_flat)
 from scalarflat import curvature
 from scalarflat.cli import run
 from scalarflat.curvature import _write_grid_csv, load_metric, save_field4, save_metric
@@ -361,6 +362,41 @@ def test_metric_fields_are_read_only_and_not_the_callers_array():
     assert not np.shares_memory(metric.inverse, metric.inverse)
     g[...] = 0.0
     assert float(metric.det.min()) > 0.0
+
+
+def test_ricci_fields_are_read_only_and_not_the_callers_array():
+    metric = random_metric(4, np.random.default_rng(1))
+    ric = np.array(chern_ricci(metric).ric)
+    public = RicciField(ric)
+    stored = [value for value in vars(public).values() if isinstance(value, np.ndarray)]
+    assert len(stored) == 3 and all(field.ndim == 4 for field in stored)
+    shifted = conformal_ricci(public, trig_field4(4, np.random.default_rng(2)))
+    for ricci in (public, chern_ricci(metric), shifted):
+        assert ricci.r11.dtype == ricci.r22.dtype == np.dtype(float)
+        assert ricci.r12.dtype == np.dtype(complex)
+        for field in (ricci.r11, ricci.r22, ricci.r12, ricci.ric):
+            assert not field.flags.writeable and field.flags.c_contiguous
+            assert not np.shares_memory(field, ric)
+        # the 2x2 field is built anew on each access
+        assert not np.shares_memory(ricci.ric, ricci.ric)
+    expected = public.ric
+    ric[...] = 0.0
+    assert public.ric.tobytes() == expected.tobytes()
+
+
+def test_ricci_field_refuses_an_asymmetric_or_non_finite_field():
+    ricci = chern_ricci(random_metric(4, np.random.default_rng(1)))
+    asymmetric, non_finite = np.array(ricci.ric), np.array(ricci.ric)
+    asymmetric[1, 2, 3, 0, 0, 1] += 1e-3
+    non_finite[1, 2, 3, 0, 1, 1] = np.inf
+    with pytest.raises(DescriptorError, match="Ricci field is not Hermitian"):
+        RicciField(asymmetric)
+    with pytest.raises(DescriptorError, match="Ricci field entries must be finite"):
+        RicciField(non_finite)
+    # a finite f whose 2 ddbar f overflows, with numpy's overflow warnings off
+    with np.errstate(all="ignore"), pytest.raises(DescriptorError,
+                                                  match="Ricci field entries must be finite"):
+        conformal_ricci(ricci, 1e307 * trig_field4(4, np.random.default_rng(2)))
 
 
 @pytest.mark.parametrize("path", ["flat", "conformal", "kahler", "rescaled", "loaded"])
