@@ -88,8 +88,10 @@ def _dense_entries(field: np.ndarray, what: str):
     the diagonal real; validated as _hermitian_entries validates it."""
     _require_grid(np.shape(field), (2, 2))
     entry = _hermitian_entries(field, what)
-    # copies, so no entry is a view of a complex diagonal
-    return entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1)
+    # copies, so no entry is a view of a complex diagonal; an average past the
+    # float64 range is inf or NaN, for the admission of the entries to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1)
 
 
 def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
@@ -220,6 +222,10 @@ class MetricModel4T(_EntryFields):
     (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex) and its
     determinant, 40 bytes per point; _inverse_entries divides out the inverse.
 
+    Every construction path admits the entries by one test, g11 > 0 and
+    0 < det g < inf at every point, which for Hermitian entries is finite
+    and positive definite.
+
     MetricModel4T(g) takes an (n, n, n, n, 2, 2) field, and the g and inverse
     properties build such fields anew on each access.  Instances are
     immutable and keep no derived field."""
@@ -234,14 +240,15 @@ class MetricModel4T(_EntryFields):
 
     def __post_init__(self, g11, g22, g12):
         _require_grid(g11.shape)
-        for entry in (g11, g22, g12):
-            _require_finite(entry, "metric")
-        det = g11 * g22
-        det -= np.abs(g12) ** 2
-        if float(g11.min()) <= 0.0 or float(det.min()) <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = g11 * g22
+            det -= np.abs(g12) ** 2
+        # a NaN or infinite entry, or an overflowing product, leaves det NaN or
+        # infinite; min and max carry a NaN through, and comparisons with it are False
+        if not (g11.min() > 0.0 and 0.0 < det.min() and det.max() < np.inf):
             raise DescriptorError(
-                "metric is not positive definite "
-                f"(min leading entry {g11.min():.3e}, min determinant {det.min():.3e})")
+                "metric is not finite and positive definite (min leading entry "
+                f"{g11.min():.3e}, determinant in [{det.min():.3e}, {det.max():.3e}])")
         for name, field in zip(("g11", "g22", "g12", "det"), (g11, g22, g12, det)):
             field.setflags(write=False)
             object.__setattr__(self, name, field)
@@ -268,8 +275,8 @@ class MetricModel4T(_EntryFields):
     @classmethod
     def conformal(cls, exponent: np.ndarray) -> "MetricModel4T":
         """Metric e^u * (flat) for a real exponent field u."""
-        factor = np.exp(_real(exponent))
-        return cls._from_components(factor, factor, np.zeros(factor.shape, dtype=complex))
+        u = _real(exponent)
+        return cls.flat(_require_grid(u.shape)).rescaled(u)
 
     @classmethod
     def from_kahler_potential(cls, phi: np.ndarray) -> "MetricModel4T":
@@ -281,9 +288,10 @@ class MetricModel4T(_EntryFields):
         """Conformally rescaled metric e^w * g for a real field w."""
         w = _real(exponent)
         _require_grid(w.shape, n=self.resolution)
-        factor = np.exp(_require_finite(w))
-        return MetricModel4T._from_components(self.g11 * factor, self.g22 * factor,
-                                              self.g12 * factor)
+        # an overflow reaches the admission test as inf or NaN, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = np.exp(_require_finite(w))
+            return self._from_components(self.g11 * factor, self.g22 * factor, self.g12 * factor)
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -189,9 +189,13 @@ def _ddbar4_real(field: np.ndarray):
     m11, m22, m12_re, m12_im = half_symbols_4d(field.shape[0])
     workers = thread_workers()
     spec = _fft.rfftn(field, workers=workers)
+    # the zero mode, the sum of every entry, meets a zero symbol in every product, so
+    # its overflow is refused here; one elsewhere is inf or NaN for the result's admission
+    _require_finite(spec[0, 0, 0, 0], "field sum")
 
     def inverse(symbol):
-        return _fft.irfftn(symbol * spec, s=field.shape, workers=workers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _fft.irfftn(symbol * spec, s=field.shape, workers=workers)
 
     d12 = np.empty(field.shape, dtype=complex)
     d12.real = inverse(m12_re)
@@ -205,7 +209,9 @@ def ddbar4_components(field: np.ndarray):
     Returns (d11, d22, d12) with dij = d^2 field / (dz^i dzbar^j); the missing
     d21 is conj(d12) for real input and is never materialized.  d11 and d22
     are returned real for real input.  A complex field is transformed as its
-    real and imaginary parts.  A NaN or infinite entry is a DescriptorError.
+    real and imaginary parts.  A NaN or infinite entry is a DescriptorError,
+    and so is a field whose sum overflows; a derivative past the float64
+    range comes back inf or NaN, never as a numpy warning.
     """
     _require_grid(field.shape)
     _require_finite(field)

@@ -213,6 +213,16 @@ def test_metric_model_validation():
         MetricModel4T(g)
 
 
+def test_kahler_metric_is_the_identity_plus_the_complex_hessian():
+    # g = 1 + ddbar phi entry by entry, bit for bit
+    phi = kahler_test_potential(8, 0.05)
+    metric = MetricModel4T.from_kahler_potential(phi)
+    d11, d22, d12 = fourier.ddbar4_components(phi)
+    assert metric.g11.tobytes() == (1.0 + d11).tobytes()
+    assert metric.g22.tobytes() == (1.0 + d22).tobytes()
+    assert metric.g12.tobytes() == d12.tobytes()
+
+
 @pytest.mark.parametrize("build", [
     lambda: MetricModel4T(np.broadcast_to(np.eye(2), (4, 4, 4, 5, 2, 2))),
     lambda: MetricModel4T.conformal(np.zeros((4, 4, 4))),
@@ -342,6 +352,18 @@ def test_non_finite_fields_are_refused_before_any_transform(build, value, monkey
     monkeypatch.setattr(fourier, "_fft", None)    # a transform raises AttributeError
     with pytest.raises(DescriptorError, match="entries must be finite"):
         build(ric, field)
+
+
+@pytest.mark.parametrize("build", [
+    lambda field: fourier.ddbar4_components(field),
+    lambda field: MetricModel4T.from_kahler_potential(field),
+    lambda field: conformal_ricci(chern_ricci(MetricModel4T.flat(8)), field),
+], ids=["ddbar4_components", "from_kahler_potential", "conformal_ricci"])
+def test_a_field_whose_sum_overflows_is_refused(build):
+    # the spectrum's zero mode, 8^4 * 1e306, overflowed to inf and met the
+    # zero symbols there: a raw "invalid value encountered in multiply"
+    with pytest.raises(DescriptorError, match="field sum entries must be finite"):
+        build(np.full((8,) * 4, 1e306))
 
 
 def traced(build):

@@ -214,6 +214,23 @@ def test_non_finite_csv_value_exits_2(saved, tmp_path, capsys, monkeypatch, comm
     assert "finite" in payload["message"]
 
 
+@pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
+                         ids=["curvature", "solve"])
+def test_a_stored_metric_whose_determinant_overflows_exits_2(tmp_path, capsys, command):
+    # finite entries, but g11 g22 = 1e400 at one point: the load warned
+    # "overflow encountered in multiply", and with warnings off the solve
+    # exited 0 with NaN residuals
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    for name in ("g11.csv", "g22.csv"):
+        edit_first_value(manifest.parent / name, "1e200")
+    code = run(command + ["--metric", str(manifest), "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert "determinant in [1.000e+00, inf]" in payload["message"]
+    assert not (tmp_path / "out.f.csv").exists()
+
+
 MALFORMED_CSVS = {
     "header only": lambda lines: lines[:1],
     "one row": lambda lines: lines[:2],

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_metric
+from conftest import random_metric, trig_field4
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -442,6 +442,84 @@ def test_a_corrupted_metric_loads_what_its_csvs_parse_to_or_is_refused(stored_me
         for loaded, component in ((metric.g11, "11"), (metric.g22, "22"),
                                   (metric.g12.real, "12re"), (metric.g12.imag, "12im")):
             assert loaded.tobytes() == parsed[component].reshape(loaded.shape).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one admission test for a 4-grid metric, at both ends of the float64 range
+
+def admitted(build):
+    """build()'s metric, checked to have finite entries and a finite positive
+    det, or None for a DescriptorError.  Anything else propagates, a numpy
+    warning included, since the suite runs with warnings as errors."""
+    try:
+        metric = build()
+    except DescriptorError:
+        return None
+    for entry in (metric.g11, metric.g22, metric.g12, metric.det):
+        assert np.isfinite(entry).all()
+    assert metric.det.min() > 0.0
+    return metric
+
+
+def ldexp(values, k):
+    """values * 2^k, exact up to overflow (inf) and underflow, entry by entry."""
+    out = np.empty_like(values)
+    with np.errstate(over="ignore", under="ignore"):
+        if np.iscomplexobj(values):
+            out.real, out.imag = np.ldexp(values.real, k), np.ldexp(values.imag, k)
+        else:
+            out[...] = np.ldexp(values, k)
+    return out
+
+
+seeds = st.integers(min_value=0, max_value=2 ** 32 - 1)
+small_grids = st.integers(min_value=2, max_value=5)
+
+
+@given(seeds, small_grids, st.integers(min_value=-1100, max_value=1100), st.booleans())
+@example(0, 4, 665, False)    # entries near 1e200, as in a stored metric
+@example(0, 4, 1023, True)    # the dense field's Hermitian average overflows
+def test_a_scaled_metric_is_admitted_or_refused(seed, n, k, dense):
+    metric = random_metric(n, np.random.default_rng(seed))
+    if dense:
+        out = admitted(lambda: MetricModel4T(ldexp(metric.g, k)))
+    else:
+        out = admitted(lambda: MetricModel4T._from_components(
+            ldexp(metric.g11, k), ldexp(metric.g22, k), ldexp(metric.g12, k)))
+    # det g scales by 4^k, and random_metric's lies in [0.5, 2]
+    if abs(k) <= 500:
+        assert out is not None
+        assert out.det.tobytes() == ldexp(metric.det, 2 * k).tobytes()
+    elif k >= 513:
+        assert out is None
+
+
+@given(seeds, small_grids, st.floats(min_value=-1000.0, max_value=1000.0), st.booleans())
+@example(0, 4, 1000.0, False)    # exp overflows
+@example(0, 4, -1000.0, True)    # exp underflows to 0
+def test_a_conformal_change_is_admitted_or_refused(seed, n, amplitude, from_flat):
+    rng = np.random.default_rng(seed)
+    u = amplitude * trig_field4(n, rng)
+    if from_flat:
+        out = admitted(lambda: MetricModel4T.conformal(u))
+    else:
+        out = admitted(lambda: random_metric(n, rng).rescaled(u))
+    # det g scales by e^(2u) with |u| <= |amplitude|
+    if abs(amplitude) <= 300.0:
+        assert out is not None
+    elif from_flat and (u > 355.0).any():
+        assert out is None
+
+
+@given(seeds, small_grids, st.floats(min_value=-1e307, max_value=1e307),
+       st.floats(min_value=-1.0, max_value=1.0))
+@example(0, 8, 1e306, 1.0)    # the spectrum's zero mode overflows
+def test_a_kahler_potential_is_admitted_or_refused(seed, n, amplitude, offset):
+    phi = amplitude * (0.5 * trig_field4(n, np.random.default_rng(seed)) + 0.5 * offset)
+    out = admitted(lambda: MetricModel4T.from_kahler_potential(phi))
+    # |ddbar phi| <= 2 pi^2 |amplitude|, so the metric stays positive
+    if abs(amplitude) <= 0.01:
+        assert out is not None
 
 
 BUNDLE_DESCRIPTOR = {"genus": 2, "resolution": 8,
