@@ -75,9 +75,11 @@ def _hermitian_entries(field: np.ndarray, what: str):
         raise DescriptorError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
 
     def entry(i, j):
-        out = np.conj(field[..., j, i])
-        out += field[..., i, j]
-        out *= 0.5
+        # an average past the float64 range is inf or NaN, for the caller's admission to refuse
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.conj(field[..., j, i])
+            out += field[..., i, j]
+            out *= 0.5
         return out
 
     return entry
@@ -88,10 +90,8 @@ def _dense_entries(field: np.ndarray, what: str):
     the diagonal real; validated as _hermitian_entries validates it."""
     _require_grid(np.shape(field), (2, 2))
     entry = _hermitian_entries(field, what)
-    # copies, so no entry is a view of a complex diagonal; an average past the
-    # float64 range is inf or NaN, for the admission of the entries to refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        return entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1)
+    # copies, so no entry is a view of a complex diagonal
+    return entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1)
 
 
 def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
@@ -136,7 +136,7 @@ def chern_curvature_matrix(h: np.ndarray) -> np.ndarray:
         raise DescriptorError(f"expected an (n, n, r, r) matrix field, got shape {h.shape}")
     h = hermitian_part(h, "metric field")
     eigenvalues = np.linalg.eigvalsh(h)
-    if float(eigenvalues.min()) <= 0.0:
+    if not eigenvalues.min() > 0.0:    # NaN eigenvalues too
         raise DescriptorError(
             f"metric field is not positive definite (min eigenvalue {eigenvalues.min():.3e})")
 
@@ -222,9 +222,9 @@ class MetricModel4T(_EntryFields):
     (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex) and its
     determinant, 40 bytes per point; _inverse_entries divides out the inverse.
 
-    Every construction path admits the entries by one test, g11 > 0 and
-    0 < det g < inf at every point, which for Hermitian entries is finite
-    and positive definite.
+    Every construction path admits the entries by one test, det g normal
+    and positive and 0 < tr g^-1 < inf at every point, which for Hermitian
+    entries is positive definite with finite entries and a finite inverse.
 
     MetricModel4T(g) takes an (n, n, n, n, 2, 2) field, and the g and inverse
     properties build such fields anew on each access.  Instances are
@@ -240,15 +240,20 @@ class MetricModel4T(_EntryFields):
 
     def __post_init__(self, g11, g22, g12):
         _require_grid(g11.shape)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             det = g11 * g22
             det -= np.abs(g12) ** 2
-        # a NaN or infinite entry, or an overflowing product, leaves det NaN or
-        # infinite; min and max carry a NaN through, and comparisons with it are False
-        if not (g11.min() > 0.0 and 0.0 < det.min() and det.max() < np.inf):
+            trace_inverse = g11 + g22
+            trace_inverse /= det
+        # tr g^-1 bounds every inverse entry; a NaN entry leaves it NaN, an overflowing det 0.
+        # det is normal, as numpy's complex division in _inverse_entries multiplies by 1 / det.
+        # min and max carry a NaN through, and comparisons with it are False
+        if not (np.finfo(float).tiny <= det.min() and 0.0 < trace_inverse.min()
+                and trace_inverse.max() < np.inf):
             raise DescriptorError(
-                "metric is not finite and positive definite (min leading entry "
-                f"{g11.min():.3e}, determinant in [{det.min():.3e}, {det.max():.3e}])")
+                "metric is not positive definite with a finite inverse (determinant in "
+                f"[{det.min():.3e}, {det.max():.3e}], trace of the inverse in "
+                f"[{trace_inverse.min():.3e}, {trace_inverse.max():.3e}])")
         for name, field in zip(("g11", "g22", "g12", "det"), (g11, g22, g12, det)):
             field.setflags(write=False)
             object.__setattr__(self, name, field)
@@ -281,7 +286,7 @@ class MetricModel4T(_EntryFields):
     @classmethod
     def from_kahler_potential(cls, phi: np.ndarray) -> "MetricModel4T":
         """Perturbation of the flat metric by the complex Hessian of a potential."""
-        d11, d22, d12 = fourier.ddbar4_components(_real(phi))
+        d11, d22, d12 = fourier.ddbar4_components(phi)
         return cls._from_components(1.0 + d11, 1.0 + d22, d12)
 
     def rescaled(self, exponent: np.ndarray) -> "MetricModel4T":
@@ -405,30 +410,27 @@ class TraceOperator:
         (the float32 tables for a complex64 spectrum)."""
         weights, symbols = (self._single_operator if spec.dtype == np.complex64
                             else (self._weights, self._symbols))
-        workers = fourier.thread_workers()
         out = np.zeros(self.shape, dtype=weights[0].dtype)
         for weight, symbol in zip(weights, symbols):
-            out += weight * fourier._fft.irfftn(symbol * spec, s=self.shape, workers=workers)
+            out += weight * fourier._fft.irfftn(symbol * spec, s=self.shape)
         return out
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self._trace_of_spectrum(fourier._fft.rfftn(f, workers=fourier.thread_workers()))
+        return self._trace_of_spectrum(fourier._fft.rfftn(f))
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
-        workers = fourier.thread_workers()
-        spec = sum(symbol * fourier._fft.rfftn(weight * u, workers=workers)
+        spec = sum(symbol * fourier._fft.rfftn(weight * u)
                    for weight, symbol in zip(self._weights, self._symbols))
-        return fourier._fft.irfftn(spec, s=self.shape, workers=workers)
+        return fourier._fft.irfftn(spec, s=self.shape)
 
     def _preconditioned_spectrum(self, r: np.ndarray) -> np.ndarray:
         """inv_mean_symbol * rfftn(r / D), the half-spectrum of precondition(r)."""
         inv_symbol, inv_scale = (self._single_preconditioner if r.dtype == np.float32
                                  else self._preconditioner)
-        return inv_symbol * fourier._fft.rfftn(r * inv_scale, workers=fourier.thread_workers())
+        return inv_symbol * fourier._fft.rfftn(r * inv_scale)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return fourier._fft.irfftn(self._preconditioned_spectrum(r), s=self.shape,
-                                   workers=fourier.thread_workers())
+        return fourier._fft.irfftn(self._preconditioned_spectrum(r), s=self.shape)
 
     def _apply_preconditioned(self, r: np.ndarray) -> np.ndarray:
         """apply(precondition(r)) without the irfftn/rfftn pair between them."""

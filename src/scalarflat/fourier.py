@@ -16,10 +16,10 @@ Conventions used package-wide:
 
 Every derivative in the package is spectral, on the 2-d and 4-d grids.
 
-Every transform goes through ``_fft``, which imports scipy on first use
-(see _SciPyFFT), so the theory commands, which never transform, load no
-scipy.  Callers look ``_fft`` up at call time, so swapping it reaches every
-transform.
+Every transform goes through ``_fft``, which runs it on thread_workers()
+workers and imports scipy on first use (see _SciPyFFT), so the theory
+commands, which never transform, load no scipy.  Callers look ``_fft`` up at
+call time, so swapping it reaches every transform.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geom_core import _require_finite, _require_grid
+from .geom_core import _real, _require_finite, _require_grid
 
 
 def thread_workers() -> int:
@@ -51,16 +51,21 @@ def thread_workers() -> int:
 
 
 class _SciPyFFT:
-    """scipy.fft, imported on the first attribute read together with
-    scipy.sparse.linalg, which the conformal solver needs: imported later,
-    in the middle of a solve, it fragments the heap the solve has built."""
+    """scipy.fft's transforms, each run on thread_workers() workers, read at
+    every call.  scipy.fft is imported on the first attribute read together
+    with scipy.sparse.linalg, which the conformal solver needs: imported
+    later, in the middle of a solve, it fragments the heap the solve has built."""
 
     def __getattr__(self, name):
         import scipy.fft
         import scipy.sparse.linalg  # noqa: F401
-        value = getattr(scipy.fft, name)
-        setattr(self, name, value)    # later reads skip __getattr__
-        return value
+        transform = getattr(scipy.fft, name)
+
+        def on_workers(*args, **kwargs):
+            return transform(*args, workers=thread_workers(), **kwargs)
+
+        setattr(self, name, on_workers)    # later reads skip __getattr__
+        return on_workers
 
 
 _fft = _SciPyFFT()
@@ -94,8 +99,8 @@ def _symbols_2d(nx: int, ny: int):
 
 def _apply_symbol_2d(field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     symbol = symbol.reshape(symbol.shape + (1,) * (field.ndim - 2))
-    spec = _fft.fft2(field, axes=(0, 1), workers=thread_workers())
-    return _fft.ifft2(symbol * spec, axes=(0, 1), workers=thread_workers())
+    spec = _fft.fft2(field, axes=(0, 1))
+    return _fft.ifft2(symbol * spec, axes=(0, 1))
 
 
 def dz(field: np.ndarray) -> np.ndarray:
@@ -137,8 +142,8 @@ def laplacian_symbol(shape: tuple[int, ...]) -> np.ndarray:
 
 def laplacian(field: np.ndarray) -> np.ndarray:
     """Flat Laplacian with the full spectral symbol (matches poisson_inverse)."""
-    spec = _fft.fftn(field, workers=thread_workers())
-    out = _fft.ifftn(laplacian_symbol(field.shape) * spec, workers=thread_workers())
+    spec = _fft.fftn(field)
+    out = _fft.ifftn(laplacian_symbol(field.shape) * spec)
     return out.real if np.isrealobj(field) else out
 
 
@@ -152,8 +157,8 @@ def poisson_inverse(rho: np.ndarray) -> np.ndarray:
     inv = np.zeros_like(symbol)
     nonzero = symbol != 0.0
     inv[nonzero] = 1.0 / symbol[nonzero]
-    spec = _fft.fftn(rho, workers=thread_workers())
-    out = _fft.ifftn(inv * spec, workers=thread_workers())
+    spec = _fft.fftn(rho)
+    out = _fft.ifftn(inv * spec)
     return out.real if np.isrealobj(rho) else out
 
 
@@ -185,38 +190,28 @@ def half_symbols_4d(n: int):
     return table
 
 
-def _ddbar4_real(field: np.ndarray):
-    m11, m22, m12_re, m12_im = half_symbols_4d(field.shape[0])
-    workers = thread_workers()
-    spec = _fft.rfftn(field, workers=workers)
+def ddbar4_components(field: np.ndarray):
+    """All mixed second derivatives of a real field on a 4-d periodic grid.
+
+    Returns (d11, d22, d12) with dij = d^2 field / (dz^i dzbar^j); the missing
+    d21 is conj(d12) and is never materialized.  d11 and d22 are real.  A
+    complex field is a DescriptorError, and so are a NaN or infinite entry
+    and a field whose sum overflows; a derivative past the float64 range
+    comes back inf or NaN, never as a numpy warning.
+    """
+    field = _real(field)
+    m11, m22, m12_re, m12_im = half_symbols_4d(_require_grid(field.shape))
+    _require_finite(field)    # before the first read of _fft
+    spec = _fft.rfftn(field)
     # the zero mode, the sum of every entry, meets a zero symbol in every product, so
     # its overflow is refused here; one elsewhere is inf or NaN for the result's admission
     _require_finite(spec[0, 0, 0, 0], "field sum")
 
     def inverse(symbol):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _fft.irfftn(symbol * spec, s=field.shape, workers=workers)
+            return _fft.irfftn(symbol * spec, s=field.shape)
 
     d12 = np.empty(field.shape, dtype=complex)
     d12.real = inverse(m12_re)
     d12.imag = inverse(m12_im)
     return inverse(m11), inverse(m22), d12
-
-
-def ddbar4_components(field: np.ndarray):
-    """All mixed second derivatives of a field on a 4-d periodic grid.
-
-    Returns (d11, d22, d12) with dij = d^2 field / (dz^i dzbar^j); the missing
-    d21 is conj(d12) for real input and is never materialized.  d11 and d22
-    are returned real for real input.  A complex field is transformed as its
-    real and imaginary parts.  A NaN or infinite entry is a DescriptorError,
-    and so is a field whose sum overflows; a derivative past the float64
-    range comes back inf or NaN, never as a numpy warning.
-    """
-    _require_grid(field.shape)
-    _require_finite(field)
-    if np.iscomplexobj(field):
-        re, im = _ddbar4_real(field.real), _ddbar4_real(field.imag)
-        return tuple(a + 1j * b for a, b in zip(re, im))
-    return _ddbar4_real(field)
-

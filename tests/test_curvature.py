@@ -132,6 +132,17 @@ def test_curvature_matrix_rejects_non_finite_entries():
             chern_curvature_matrix(bad)
 
 
+@pytest.mark.parametrize("value", [1.5e308, 1e308])
+def test_curvature_matrix_refuses_a_diagonal_whose_average_overflows(value):
+    # the Hermitian average (conj(f_ii) + f_ii) * 0.5 warned "overflow
+    # encountered in add"; it is inf, and its eigenvalues NaN
+    h = diag_metric_field(8, [np.zeros((8, 8)), np.zeros((8, 8))])
+    h[3, 5, 0, 0] = value
+    assert hermitian_part(h, "metric field")[3, 5, 0, 0].real == np.inf
+    with pytest.raises(DescriptorError, match=r"not positive definite \(min eigenvalue nan\)"):
+        chern_curvature_matrix(h)
+
+
 def _split_bundle(curve, degrees_and_fields):
     return SplitBundle(tuple(make_line_bundle(d, f, curve) for d, f in degrees_and_fields))
 
@@ -284,6 +295,7 @@ def canonical_split_with_fiber_weights(s1):
 
 
 @pytest.mark.parametrize("build, what", [
+    (lambda path: fourier.ddbar4_components(complex_grid(8, 8, 8, 8)), "field"),
     (lambda path: MetricModel4T.from_kahler_potential(complex_grid(8, 8, 8, 8)), "field"),
     (lambda path: MetricModel4T.conformal(complex_grid(8, 8, 8, 8)), "field"),
     (lambda path: MetricModel4T.flat(8).rescaled(complex_grid(8, 8, 8, 8)), "field"),
@@ -311,7 +323,8 @@ def canonical_split_with_fiber_weights(s1):
     (lambda path: ConformalSolution(f=complex_grid(8, 8, 8, 8), residual=0.0,
                                     solve_residual=0.0, iterations=0, rounds=0),
      "conformal potential"),
-], ids=["from_kahler_potential", "conformal", "rescaled", "conformal_ricci", "save_field4",
+], ids=["ddbar4_components", "from_kahler_potential", "conformal", "rescaled",
+        "conformal_ricci", "save_field4",
         "CurveModel", "integrate", "LineBundleModel", "make_line_bundle", "FiberSimplexPoint",
         "OneOneForm base", "OneOneForm s1", "canonical_curvature_split", "poisson_periodic",
         "ddbar_density", "prescribe_curvature", "ConformalSolution"])

@@ -231,6 +231,22 @@ def test_a_stored_metric_whose_determinant_overflows_exits_2(tmp_path, capsys, c
     assert not (tmp_path / "out.f.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
+                         ids=["curvature", "solve"])
+def test_a_stored_metric_whose_inverse_overflows_exits_2(tmp_path, capsys, command):
+    # det = 1e-320 (subnormal) at one point: the metric was admitted, and
+    # g22 / det warned "overflow encountered in divide"; with warnings off
+    # both commands printed NaN figures
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    edit_first_value(manifest.parent / "g11.csv", "1e-320")
+    code = run(command + ["--metric", str(manifest), "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert "trace of the inverse in [2.000e+00, inf]" in payload["message"]
+    assert not (tmp_path / "out.f.csv").exists()
+
+
 MALFORMED_CSVS = {
     "header only": lambda lines: lines[:1],
     "one row": lambda lines: lines[:2],

@@ -40,6 +40,7 @@ from scalarflat import (
 from scalarflat.cli import run
 from scalarflat.curvature import (
     HERMITIAN_INPUT_TOL,
+    _inverse_entries,
     hermitian_part,
     load_metric,
     save_field4,
@@ -492,6 +493,23 @@ def test_a_scaled_metric_is_admitted_or_refused(seed, n, k, dense):
         assert out.det.tobytes() == ldexp(metric.det, 2 * k).tobytes()
     elif k >= 513:
         assert out is None
+
+
+@given(seeds, small_grids, st.integers(min_value=-1100, max_value=1100),
+       st.integers(min_value=-1100, max_value=1100))
+@example(0, 4, -1060, 0)    # det is subnormal, and g22 / det overflows
+@example(0, 2, -1, -1023)    # det is subnormal, tr g^-1 finite, and 1 / det overflows
+def test_an_admitted_metric_has_a_finite_inverse(seed, n, a, b):
+    # g11 2^a, g22 2^b and g12 2^((a + b) // 2) stay positive definite, since
+    # |g12|^2 scales by at most 2^(a + b)
+    metric = random_metric(n, np.random.default_rng(seed))
+    out = admitted(lambda: MetricModel4T._from_components(
+        ldexp(metric.g11, a), ldexp(metric.g22, b), ldexp(metric.g12, (a + b) // 2)))
+    if max(abs(a), abs(b)) <= 500:
+        assert out is not None
+    if out is not None:
+        for entry in _inverse_entries(out):
+            assert np.isfinite(entry).all()
 
 
 @given(seeds, small_grids, st.floats(min_value=-1000.0, max_value=1000.0), st.booleans())
