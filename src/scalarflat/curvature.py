@@ -19,6 +19,7 @@ differ in float order only, and nothing raises on their gap.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -342,14 +343,30 @@ def _inverse_entries(metric: MetricModel4T):
 
 def _trace_weights(metric: MetricModel4T):
     """Weights (inv11, inv22, 2 Re inv12, 2 Im inv12) pairing a real (1,1)-form's
-    (a11, a22, Re a12, Im a12) with g^{i jbar}, one at a time, in the order
-    TraceOperator sums the products."""
-    entries = _inverse_entries(metric)
-    yield from itertools.islice(entries, 2)    # inv11, inv22
-    inv12 = next(entries)
+    (a11, a22, Re a12, Im a12) with g^{i jbar}: fresh float64 fields derived
+    from the stored entries one at a time, in the order TraceOperator sums
+    the products, so a reader that drops each before taking the next holds
+    one.  No complex inv12 is built: the last two are g12's parts times
+    -2 / det, formed in numpy's own steps for -g12 / det, so each bit, a zero's
+    sign and a subnormal's rounding included, is that of the inverse's
+    entries (_inverse_entries)."""
+    yield from itertools.islice(_inverse_entries(metric), 2)    # inv11, inv22
     # g^{1 2bar} = conj(inv12) pairs with a12 and its conjugate with a21 = conj(a12)
-    yield 2.0 * inv12.real
-    yield 2.0 * inv12.imag
+    g12 = metric.g12
+    yield _twice_quotient(g12.real, g12.imag, -0.0, metric.det)
+    yield _twice_quotient(g12.imag, g12.real, 0.0, metric.det)
+
+
+def _twice_quotient(part, cross, zero, det):
+    """2 Re(-g12 / det) from (g12.real, g12.imag, -0.0) and 2 Im(-g12 / det) from
+    (g12.imag, g12.real, 0.0) in numpy's steps: for g12 = a + ib it forms
+    Re = (-a + -b * 0) * (1 / det) and Im = (-b - -a * 0) * (1 / det), whose
+    zero cross terms set the sign of a zero quotient."""
+    twice = cross * zero
+    twice -= part
+    twice *= 1.0 / det
+    twice *= 2.0
+    return twice
 
 
 class TraceOperator:
@@ -367,65 +384,105 @@ class TraceOperator:
     one rfftn and four irfftn.  Each transform looks up fourier._fft when it
     runs.
 
+    The operator stores shape, the metric and the float64 symbol table
+    (shared by every operator of its size) and no field of its own: each
+    float64 weight is derived from the metric where it is read and dropped
+    after its term, so after apply or apply_adjoint the operator holds
+    nothing more.  The float64 preconditioner tables are built on the first
+    float64 precondition and kept; is_gauduchon and chern_scalar build none.
+
     apply, precondition and _apply_preconditioned run in the precision of
-    their input: float32 input uses float32 copies of the weights, symbols
-    and preconditioner tables, any other input the float64 tables.  Every
-    table beyond the weights and symbols is built on the first call that
-    needs it, so is_gauduchon and chern_scalar build none and a float32 solve
-    no float64 preconditioner.
+    their input.  float32 input reads float32 tables (weights, symbols and
+    preconditioner, from one pass over the float64 weights): inside
+    _single_round, the conformal solver's float32 round, the round's set,
+    freed when the round ends; outside one, a set built where it is read
+    and dropped after it.
     """
 
     def __init__(self, metric: MetricModel4T):
         n = metric.resolution
         self.shape = (n, n, n, n)
-        # the weights of the symbols (m11, m22, Re m12, Im m12)
-        self._weights = tuple(_trace_weights(metric))
+        self._metric = metric
+        # the symbols (m11, m22, Re m12, Im m12) that _trace_weights weights
         self._symbols = fourier.half_symbols_4d(n)
 
-    def _preconditioner_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(inverse mean symbol, 1 / D) of precondition, in float64."""
-        mean_symbol = sum(w.mean() * m for w, m in zip(self._weights, self._symbols))
+    def _pass_over_weights(self, single=False):
+        """(the weights in float32 if single, else none; (inverse mean symbol,
+        1 / D) of precondition in float64) from one pass over the float64 weights."""
+        kept, mean_symbol = [], 0
+        for a, (weight, symbol) in enumerate(zip(_trace_weights(self._metric), self._symbols)):
+            mean_symbol = mean_symbol + weight.mean() * symbol
+            if single:
+                kept.append(weight.astype(np.float32))
+            if a == 0:
+                diagonal = weight
+            elif a == 1:
+                diagonal += weight    # tr g^-1
         inv_symbol = np.zeros(mean_symbol.shape)
-        nonzero = mean_symbol != 0.0
-        inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
-        diagonal = self._weights[0] + self._weights[1]    # tr g^-1
-        return inv_symbol, diagonal.mean() / diagonal
+        np.divide(1.0, mean_symbol, out=inv_symbol, where=mean_symbol != 0.0)
+        return tuple(kept), (inv_symbol, np.divide(diagonal.mean(), diagonal, out=diagonal))
 
     @functools.cached_property
     def _preconditioner(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._preconditioner_tables()
+        """(inverse mean symbol, 1 / D) of precondition, in float64."""
+        return self._pass_over_weights()[1]
 
-    @functools.cached_property
-    def _single_operator(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """float32 copies of (weights, symbols)."""
-        return _single(self._weights), _single(self._symbols)
+    def _single_tables(self):
+        """float32 (weights, symbols, (inverse mean symbol, 1 / D)): the
+        round's inside _single_round, else a set built for the caller alone;
+        a value beyond float32's range is inf there."""
+        if "_round" in vars(self):
+            return self._round
+        with np.errstate(over="ignore"):
+            weights, preconditioner = self._pass_over_weights(single=True)
+            return weights, _single(self._symbols), _single(preconditioner)
 
-    @functools.cached_property
-    def _single_preconditioner(self) -> tuple[np.ndarray, ...]:
-        """float32 copies of the preconditioner tables."""
-        return _single(self._preconditioner_tables())
+    @contextlib.contextmanager
+    def _single_round(self):
+        """A block whose float32 calls share one set of float32 tables, freed
+        when it ends.  Yields whether every table is finite; when one is not (a
+        weight or an inverse mean symbol beyond float32's range), the block
+        keeps none and should make no float32 call."""
+        weights, _symbols, preconditioner = tables = self._single_tables()
+        if not all(np.isfinite(table).all() for table in (*weights, *preconditioner)):
+            yield False
+            return
+        self._round = tables
+        try:
+            yield True
+        finally:
+            del self._round
 
     def _trace_of_spectrum(self, spec: np.ndarray) -> np.ndarray:
         """sum_a w_a irfftn(m_a spec) of a half-spectrum, in its precision
-        (the float32 tables for a complex64 spectrum)."""
-        weights, symbols = (self._single_operator if spec.dtype == np.complex64
-                            else (self._weights, self._symbols))
-        out = np.zeros(self.shape, dtype=weights[0].dtype)
-        for weight, symbol in zip(weights, symbols):
-            out += weight * fourier._fft.irfftn(symbol * spec, s=self.shape)
+        (the float32 tables for a complex64 spectrum); each product m_a spec
+        is formed in one reused half-spectrum buffer and each term scaled
+        in place."""
+        single = spec.dtype == np.complex64
+        weights, symbols = (self._single_tables()[:2] if single
+                            else (_trace_weights(self._metric), self._symbols))
+        out = np.zeros(self.shape, dtype=np.float32 if single else np.float64)
+        product = np.empty_like(spec)
+        for symbol, weight in zip(symbols, weights):
+            term = fourier._fft.irfftn(np.multiply(symbol, spec, out=product), s=self.shape)
+            term *= weight
+            out += term
+            del term, weight    # freed before the next weight and term are formed
         return out
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self._trace_of_spectrum(fourier._fft.rfftn(f))
+        spec = fourier._fft.rfftn(f)
+        del f    # a caller that passes its only reference frees f before the terms
+        return self._trace_of_spectrum(spec)
 
     def apply_adjoint(self, u: np.ndarray) -> np.ndarray:
         spec = sum(symbol * fourier._fft.rfftn(weight * u)
-                   for weight, symbol in zip(self._weights, self._symbols))
+                   for weight, symbol in zip(_trace_weights(self._metric), self._symbols))
         return fourier._fft.irfftn(spec, s=self.shape)
 
     def _preconditioned_spectrum(self, r: np.ndarray) -> np.ndarray:
         """inv_mean_symbol * rfftn(r / D), the half-spectrum of precondition(r)."""
-        inv_symbol, inv_scale = (self._single_preconditioner if r.dtype == np.float32
+        inv_symbol, inv_scale = (self._single_tables()[2] if r.dtype == np.float32
                                  else self._preconditioner)
         return inv_symbol * fourier._fft.rfftn(r * inv_scale)
 
@@ -443,9 +500,10 @@ def _single(arrays) -> tuple[np.ndarray, ...]:
 
 def _scalar_from(op: TraceOperator, metric: MetricModel4T) -> np.ndarray:
     """s = -L(log det g), fresh, with L = op the metric's operator; taken as
-    L(-log det g), so a zero of s is +0.0 (the flat metric prints 0.0)."""
-    minus_log_det = np.log(metric.det)
-    return op.apply(np.negative(minus_log_det, out=minus_log_det))
+    L(-log det g), so a zero of s is +0.0 (the flat metric prints 0.0), and
+    -log det g is passed as apply's only reference, so it is freed once
+    transformed."""
+    return op.apply(np.negative(np.log(metric.det)))
 
 
 def _total(metric: MetricModel4T, s: np.ndarray) -> float:

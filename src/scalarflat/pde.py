@@ -35,6 +35,7 @@ swapped or wrapped.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -166,11 +167,20 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     _apply_preconditioned) on the defect scaled to unit max norm, to a
     relative tolerance no finer than _SINGLE_RTOL; a round whose float32
     correction does not halve the max-norm defect is redone in float64 from
-    the same defect, and only a float64 round can stall.  A round that does
-    not lower the defect is rejected and ends the solve at once, since the
-    next round would start from the same defect.  The operator, its float32
-    tables, s_G and the Krylov vectors live in this frame, so they are freed
-    before the caller's verification.
+    the same defect, and only a float64 round can stall.  A round whose
+    float32 tables are not finite (a metric whose inverse exceeds float32's
+    range) runs in float64 at once.  A round that does not lower the defect
+    is rejected and ends the solve at once, since the next round would start
+    from the same defect.
+
+    What each field lives for: the float32 tables (weights, m12 symbols,
+    preconditioner) are built for one float32 BiCGStab and its update P y
+    and freed before the round's float64 defect; the Krylov vectors live for
+    one BiCGStab; the defect starts as s_G itself, and each candidate and its
+    defect are built in place in fresh arrays; s_G, f and the defect live in
+    this frame, as does the operator, which keeps no field but the float64
+    preconditioner of a float64 round, so all are freed before the caller's
+    verification.
     """
     from scipy.sparse.linalg import LinearOperator
 
@@ -188,31 +198,42 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
                  for dtype in (np.float32, np.float64)}
 
     f = np.zeros(shape)
-    defect = np.array(s_g)
+    defect = s_g    # never written: each round's defect is a fresh array
     rmax = float(np.max(np.abs(defect)))
     iterations = 0
     rounds = 0
     stalls = 0
 
     def correction(dtype):
-        """(candidate, its defect, its max-norm defect) after one BiCGStab in dtype."""
+        """(candidate, its defect, its max-norm defect) after one BiCGStab in
+        dtype; (None, None, inf) when the float32 tables are not finite."""
         nonlocal iterations
         defect_l2 = float(np.linalg.norm(defect.ravel()))
         inner_rtol = min(3e-2, max(1e-9, 0.3 * tol / max(defect_l2, 1e-300)))
         scale = 1.0
-        if dtype == np.float32:
+        single = dtype == np.float32
+        if single:
             # the defect scaled to unit max norm stays far from float32
             # overflow and underflow
             scale, inner_rtol = rmax, max(inner_rtol, _SINGLE_RTOL)
-        matvecs[0] = 0
-        y, _info = bicgstab(operators[dtype], np.asarray(defect / scale, dtype=dtype).ravel(),
-                            rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
-        iterations += (matvecs[0] + 1) // 2
-        candidate = f + scale * np.asarray(op.precondition(y.reshape(shape)), dtype=float)
+        rhs = np.asarray(defect / scale, dtype=dtype).ravel()
+        # the float32 tables live for this block only
+        with (op._single_round() if single else contextlib.nullcontext(True)) as finite:
+            if not finite:
+                return None, None, math.inf
+            matvecs[0] = 0
+            y, _info = bicgstab(operators[dtype], rhs, rtol=inner_rtol, atol=0.0,
+                                maxiter=_INNER_MAXITER)
+            iterations += (matvecs[0] + 1) // 2
+            candidate = np.asarray(op.precondition(y.reshape(shape)), dtype=float)
+        del rhs, y    # freed before the round's defect
+        candidate *= scale
+        candidate += f
         candidate -= candidate.mean()
         if not np.all(np.isfinite(candidate)):
             return candidate, None, math.inf
-        new_defect = s_g - op.apply(candidate)
+        new_defect = op.apply(candidate)
+        np.subtract(s_g, new_defect, out=new_defect)
         return candidate, new_defect, float(np.max(np.abs(new_defect)))
 
     def halves(new_rmax):

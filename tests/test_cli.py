@@ -301,6 +301,20 @@ def test_solve_unmeetable_tol_exits_4(tmp_path, capsys):
     assert not (tmp_path / "solution.json").exists()
 
 
+def test_solve_of_a_metric_beyond_float32_range_exits_4(tmp_path, capsys):
+    # e^-92 * (flat + a ripple): its inverse entries, about 1e40, overflow
+    # float32, so its rounds run in float64 and the absolute tolerance stalls
+    t = np.arange(8) / 8
+    u = np.broadcast_to(-92 + 0.2 * np.sin(2 * np.pi * t[:, None, None, None]), (8,) * 4)
+    manifest = save_metric(MetricModel4T.conformal(u.copy()), tmp_path / "metric")
+    code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
+                                      "--out", str(tmp_path / "solution.json")])
+    assert code == 4
+    assert payload["error"] == "ConvergenceError"
+    assert not (tmp_path / "solution.json").exists()
+    assert not (tmp_path / "solution.f.csv").exists()
+
+
 def test_missing_metric_file_exits_2(capsys):
     code, payload = run_json(capsys, ["curvature", "--metric", "no/such/metric.json"])
     assert code == 2

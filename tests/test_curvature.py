@@ -20,6 +20,7 @@ from scalarflat import (
     chern_ricci,
     chern_scalar,
     conformal_ricci,
+    conformal_scalar_flat,
     fourier,
     integrate,
     make_line_bundle,
@@ -29,6 +30,7 @@ from scalarflat import (
     total_scalar,
 )
 from scalarflat.curvature import (
+    TraceOperator,
     _hermitian_2x2,
     curvature_report,
     hermitian_part,
@@ -431,6 +433,36 @@ def test_curvature_report_keeps_no_field_on_the_metric():
     report, _peak, held = traced(lambda: curvature_report(metric))
     assert report["cross_check_residual"] < 1e-6
     assert held <= 4096
+
+
+def test_conformal_solve_peak_stays_below_fourteen_fields():
+    # in N^4 float64 fields: the operator derives each weight where it reads
+    # it, a round's float32 tables die with the round, and s_G, the
+    # candidates and the defects are built in place, so the solve peaks at
+    # 12.5 (16.5 with the weights and float32 tables kept for the whole solve)
+    n = 16
+    curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(n, 0.1 / np.pi ** 2))
+    solution, peak, _held = traced(lambda: conformal_scalar_flat(metric))
+    assert solution.residual < 1e-6
+    assert peak < 14 * metric.det.nbytes
+
+
+def test_trace_operator_holds_no_field_after_apply():
+    # the operator keeps the metric and the shared symbol table; each of its
+    # four weights is derived for its term and dropped after it
+    n = 16
+    curvature_report(MetricModel4T.flat(n))    # fills the symbol cache at this size
+    metric = random_metric(n, np.random.default_rng(8))
+    f = trig_field4(n, np.random.default_rng(9))
+
+    def build_and_apply():
+        op = TraceOperator(metric)
+        op.apply(f)
+        return op
+
+    _op, _peak, held = traced(build_and_apply)
+    assert held < metric.det.nbytes
 
 
 def test_chern_ricci_flat_metric_vanishes():

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -450,7 +451,7 @@ def test_gauduchon_gate_leaves_the_preconditioner_unbuilt(monkeypatch):
     monkeypatch.setattr(TraceOperator, "__init__", recording_init)
     is_gauduchon(random_metric(8, np.random.default_rng(3)))
     assert len(built) == 1
-    assert set(vars(built[0])) == {"shape", "_weights", "_symbols"}
+    assert set(vars(built[0])) == {"shape", "_metric", "_symbols"}
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -586,11 +587,46 @@ def test_single_precision_operator_matches_double(n):
         got = method(f.astype(np.float32))
         assert got.dtype == np.float32
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
-    # the float32 tables were built without also caching the float64 preconditioner
+    # outside a float32 round the float32 tables live for the call alone, and
+    # building them caches no float64 preconditioner
     fresh = TraceOperator(random_metric(n, rng))
     fresh.precondition(f.astype(np.float32))
-    assert "_single_preconditioner" in vars(fresh)
-    assert "_preconditioner" not in vars(fresh)
+    assert set(vars(fresh)) == {"shape", "_metric", "_symbols"}
+
+
+@pytest.mark.parametrize("level, tol", [(-92.0, pde.SOLVE_TOL), (92.0, 1e-60)])
+def test_a_round_whose_float32_tables_overflow_runs_in_float64(monkeypatch, level, tol):
+    # e^level * (flat + a ripple).  At -92 the weights, the inverse entries,
+    # are about 1e40, beyond float32's range, and casting them raised a raw
+    # "overflow encountered in cast"; at +92 (with a tol that lets the solve
+    # start) the weights are float32 subnormals and the inverse mean symbol
+    # overflows.  Every round now runs in float64, and the absolute
+    # tolerance stalls the solve (ROADMAP item 7)
+    x1 = coords4(8)[0]
+    metric = MetricModel4T.conformal(np.broadcast_to(level + 0.2 * np.sin(2 * np.pi * x1),
+                                                     (8,) * 4).copy())
+    dtypes = []
+
+    def recording(A, b, **kwargs):
+        dtypes.append(b.dtype)
+        return bicgstab(A, b, **kwargs)
+
+    monkeypatch.setattr(pde, "bicgstab", recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="stalled"):
+            conformal_scalar_flat(metric, tol)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
+def test_a_float32_round_shares_its_tables_and_frees_them_when_it_ends():
+    op = TraceOperator(random_metric(8, np.random.default_rng(12)))
+    with op._single_round() as finite:
+        assert finite
+        assert op._single_tables() is op._single_tables()
+    # outside a round every read builds a set of its own, and none is kept
+    assert op._single_tables() is not op._single_tables()
+    assert set(vars(op)) == {"shape", "_metric", "_symbols"}
 
 
 def _float64_reference_solve(metric, tol=pde.SOLVE_TOL):

@@ -41,13 +41,14 @@ from scalarflat.cli import run
 from scalarflat.curvature import (
     HERMITIAN_INPUT_TOL,
     _inverse_entries,
+    _trace_weights,
     hermitian_part,
     load_metric,
     save_field4,
     save_metric,
     total_scalar_routes,
 )
-from scalarflat.fourier import ddbar4_components, half_symbols_4d
+from scalarflat.fourier import _fft, ddbar4_components, half_symbols_4d
 from scalarflat.geom_core import (
     DEGREE_INPUT_TOL,
     DEGREE_QUANTIZATION_TOL,
@@ -255,6 +256,87 @@ def test_trace_operator_adjoint_is_its_transpose(seed, n):
     lv, ltu = op.apply(v), op.apply_adjoint(u)
     scale = np.linalg.norm(u) * np.linalg.norm(lv) + np.linalg.norm(ltu) * np.linalg.norm(v)
     assert abs(np.vdot(u, lv) - np.vdot(ltu, v)) <= 1e-13 * scale
+
+
+class _TraceReference:
+    """TraceOperator's four maps from weights taken up front from
+    metric.inverse, in dtype: one rfftn, a weighted sum of irfftn terms and
+    the Jacobi-scaled mean-symbol inverse, as the operator's docstring states
+    them."""
+
+    def __init__(self, metric, dtype):
+        inverse = metric.inverse
+        inv12 = inverse[..., 0, 1]
+        self.weights64 = (inverse[..., 0, 0].real, inverse[..., 1, 1].real,
+                          2.0 * inv12.real, 2.0 * inv12.imag)
+        self.symbols64 = half_symbols_4d(metric.resolution)
+        mean_symbol = sum(w.mean() * m for w, m in zip(self.weights64, self.symbols64))
+        inv_symbol = np.zeros(mean_symbol.shape)
+        nonzero = mean_symbol != 0.0
+        inv_symbol[nonzero] = 1.0 / mean_symbol[nonzero]
+        diagonal = self.weights64[0] + self.weights64[1]
+        self.shape = metric.det.shape
+        self.dtype = dtype
+        cast = (lambda a: a.astype(np.float32)) if dtype == np.float32 else (lambda a: a)
+        self.weights = tuple(cast(w) for w in self.weights64)
+        self.symbols = tuple(cast(m) for m in self.symbols64)
+        self.inv_symbol, self.inv_scale = cast(inv_symbol), cast(diagonal.mean() / diagonal)
+
+    def trace_of_spectrum(self, spec):
+        out = np.zeros(self.shape, dtype=self.dtype)
+        for w, m in zip(self.weights, self.symbols):
+            out += w * _fft.irfftn(m * spec, s=self.shape)
+        return out
+
+    def apply(self, f):
+        return self.trace_of_spectrum(_fft.rfftn(f))
+
+    def apply_adjoint(self, u):
+        # float64 weights whatever u's precision, as the operator reads them
+        spec = sum(m * _fft.rfftn(w * u) for w, m in zip(self.weights64, self.symbols64))
+        return _fft.irfftn(spec, s=self.shape)
+
+    def preconditioned_spectrum(self, r):
+        return self.inv_symbol * _fft.rfftn(r * self.inv_scale)
+
+    def precondition(self, r):
+        return _fft.irfftn(self.preconditioned_spectrum(r), s=self.shape)
+
+    def apply_preconditioned(self, r):
+        return self.trace_of_spectrum(self.preconditioned_spectrum(r))
+
+
+# values that g12's parts take at about a third of the points each: signed
+# zeros, where numpy's complex division and a plain real product give zeros of
+# opposite sign, and subnormals, where halving before or after the scaling rounds apart
+special_parts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310])
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([4, 5, 8]),
+       special_parts, special_parts)
+@example(0, 4, 0.0, -0.0)
+@example(1, 5, -0.0, 0.0)
+def test_derived_trace_weights_reproduce_the_inverse_bit_for_bit(seed, n, re_part, im_part):
+    rng = np.random.default_rng(seed)
+    drawn = random_metric(n, rng)
+    g12 = np.array(drawn.g12)
+    g12.real[rng.random(g12.shape) < 0.3] = re_part
+    g12.imag[rng.random(g12.shape) < 0.3] = im_part
+    metric = MetricModel4T._from_components(np.array(drawn.g11), np.array(drawn.g22), g12)
+    op = TraceOperator(metric)
+    reference = _TraceReference(metric, np.float64)
+    for got, want in zip(_trace_weights(metric), reference.weights64, strict=True):
+        assert got.tobytes() == want.tobytes()
+    f = rng.standard_normal(op.shape)
+    for dtype in (np.float64, np.float32):
+        reference = _TraceReference(metric, dtype)
+        x = f.astype(dtype)
+        for got, want in ((op.apply(x), reference.apply(x)),
+                          (op.apply_adjoint(x), reference.apply_adjoint(x)),
+                          (op.precondition(x), reference.precondition(x)),
+                          (op._apply_preconditioned(x), reference.apply_preconditioned(x))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 # one Fourier mode (kx, ky) != (0, 0) of a twist, with amplitude and phase
