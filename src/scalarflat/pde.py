@@ -35,7 +35,6 @@ swapped or wrapped.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -163,22 +162,22 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
 
     Every round measures the true defect s_g - L f in float64.  Its
     correction is P y, one precondition of the y that BiCGStab finds for
-    L P y = defect in float32 (each matvec one TraceOperator
+    L P y = defect on the float32 operator op.single() (each matvec one
     _apply_preconditioned) on the defect scaled to unit max norm, to a
     relative tolerance no finer than _SINGLE_RTOL; a round whose float32
-    correction does not halve the max-norm defect is redone in float64 from
-    the same defect, and only a float64 round can stall.  A round whose
-    float32 tables are not finite (a metric whose inverse exceeds float32's
-    range) runs in float64 at once.  A round that does not lower the defect
-    is rejected and ends the solve at once, since the next round would start
-    from the same defect.
+    correction does not halve the max-norm defect is redone on op, in
+    float64, from the same defect, and only a float64 round can stall.  A
+    round without a float32 operator (a metric whose inverse exceeds
+    float32's range) runs in float64 at once.  A round that does not lower
+    the defect is rejected and ends the solve at once, since the next round
+    would start from the same defect.
 
-    What each field lives for: the float32 tables (weights, m12 symbols,
-    preconditioner) are built for one float32 BiCGStab and its update P y
-    and freed before the round's float64 defect; the Krylov vectors live for
-    one BiCGStab; the defect starts as s_G itself, and each candidate and its
-    defect are built in place in fresh arrays; s_G, f and the defect live in
-    this frame, as does the operator, which keeps no field but the float64
+    What each field lives for: the float32 operator (TraceOperator.single)
+    holds its float32 tables while it lives, one BiCGStab and its update P y,
+    and is freed before the round's float64 defect; the Krylov vectors live
+    for one BiCGStab; the defect starts as s_G itself, and each candidate and
+    its defect are built in place in fresh arrays; s_G, f and the defect live
+    in this frame, as does the operator, which keeps no field but the float64
     preconditioner of a float64 round, so all are freed before the caller's
     verification.
     """
@@ -188,15 +187,6 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     s_g = _scalar_from(op, metric)
     shape = op.shape
     size = s_g.size
-    matvecs = [0]    # applications of L P in the current BiCGStab
-
-    def apply_preconditioned(v):
-        matvecs[0] += 1
-        return op._apply_preconditioned(v.reshape(shape)).ravel()
-
-    operators = {dtype: LinearOperator((size, size), dtype=dtype, matvec=apply_preconditioned)
-                 for dtype in (np.float32, np.float64)}
-
     f = np.zeros(shape)
     defect = s_g    # never written: each round's defect is a fresh array
     rmax = float(np.max(np.abs(defect)))
@@ -204,29 +194,35 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     rounds = 0
     stalls = 0
 
-    def correction(dtype):
-        """(candidate, its defect, its max-norm defect) after one BiCGStab in
-        dtype; (None, None, inf) when the float32 tables are not finite."""
+    def correction(single):
+        """(candidate, its defect, its max-norm defect) after one BiCGStab on
+        op.single() if single, else on op; (None, None, inf) when op.single()
+        is None."""
         nonlocal iterations
         defect_l2 = float(np.linalg.norm(defect.ravel()))
         inner_rtol = min(3e-2, max(1e-9, 0.3 * tol / max(defect_l2, 1e-300)))
         scale = 1.0
-        single = dtype == np.float32
         if single:
             # the defect scaled to unit max norm stays far from float32
             # overflow and underflow
             scale, inner_rtol = rmax, max(inner_rtol, _SINGLE_RTOL)
-        rhs = np.asarray(defect / scale, dtype=dtype).ravel()
-        # the float32 tables live for this block only
-        with (op._single_round() if single else contextlib.nullcontext(True)) as finite:
-            if not finite:
-                return None, None, math.inf
-            matvecs[0] = 0
-            y, _info = bicgstab(operators[dtype], rhs, rtol=inner_rtol, atol=0.0,
-                                maxiter=_INNER_MAXITER)
-            iterations += (matvecs[0] + 1) // 2
-            candidate = np.asarray(op.precondition(y.reshape(shape)), dtype=float)
-        del rhs, y    # freed before the round's defect
+        rhs = np.asarray(defect / scale, dtype=np.float32 if single else float).ravel()
+        inner = op.single() if single else op
+        if inner is None:
+            return None, None, math.inf
+        matvecs = 0    # applications of L P in this BiCGStab
+
+        def apply_preconditioned(v):
+            nonlocal matvecs
+            matvecs += 1
+            return inner._apply_preconditioned(v.reshape(shape)).ravel()
+
+        y, _info = bicgstab(LinearOperator((size, size), dtype=inner.dtype,
+                                           matvec=apply_preconditioned),
+                            rhs, rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
+        iterations += (matvecs + 1) // 2
+        candidate = np.asarray(inner.precondition(y.reshape(shape)), dtype=float)
+        del rhs, y, inner, apply_preconditioned    # freed before the round's defect
         candidate *= scale
         candidate += f
         candidate -= candidate.mean()
@@ -242,9 +238,9 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
 
     while rmax >= tol and rounds < _MAX_ROUNDS and stalls < 2:
         rounds += 1
-        candidate, new_defect, new_rmax = correction(np.float32)
+        candidate, new_defect, new_rmax = correction(single=True)
         if not halves(new_rmax):
-            candidate, new_defect, new_rmax = correction(np.float64)
+            candidate, new_defect, new_rmax = correction(single=False)
         if new_rmax >= rmax:
             # rejected: f and the defect stay as they are, so another round
             # would repeat this one bit for bit

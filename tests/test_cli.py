@@ -16,7 +16,7 @@ from scalarflat import (
     rc_scan,
 )
 from scalarflat import cli
-from scalarflat.catalog import catalog_entries, check_entry
+from scalarflat.catalog import FLOAT_TOL, CatalogEntry, catalog_entries, check_entry, run_entry
 from scalarflat.classifier import classify_split
 from scalarflat.cli import build_parser, run
 from scalarflat.curvature import save_metric
@@ -205,6 +205,47 @@ def test_catalog_regression_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert not payload["all_pass"]
     assert payload["entries"][0]["mismatches"]
+
+
+def test_catalog_names_each_kind_of_mismatch(capsys, monkeypatch):
+    split = {"genus": 2, "deg_l": 1, "n": 2}
+    margin = run_entry(CatalogEntry("split", "split", split, {}, ""))["certificate"]["margin"]
+    # each field of the expectation differs from the output in its own way,
+    # except the margin within FLOAT_TOL
+    corrupted = CatalogEntry("corrupted", "split", split, {
+        "scalar_flat_hermitian": {"nested": "yes"},
+        "absent": "yes",
+        "fired_case": 2.0,
+        "certificate": {"margin": margin + 0.5 * FLOAT_TOL, "strategy": "adaptive"},
+        "total_scalar_image": "AllReals",
+    }, "corrupted on purpose")
+    mismatches = [
+        "corrupted.scalar_flat_hermitian: expected a mapping, got 'yes'",
+        "corrupted.absent: missing",
+        "corrupted.fired_case: expected 2.0, got 'case (2)'",
+        "corrupted.certificate.strategy: expected 'adaptive', got 'constant'",
+    ]
+    ok, _actual, got = check_entry(corrupted)
+    assert not ok and got == mismatches
+    off = CatalogEntry("off", "split", split, {"certificate": {"margin": margin + 2 * FLOAT_TOL}},
+                       "a margin off by more than FLOAT_TOL")
+    assert check_entry(off)[2] == [f"off.certificate.margin: expected {margin + 2 * FLOAT_TOL!r}, "
+                                   f"got {margin!r}"]
+    monkeypatch.setattr(cli, "catalog_entries", lambda: [corrupted])
+    code, payload = run_json(capsys, ["catalog", "--run-all"])
+    assert code == 3
+    assert payload["all_pass"] is False
+    assert payload["entries"][0]["mismatches"] == mismatches
+
+
+def test_catalog_entry_of_an_unknown_kind_is_a_value_error(capsys, monkeypatch):
+    entry = CatalogEntry("odd", "hopf", {}, {}, "no such kind")
+    with pytest.raises(ValueError, match="unknown catalog kind 'hopf'"):
+        run_entry(entry)
+    monkeypatch.setattr(cli, "catalog_entries", lambda: [entry])
+    code, payload = run_json(capsys, ["catalog", "--run-all"])
+    assert code == 2
+    assert payload == {"error": "ValueError", "message": "unknown catalog kind 'hopf'"}
 
 
 #: every exception class scalarflat exports, the base class included

@@ -134,6 +134,16 @@ def test_curvature_matrix_rejects_non_finite_entries():
             chern_curvature_matrix(bad)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-12, 2.0 ** -60])
+def test_asymmetry_is_refused_at_every_scale(c):
+    # g12 = c/2 and g21 = -c/2: an asymmetry of c, as large as the largest
+    # entry, so the field is refused whatever c is
+    field = np.array([[c, c / 2], [-c / 2, c]])
+    for build, grid in ((MetricModel4T, (4,) * 4), (chern_curvature_matrix, (8, 8))):
+        with pytest.raises(DescriptorError, match="not Hermitian"):
+            build(np.broadcast_to(field, grid + (2, 2)))
+
+
 @pytest.mark.parametrize("value", [1.5e308, 1e308])
 def test_curvature_matrix_refuses_a_diagonal_whose_average_overflows(value):
     # the Hermitian average (conj(f_ii) + f_ii) * 0.5 warned "overflow

@@ -293,7 +293,8 @@ def test_swapped_component_files_fail_the_header_check(saved):
     assert str(with_twin.value) == str(without_twin.value)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "missing", "no key"])
+@pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "missing", "no key",
+                                    "plain array"])
 def test_unusable_twin_falls_back_to_the_parse(saved, monkeypatch, damage):
     metric, manifest = saved
     twin = manifest.parent / "metric.npz"
@@ -301,6 +302,10 @@ def test_unusable_twin_falls_back_to_the_parse(saved, monkeypatch, damage):
         twin.write_bytes(twin.read_bytes()[: twin.stat().st_size // 2])
     elif damage == "garbage":
         twin.write_bytes(b"not an npz archive\n" * 64)
+    elif damage == "plain array":
+        # .npy bytes, which np.load returns as one array, not an archive
+        with open(twin, "wb") as handle:
+            np.save(handle, metric.g11)
     elif damage == "empty":
         twin.write_bytes(b"")
     elif damage == "missing":
@@ -319,6 +324,17 @@ MALFORMED_CONTENTS = {
     "byte not UTF-8": ("g22.csv", lambda path: path.write_bytes(
         path.read_bytes().replace(b"\n", b"\n\xff", 1))),
 }
+
+
+@pytest.mark.parametrize("document", ["[1, 2]", "null", '"metric.json"', "8"])
+def test_manifest_that_is_not_a_json_object_exits_2(saved, capsys, document):
+    _metric, manifest = saved
+    manifest.write_text(document + "\n")
+    code = run(["curvature", "--metric", str(manifest)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "DescriptorError",
+        "message": f"{manifest}: a metric manifest must be a JSON object"}
 
 
 @pytest.mark.parametrize("damage", list(MALFORMED_CONTENTS))

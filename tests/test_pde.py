@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -497,9 +498,9 @@ def test_fused_matvec_is_the_operator_after_the_preconditioner(n):
     rng = np.random.default_rng(400 + n)
     op = TraceOperator(random_metric(n, rng))
     r = rng.standard_normal((n,) * 4)
-    for dtype, rel in ((np.float64, 1e-12), (np.float32, 1e-5)):
-        want = op.apply(op.precondition(r.astype(dtype)))
-        got = op._apply_preconditioned(r.astype(dtype))
+    for inner, dtype, rel in ((op, np.float64, 1e-12), (op.single(), np.float32, 1e-5)):
+        want = inner.apply(inner.precondition(r.astype(dtype)))
+        got = inner._apply_preconditioned(r.astype(dtype))
         assert got.dtype == dtype
         assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
@@ -581,16 +582,18 @@ def test_spectral_gauduchon_residual_matches_component_formula(case):
 def test_single_precision_operator_matches_double(n):
     rng = np.random.default_rng(300 + n)
     op = TraceOperator(random_metric(n, rng))
+    single = op.single()
+    assert (op.dtype, single.dtype) == (np.float64, np.float32)
     f = rng.standard_normal((n,) * 4)
-    for method in (op.apply, op.precondition):
-        want = method(f)
-        got = method(f.astype(np.float32))
+    for name in ("apply", "precondition"):
+        want = getattr(op, name)(f)
+        got = getattr(single, name)(f.astype(np.float32))
         assert got.dtype == np.float32
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
-    # outside a float32 round the float32 tables live for the call alone, and
-    # building them caches no float64 preconditioner
+    # the float32 tables live on the float32 operator, and building them
+    # caches no float64 preconditioner
     fresh = TraceOperator(random_metric(n, rng))
-    fresh.precondition(f.astype(np.float32))
+    fresh.single().precondition(f.astype(np.float32))
     assert set(vars(fresh)) == {"shape", "_metric", "_symbols"}
 
 
@@ -620,12 +623,14 @@ def test_a_round_whose_float32_tables_overflow_runs_in_float64(monkeypatch, leve
 
 
 def test_a_float32_round_shares_its_tables_and_frees_them_when_it_ends():
+    # a round's float32 operator holds one set of tables while it lives, and
+    # each single() builds a set of its own
     op = TraceOperator(random_metric(8, np.random.default_rng(12)))
-    with op._single_round() as finite:
-        assert finite
-        assert op._single_tables() is op._single_tables()
-    # outside a round every read builds a set of its own, and none is kept
-    assert op._single_tables() is not op._single_tables()
+    single = op.single()
+    assert op.single()._preconditioner is not single._preconditioner
+    tables = weakref.ref(single._preconditioner[1])
+    del single
+    assert tables() is None
     assert set(vars(op)) == {"shape", "_metric", "_symbols"}
 
 

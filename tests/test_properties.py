@@ -126,7 +126,7 @@ def adjoint_hermitian_part(field, what):
         raise DescriptorError(f"{what} entries must be finite")
     adjoint = np.conj(np.swapaxes(field, -1, -2), order="C")
     asym = float(np.max(np.abs(field - adjoint)))
-    if asym > HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))):
+    if asym > HERMITIAN_INPUT_TOL * float(np.max(np.abs(field))):
         raise DescriptorError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
     adjoint += field
     adjoint *= 0.5
@@ -156,7 +156,7 @@ def near_hermitian_field(seed, r, scale, ratio, damped, special_share):
     field = scale * (0.25 * (a + np.conj(np.swapaxes(a, -1, -2)))
                      + (0.0 if damped else 2.0) * np.eye(r))
     noise = rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
-    field += ratio * HERMITIAN_INPUT_TOL * max(1.0, float(np.max(np.abs(field)))) * noise
+    field += ratio * HERMITIAN_INPUT_TOL * float(np.max(np.abs(field))) * noise
     for i, j in itertools.combinations(range(r), 2):
         special = rng.random(shape[:-2]) < special_share
         value = complex(*rng.choice([-0.0, 0.0, 5e-324, -5e-324], 2))
@@ -292,8 +292,7 @@ class _TraceReference:
         return self.trace_of_spectrum(_fft.rfftn(f))
 
     def apply_adjoint(self, u):
-        # float64 weights whatever u's precision, as the operator reads them
-        spec = sum(m * _fft.rfftn(w * u) for w, m in zip(self.weights64, self.symbols64))
+        spec = sum(m * _fft.rfftn(w * u) for w, m in zip(self.weights, self.symbols))
         return _fft.irfftn(spec, s=self.shape)
 
     def preconditioned_spectrum(self, r):
@@ -328,13 +327,13 @@ def test_derived_trace_weights_reproduce_the_inverse_bit_for_bit(seed, n, re_par
     for got, want in zip(_trace_weights(metric), reference.weights64, strict=True):
         assert got.tobytes() == want.tobytes()
     f = rng.standard_normal(op.shape)
-    for dtype in (np.float64, np.float32):
+    for inner, dtype in ((op, np.float64), (op.single(), np.float32)):
         reference = _TraceReference(metric, dtype)
         x = f.astype(dtype)
-        for got, want in ((op.apply(x), reference.apply(x)),
-                          (op.apply_adjoint(x), reference.apply_adjoint(x)),
-                          (op.precondition(x), reference.precondition(x)),
-                          (op._apply_preconditioned(x), reference.apply_preconditioned(x))):
+        for got, want in ((inner.apply(x), reference.apply(x)),
+                          (inner.apply_adjoint(x), reference.apply_adjoint(x)),
+                          (inner.precondition(x), reference.precondition(x)),
+                          (inner._apply_preconditioned(x), reference.apply_preconditioned(x))):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
