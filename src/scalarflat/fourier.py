@@ -8,7 +8,8 @@ Conventions used package-wide:
 * spectral first derivatives zero the Nyquist mode so derivatives of real
   fields stay real;
 * mixed second derivatives are built as products of the first-derivative
-  symbols.  This makes operator identities exact at grid level, e.g.
+  symbols, multiplied out so that every real symbol is a real array.  This
+  makes operator identities exact at grid level, e.g.
   (d1 d1bar)(d2 d2bar) == (d1 d2bar)(d2 d1bar) as Fourier multipliers, which
   the curvature and Gauduchon checks rely on;
 * the plain Laplacian used by the Poisson solver keeps the full -(2 pi k)^2
@@ -78,11 +79,17 @@ def wavenumbers(n: int) -> np.ndarray:
 
 def wavenumbers_no_nyquist(n: int) -> np.ndarray:
     """Wavenumbers with the (sign-ambiguous) Nyquist mode removed."""
-    k = wavenumbers(n)
-    if n % 2 == 0:
-        k = k.copy()
-        k[n // 2] = 0.0
-    return k
+    return np.where(2 * np.arange(n) == n, 0.0, wavenumbers(n))
+
+
+def _apply_symbol(field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """ifftn(symbol * fftn(field)) over the symbol's axes, the leading axes of
+    field, entry by entry over any trailing axes; the result is real exactly
+    when field and symbol both are."""
+    axes = tuple(range(symbol.ndim))
+    symbol = symbol.reshape(symbol.shape + (1,) * (field.ndim - symbol.ndim))
+    out = _fft.ifftn(symbol * _fft.fftn(field, axes=axes), axes=axes)
+    return out.real if np.isrealobj(field) and np.isrealobj(symbol) else out
 
 
 # ---------------------------------------------------------------------------
@@ -90,40 +97,28 @@ def wavenumbers_no_nyquist(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _symbols_2d(nx: int, ny: int):
-    kx = wavenumbers_no_nyquist(nx)[:, None]
-    ky = wavenumbers_no_nyquist(ny)[None, :]
+    """Symbols of d/dz, d/dzbar and the real d^2/(dz dzbar) on an nx x ny grid."""
+    kx, ky = np.ix_(wavenumbers_no_nyquist(nx), wavenumbers_no_nyquist(ny))
     mu_z = np.pi * (ky + 1j * kx)        # symbol of d/dz
     mu_zbar = np.pi * (-ky + 1j * kx)    # symbol of d/dzbar
-    return mu_z, mu_zbar, mu_z * mu_zbar
-
-
-def _apply_symbol_2d(field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    symbol = symbol.reshape(symbol.shape + (1,) * (field.ndim - 2))
-    spec = _fft.fft2(field, axes=(0, 1))
-    return _fft.ifft2(symbol * spec, axes=(0, 1))
+    return mu_z, mu_zbar, -np.pi ** 2 * (kx ** 2 + ky ** 2)
 
 
 def dz(field: np.ndarray) -> np.ndarray:
     """Spectral holomorphic derivative d/dz on the 2-d periodic grid of axes
     (0, 1), entry by entry over any trailing axes (complex output)."""
-    return _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[0])
+    return _apply_symbol(field, _symbols_2d(*field.shape[:2])[0])
 
 
 def dzbar(field: np.ndarray) -> np.ndarray:
     """Spectral anti-holomorphic derivative d/dzbar on axes (0, 1), as dz."""
-    return _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[1])
+    return _apply_symbol(field, _symbols_2d(*field.shape[:2])[1])
 
 
 def ddbar(field: np.ndarray) -> np.ndarray:
     """Spectral mixed second derivative d^2/(dz dzbar) = Laplacian/4 on axes
-    (0, 1), as dz.
-
-    Real input produces real output (the symbol is real and even).
-    """
-    out = _apply_symbol_2d(field, _symbols_2d(*field.shape[:2])[2])
-    if np.isrealobj(field):
-        return out.real
-    return out
+    (0, 1), as dz; the symbol is real, so real input gives real output."""
+    return _apply_symbol(field, _symbols_2d(*field.shape[:2])[2])
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +126,13 @@ def ddbar(field: np.ndarray) -> np.ndarray:
 
 def laplacian_symbol(shape: tuple[int, ...]) -> np.ndarray:
     """Symbol of the flat Laplacian sum_i d^2/dx_i^2 on the periodic unit cube."""
-    total = np.zeros(shape)
-    for axis, n in enumerate(shape):
-        k = wavenumbers(n)
-        sl = [None] * len(shape)
-        sl[axis] = slice(None)
-        total = total + (-((2.0 * np.pi * k) ** 2))[tuple(sl)]
-    return total
+    return sum((-((2.0 * np.pi * k) ** 2) for k in np.ix_(*map(wavenumbers, shape))),
+               np.zeros(shape))
 
 
 def laplacian(field: np.ndarray) -> np.ndarray:
     """Flat Laplacian with the full spectral symbol (matches poisson_inverse)."""
-    spec = _fft.fftn(field)
-    out = _fft.ifftn(laplacian_symbol(field.shape) * spec)
-    return out.real if np.isrealobj(field) else out
+    return _apply_symbol(field, laplacian_symbol(field.shape))
 
 
 def poisson_inverse(rho: np.ndarray) -> np.ndarray:
@@ -154,12 +142,8 @@ def poisson_inverse(rho: np.ndarray) -> np.ndarray:
     the compatibility condition mean(rho) = 0).
     """
     symbol = laplacian_symbol(rho.shape)
-    inv = np.zeros_like(symbol)
-    nonzero = symbol != 0.0
-    inv[nonzero] = 1.0 / symbol[nonzero]
-    spec = _fft.fftn(rho)
-    out = _fft.ifftn(inv * spec)
-    return out.real if np.isrealobj(rho) else out
+    inverse = np.divide(1.0, symbol, out=np.zeros(rho.shape), where=symbol != 0.0)
+    return _apply_symbol(rho, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +160,7 @@ def half_symbols_4d(n: int):
     broadcastable, the m12 parts dense; the arrays are read-only.
     """
     kz = wavenumbers_no_nyquist(n)
-    zx1 = kz[:, None, None, None]
-    zy1 = kz[None, :, None, None]
-    zx2 = kz[None, None, :, None]
-    zy2 = kz[None, None, None, : n // 2 + 1]
+    zx1, zy1, zx2, zy2 = np.ix_(kz, kz, kz, kz[: n // 2 + 1])
     pi2 = np.pi ** 2
     table = (-pi2 * (zx1 ** 2 + zy1 ** 2),
              -pi2 * (zx2 ** 2 + zy2 ** 2),

@@ -217,11 +217,14 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
             matvecs += 1
             return inner._apply_preconditioned(v.reshape(shape)).ravel()
 
-        y, _info = bicgstab(LinearOperator((size, size), dtype=inner.dtype,
-                                           matvec=apply_preconditioned),
-                            rhs, rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
+        # a correction past the operator's range comes back inf or NaN, for
+        # the finiteness test below, never as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            y, _info = bicgstab(LinearOperator((size, size), dtype=inner.dtype,
+                                               matvec=apply_preconditioned),
+                                rhs, rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
+            candidate = np.asarray(inner.precondition(y.reshape(shape)), dtype=float)
         iterations += (matvecs + 1) // 2
-        candidate = np.asarray(inner.precondition(y.reshape(shape)), dtype=float)
         del rhs, y, inner, apply_preconditioned    # freed before the round's defect
         candidate *= scale
         candidate += f

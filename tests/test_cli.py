@@ -356,6 +356,23 @@ def test_solve_of_a_metric_beyond_float32_range_exits_4(tmp_path, capsys):
     assert not (tmp_path / "solution.f.csv").exists()
 
 
+def test_solve_whose_end_to_end_check_fails_exits_4(tmp_path, capsys, monkeypatch):
+    # the verification reads the scalar curvature of the rescaled metric; an
+    # unrescaled non-Gauduchon metric fails it after the solve has converged
+    t = np.arange(8) / 8
+    u = np.broadcast_to(0.2 * np.sin(2 * np.pi * t[:, None, None, None]), (8,) * 4)
+    manifest = save_metric(MetricModel4T.conformal(u.copy()), tmp_path / "metric")
+    monkeypatch.setattr(MetricModel4T, "rescaled", lambda self, exponent: self)
+    code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
+                                      "--out", str(tmp_path / "solution.json")])
+    assert code == 4
+    assert payload["error"] == "ConvergenceError"
+    assert payload["message"].startswith("rescaled metric has max |s| = ")
+    assert payload["message"].endswith("above the verification bound 1.0e-06")
+    assert not (tmp_path / "solution.json").exists()
+    assert not (tmp_path / "solution.f.csv").exists()
+
+
 def test_missing_metric_file_exits_2(capsys):
     code, payload = run_json(capsys, ["curvature", "--metric", "no/such/metric.json"])
     assert code == 2

@@ -65,6 +65,46 @@ def test_ddbar4_mixed_symbol_identity():
     assert np.max(np.abs(rhs.imag)) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_the_ddbar_symbol_is_built_real(n):
+    symbol = fourier._symbols_2d(n, n)[2]
+    assert symbol.dtype == np.float64
+
+
+def _laplacian_symbol_by_axis(shape):
+    """The Laplacian symbol summed one axis at a time, each term reshaped."""
+    total = np.zeros(shape)
+    for axis, n in enumerate(shape):
+        k = fourier.wavenumbers(n)
+        sl = [None] * len(shape)
+        sl[axis] = slice(None)
+        total = total + (-((2.0 * np.pi * k) ** 2))[tuple(sl)]
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_laplacian_symbol_matches_the_per_axis_sum_bit_for_bit(n):
+    for shape in [(), (n,), (n, n), (n, 3, n)]:
+        got = fourier.laplacian_symbol(shape)
+        want = _laplacian_symbol_by_axis(shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_half_symbols_4d_match_a_reference_built_by_reshapes(n):
+    kz = fourier.wavenumbers_no_nyquist(n)
+    x1, y1 = kz.reshape(n, 1, 1, 1), kz.reshape(1, n, 1, 1)
+    x2, y2 = kz.reshape(1, 1, n, 1), kz[: n // 2 + 1].reshape(1, 1, 1, n // 2 + 1)
+    pi2 = np.pi ** 2
+    want = (-pi2 * (x1 ** 2 + y1 ** 2), -pi2 * (x2 ** 2 + y2 ** 2),
+            -pi2 * (x1 * x2 + y1 * y2), pi2 * (y1 * x2 - x1 * y2))
+    for got, ref in zip(fourier.half_symbols_4d(n), want, strict=True):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        assert not got.flags.writeable
+
+
 def test_poisson_inverse_and_laplacian_are_inverse_pairs():
     rng = np.random.default_rng(2)
     n = 32

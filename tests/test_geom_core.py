@@ -10,8 +10,10 @@ from scalarflat import (
     DescriptorError,
     FiberSimplexPoint,
     LineBundleModel,
+    MinimalSurfaceDescriptor,
     OneOneForm,
     SplitBundle,
+    canonical_curvature_split,
     integrate,
     load_bundle_descriptor,
     make_line_bundle,
@@ -332,3 +334,48 @@ def test_quantization_bound_is_absolute_below_degree_two(degree):
     with pytest.raises(DegreeError):
         LineBundleModel(degree=degree, kappa=np.full((8, 8), np.pi * (degree + 1.5e-8)),
                         curve=curve)
+
+
+def _line(degree, n=8):
+    return make_line_bundle(degree, "constant", CurveModel.flat(2, n))
+
+
+def _rank_two():
+    return SplitBundle((_line(1), _line(0)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: MinimalSurfaceDescriptor(kodaira_dim=3.0),
+     "Kodaira dimension must be -inf, 0, 1 or 2, got 3.0"),
+    (lambda: MinimalSurfaceDescriptor(kodaira_dim=0.0),
+     "a class is required when the Kodaira dimension is 0 or -inf"),
+    (lambda: MinimalSurfaceDescriptor(kodaira_dim=0.0, surface_class="Enoki"),
+     "unknown surface class 'Enoki'"),
+    (lambda: canonical_curvature_split(SplitBundle((_line(1),)), _line(2), 0.5),
+     "projective-bundle model needs rank at least 2"),
+    (lambda: canonical_curvature_split(_rank_two(), _line(2, n=16), 0.5),
+     "canonical-bundle model lives on a different curve grid"),
+    (lambda: canonical_curvature_split(_rank_two(), _line(2), np.zeros((2, 2))),
+     "fiber weights must be a scalar or a vector, got (2, 2)"),
+    (lambda: make_line_bundle(1, "ripple", CurveModel.flat(2, 8)),
+     "unknown profile 'ripple'"),
+    (lambda: tensor_product(_line(1), _line(1, n=16)),
+     "tensor factors live on different curve models"),
+    (lambda: SplitBundle(()), "a split bundle needs at least one summand"),
+    (lambda: OneOneForm(base_component=np.zeros((1, 8, 8)), s1=[0.5], fs_multiple=np.inf),
+     "fiber multiple must be finite"),
+    (lambda: ClassificationReport("maybe", "no", "unknown", "case (1)"),
+     "bad Hermitian verdict 'maybe'"),
+    (lambda: ClassificationReport("no", "maybe", "unknown", "case (1)"),
+     "bad Kahler verdict 'maybe'"),
+    (lambda: ClassificationReport("no", "no", "Everything", "case (1)"),
+     "bad total-scalar image 'Everything'"),
+], ids=["kodaira-dimension", "class-required", "unknown-class", "rank-one",
+        "canonical-grid", "fiber-weight-shape", "unknown-profile", "tensor-grids",
+        "no-summands", "fiber-multiple", "hermitian-verdict", "kahler-verdict",
+        "total-scalar-image"])
+def test_each_model_refusal_names_its_cause(build, message):
+    with pytest.raises(DescriptorError) as refused:
+        build()
+    assert type(refused.value) is DescriptorError
+    assert str(refused.value) == message

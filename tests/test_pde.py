@@ -80,6 +80,13 @@ def test_poisson_residual_and_self_adjointness():
     assert abs(lhs - rhs) < 1e-10
 
 
+def test_a_zero_dimensional_grid_is_a_constant_with_zero_derivatives():
+    # the 0-d Laplacian symbol is a 0-d zero array, so a scalar input
+    # differentiates and inverts to 0.0 rather than raising from numpy
+    assert ddbar_density(3.0) == 0.0
+    assert poisson_periodic(0.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # prescribed curvature
 
@@ -266,6 +273,28 @@ def test_conformal_solver_stalls_on_an_unmeetable_tol():
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
     with pytest.raises(ConvergenceError, match="stalled"):
         conformal_scalar_flat(metric, tol=1e-20)
+
+
+def test_a_float32_correction_past_float32_range_ends_in_convergence_error(monkeypatch):
+    # e^c * (flat + a ripple) at a tol below every roundoff floor: the late
+    # float32 rounds overflow inside BiCGStab or its update P y; that
+    # correction must come back non-finite and end the solve by the stall
+    # rules, never as a numpy warning (the suite runs warnings as errors)
+    updates = []
+    precondition = TraceOperator.precondition
+
+    def recording(self, r):
+        out = precondition(self, r)
+        updates.append(bool(np.all(np.isfinite(out))))
+        return out
+
+    monkeypatch.setattr(TraceOperator, "precondition", recording)
+    t = np.arange(8) / 8
+    for c in range(60, 92, 2):
+        u = np.broadcast_to(c + 0.2 * np.sin(2 * np.pi * t[:, None, None, None]), (8,) * 4)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            conformal_scalar_flat(MetricModel4T.conformal(u.copy()), tol=1e-60)
+    assert not all(updates)
 
 
 def test_stalled_solve_never_repeats_a_bicgstab_call(monkeypatch):
