@@ -807,13 +807,11 @@ def save_metric(metric: MetricModel4T, directory) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     fields = {"11": metric.g11, "22": metric.g22,
               "12re": metric.g12.real, "12im": metric.g12.imag}
-    manifest = {"resolution": metric.resolution, "components": {}, "binary": _TWIN_FILE}
-    digests = {}
-    for component, fname in _COMPONENT_FILES.items():
-        digests[f"{component}_sha256"] = _write_grid_csv(
-            directory / fname, fields[component], component)
-        manifest["components"][component] = fname
+    digests = {f"{c}_sha256": _write_grid_csv(directory / fname, fields[c], c)
+               for c, fname in _COMPONENT_FILES.items()}
     np.savez(directory / _TWIN_FILE, **fields, **digests)
+    manifest = {"resolution": metric.resolution, "components": _COMPONENT_FILES,
+                "binary": _TWIN_FILE}
     manifest_path = directory / "metric.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return manifest_path

@@ -73,8 +73,8 @@ _fft = _SciPyFFT()
 
 
 def wavenumbers(n: int) -> np.ndarray:
-    """Integer wavenumbers of an n-point periodic unit-interval grid."""
-    return np.fft.fftfreq(n, 1.0 / n)
+    """Exact integer wavenumbers of an n-point periodic unit grid, in fftfreq's order."""
+    return np.fft.ifftshift(np.arange(n, dtype=float) - n // 2)
 
 
 def wavenumbers_no_nyquist(n: int) -> np.ndarray:
@@ -95,7 +95,6 @@ def _apply_symbol(field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # one complex dimension (2-d grids, axes (0, 1) = (x, y))
 
-@lru_cache(maxsize=32)
 def _symbols_2d(nx: int, ny: int):
     """Symbols of d/dz, d/dzbar and the real d^2/(dz dzbar) on an nx x ny grid."""
     kx, ky = np.ix_(wavenumbers_no_nyquist(nx), wavenumbers_no_nyquist(ny))

@@ -181,11 +181,11 @@ class LineBundleModel:
         object.__setattr__(self, "degree", _require_integer(self.degree, "line bundle degree"))
         kappa = _require_chart(self.kappa, self.curve.resolution, "curvature density")
         _require_finite(kappa, "curvature density")
-        measured = integrate(kappa, self.curve) / np.pi
+        object.__setattr__(self, "kappa", _freeze(kappa))
+        measured = self.measured_degree()
         if abs(measured - self.degree) > DEGREE_QUANTIZATION_TOL * max(1, abs(self.degree)):
             raise DegreeError(
                 f"density integrates to degree {measured!r}, declared {self.degree}")
-        object.__setattr__(self, "kappa", _freeze(kappa))
 
     def measured_degree(self) -> float:
         return integrate(self.kappa, self.curve) / np.pi
@@ -317,7 +317,6 @@ class OneOneForm:
 
 
 VERDICTS = ("yes", "no", "unknown")
-KAHLER_VERDICTS = ("yes", "no", "unknown", "not-applicable")
 IMAGES = ("AllReals", "PositiveReals", "NegativeReals", "ZeroOnly", "unknown")
 
 
@@ -325,9 +324,9 @@ IMAGES = ("AllReals", "PositiveReals", "NegativeReals", "ZeroOnly", "unknown")
 class ClassificationReport:
     """Existence verdicts plus the decision branch and certificate that produced them.
 
-    Invariant: the scalar-flat Hermitian verdict is "yes" exactly when the
-    total-scalar image is AllReals or ZeroOnly, and a "yes" Kahler verdict
-    requires a "yes" Hermitian verdict.
+    Invariant: both verdicts are in VERDICTS, the Hermitian one is "yes"
+    exactly when the total-scalar image is AllReals or ZeroOnly, and the
+    Kahler one is "yes" only when the Hermitian one is.
     """
 
     scalar_flat_hermitian: str
@@ -339,16 +338,15 @@ class ClassificationReport:
     def __post_init__(self):
         if self.scalar_flat_hermitian not in VERDICTS:
             raise DescriptorError(f"bad Hermitian verdict {self.scalar_flat_hermitian!r}")
-        if self.scalar_flat_kahler not in KAHLER_VERDICTS:
+        if self.scalar_flat_kahler not in VERDICTS:
             raise DescriptorError(f"bad Kahler verdict {self.scalar_flat_kahler!r}")
         if self.total_scalar_image not in IMAGES:
             raise DescriptorError(f"bad total-scalar image {self.total_scalar_image!r}")
         flat_image = self.total_scalar_image in ("AllReals", "ZeroOnly")
         if (self.scalar_flat_hermitian == "yes") != flat_image:
-            if not (self.scalar_flat_hermitian != "yes" and self.total_scalar_image == "unknown"):
-                raise DescriptorError(
-                    f"verdict {self.scalar_flat_hermitian!r} inconsistent with "
-                    f"total-scalar image {self.total_scalar_image!r}")
+            raise DescriptorError(
+                f"verdict {self.scalar_flat_hermitian!r} inconsistent with "
+                f"total-scalar image {self.total_scalar_image!r}")
         if self.scalar_flat_kahler == "yes" and self.scalar_flat_hermitian != "yes":
             raise DescriptorError("a scalar-flat Kahler metric is in particular Hermitian")
 

@@ -16,6 +16,18 @@ def test_wavenumbers_and_nyquist_zeroing():
     assert np.array_equal(fourier.wavenumbers_no_nyquist(9), fourier.wavenumbers(9))
 
 
+def test_wavenumbers_are_exact_integers_in_fftfreq_order():
+    for n in range(1, 257):
+        k = fourier.wavenumbers(n)
+        assert k.dtype == np.float64
+        # fftfreq's order: 0, 1, ..., then the negative modes, -n/2 first at even n
+        assert k.tolist() == [j if 2 * j < n else j - n for j in range(n)]
+    # below 34 fftfreq is exact, so the symbol tables of every grid in the
+    # tests and the benchmark are bit for bit what fftfreq gave
+    for n in range(1, 34):
+        assert fourier.wavenumbers(n).tobytes() == np.fft.fftfreq(n, 1.0 / n).tobytes()
+
+
 def test_dz_convention_on_plane_wave():
     # for f = exp(2 pi i (x + y)): df/dz = pi (1 + i) f  under dz = (dx - i dy)/2
     n = 32

@@ -206,6 +206,11 @@ def test_classification_report_invariants():
         ClassificationReport("no", "yes", "PositiveReals", "case (1)")
 
 
+def test_classification_report_takes_the_kahler_verdict_from_verdicts():
+    with pytest.raises(DescriptorError, match="Kahler verdict"):
+        ClassificationReport("no", "not-applicable", "PositiveReals", "case (1)")
+
+
 def test_bundle_descriptor_roundtrip(tmp_path):
     field = np.full((16, 16), 2 * np.pi)
     csv_path = tmp_path / "kappa.csv"

@@ -576,6 +576,24 @@ def test_a_scaled_metric_is_admitted_or_refused(seed, n, k, dense):
         assert out is None
 
 
+@given(seeds, small_grids, st.floats(min_value=0.0, max_value=0.5),
+       st.integers(min_value=-60, max_value=60),
+       st.sampled_from(("as drawn", "anti-Hermitian", "g11 negated", "g22 negated")))
+@example(0, 3, 0.3, -60, "anti-Hermitian")    # an absolute asymmetry bound admits it
+def test_admission_does_not_depend_on_the_scale(seed, n, amplitude, k, variant):
+    # every admission bound is relative, so 2^k g, exact at these k, is
+    # admitted exactly when g is, a non-Hermitian or indefinite g included
+    g = random_metric(n, np.random.default_rng(seed), amplitude).g.copy()
+    if variant == "anti-Hermitian":
+        g[..., 1, 0] = -np.conj(g[..., 0, 1])
+    elif variant != "as drawn":
+        i = 0 if variant == "g11 negated" else 1
+        g[..., i, i] = -g[..., i, i]
+    unscaled = admitted(lambda: MetricModel4T(g))
+    scaled = admitted(lambda: MetricModel4T(ldexp(g, k)))
+    assert (scaled is None) == (unscaled is None)
+
+
 @given(seeds, small_grids, st.integers(min_value=-1100, max_value=1100),
        st.integers(min_value=-1100, max_value=1100))
 @example(0, 4, -1060, 0)    # det is subnormal, and g22 / det overflows
