@@ -495,8 +495,10 @@ def _scalar_from(op: TraceOperator, metric: MetricModel4T) -> np.ndarray:
     """s = -L(log det g), fresh, with L = op the metric's operator; taken as
     L(-log det g), so a zero of s is +0.0 (the flat metric prints 0.0), and
     -log det g is passed as apply's only reference, so it is freed once
-    transformed."""
-    return op.apply(np.negative(np.log(metric.det)))
+    transformed.  An s that is not finite is a DescriptorError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = op.apply(np.negative(np.log(metric.det)))
+    return _require_finite(s, "scalar curvature")
 
 
 def _total(metric: MetricModel4T, s: np.ndarray) -> float:

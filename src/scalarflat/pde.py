@@ -24,9 +24,10 @@ rounds that always measure the true residual.
 The rounds are mixed-precision iterative refinement (Moler, J. ACM 14,
 1967; Carson & Higham, SIAM J. Sci. Comput. 40, 2018): each round's inner
 BiCGStab runs in float32, and everything that decides correctness runs in
-float64 -- s_G, the defect s_G - L f, the stall counter, the round limit,
-the tolerances and the end-to-end check.  A float32 round that does not
-halve the max-norm defect is redone in float64.
+float64 -- s_G, the defect s_G - L f, the tolerances and the end-to-end
+check.  One rule ends the rounds: a float32 correction that does not halve
+the max-norm defect is redone in float64, and a float64 one that does not
+ends the solve.
 
 scipy is imported on first use, through ``fourier._fft`` and the module
 function ``bicgstab``; both are looked up at call time, so they can be
@@ -58,7 +59,6 @@ VERIFY_TOL = 1e-6
 # unused here (TraceOperator looks up fourier._fft); kept for callers that wrap it
 _fft = fourier._fft
 
-_MAX_ROUNDS = 24
 _INNER_MAXITER = 250
 #: floor of a float32 round's BiCGStab rtol, near float32 roundoff on the
 #: unit-max-norm defect
@@ -164,13 +164,13 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     correction is P y, one precondition of the y that BiCGStab finds for
     L P y = defect on the float32 operator op.single() (each matvec one
     _apply_preconditioned) on the defect scaled to unit max norm, to a
-    relative tolerance no finer than _SINGLE_RTOL; a round whose float32
-    correction does not halve the max-norm defect is redone on op, in
-    float64, from the same defect, and only a float64 round can stall.  A
-    round without a float32 operator (a metric whose inverse exceeds
-    float32's range) runs in float64 at once.  A round that does not lower
-    the defect is rejected and ends the solve at once, since the next round
-    would start from the same defect.
+    relative tolerance no finer than _SINGLE_RTOL.  A round keeps a
+    correction only if it halves the max-norm defect or meets tol (halves):
+    a float32 one that does not is redone on op, in float64, from the same
+    defect, and a float64 one that does not ends the solve, since the next
+    round would start from the same defect.  A round without a float32
+    operator (a metric whose inverse exceeds float32's range) runs in
+    float64 at once.
 
     What each field lives for: the float32 operator (TraceOperator.single)
     holds its float32 tables while it lives, one BiCGStab and its update P y,
@@ -192,7 +192,6 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     rmax = float(np.max(np.abs(defect)))
     iterations = 0
     rounds = 0
-    stalls = 0
 
     def correction(single):
         """(candidate, its defect, its max-norm defect) after one BiCGStab on
@@ -217,13 +216,10 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
             matvecs += 1
             return inner._apply_preconditioned(v.reshape(shape)).ravel()
 
-        # a correction past the operator's range comes back inf or NaN, for
-        # the finiteness test below, never as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y, _info = bicgstab(LinearOperator((size, size), dtype=inner.dtype,
-                                               matvec=apply_preconditioned),
-                                rhs, rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
-            candidate = np.asarray(inner.precondition(y.reshape(shape)), dtype=float)
+        y, _info = bicgstab(LinearOperator((size, size), dtype=inner.dtype,
+                                           matvec=apply_preconditioned),
+                            rhs, rtol=inner_rtol, atol=0.0, maxiter=_INNER_MAXITER)
+        candidate = np.asarray(inner.precondition(y.reshape(shape)), dtype=float)
         iterations += (matvecs + 1) // 2
         del rhs, y, inner, apply_preconditioned    # freed before the round's defect
         candidate *= scale
@@ -239,21 +235,19 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
         """Whether a round's result halves the current defect or meets tol."""
         return new_rmax < 0.5 * rmax or new_rmax < tol
 
-    while rmax >= tol and rounds < _MAX_ROUNDS and stalls < 2:
-        rounds += 1
-        candidate, new_defect, new_rmax = correction(single=True)
-        if not halves(new_rmax):
-            candidate, new_defect, new_rmax = correction(single=False)
-        if new_rmax >= rmax:
-            # rejected: f and the defect stay as they are, so another round
-            # would repeat this one bit for bit
-            break
-        stalls = 0 if halves(new_rmax) else stalls + 1
-        f, defect, rmax = candidate, new_defect, new_rmax
-    if rmax >= tol:
-        raise ConvergenceError(
-            f"conformal solve stalled: residual {rmax:.3e} after {iterations} "
-            f"iterations in {rounds} rounds (target {tol:.1e})")
+    # an overflow in a round (the defect's norm and scaling, BiCGStab, P y, the
+    # candidate's defect) is an inf or NaN, a correction that does not halve
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while rmax >= tol:
+            rounds += 1
+            candidate, new_defect, new_rmax = correction(single=True)
+            if not halves(new_rmax):
+                candidate, new_defect, new_rmax = correction(single=False)
+            if not halves(new_rmax):
+                raise ConvergenceError(
+                    f"conformal solve stalled: residual {rmax:.3e} after {iterations} "
+                    f"iterations in {rounds} rounds (target {tol:.1e})")
+            f, defect, rmax = candidate, new_defect, new_rmax
     return f, rmax, iterations, rounds
 
 
@@ -262,16 +256,17 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     metric in complex dimension two (s_G lies in L's range for every metric).
 
     On one trace operator L, solves s_G = L f, s_G = -L(log det g), to the
-    max-norm residual tol (ConvergenceError after a round that does not
-    lower the defect, after two rounds in a row that do not halve it, or
-    after _MAX_ROUNDS rounds of at most two _INNER_MAXITER-step BiCGStab
-    runs), then rescales and recomputes the scalar curvature of e^(f/2) omega
-    as an independent end-to-end check.  Iterations count the BiCGStab steps
-    begun, from the matvecs of L P: a full step takes two, a step that
-    converges at its half step (unseen by scipy's callback) one.  A tol
-    that is not finite and positive, and resolutions below MIN_RESOLUTION
-    (at N = 2 every mode lies in the operator's {0, Nyquist} null set) raise
-    DescriptorError before L is built.
+    max-norm residual tol (ConvergenceError after a round in which neither
+    precision halves the max-norm defect; so at most
+    ceil(log2(max |s_G| / tol)) + 1 rounds, each of at most two
+    _INNER_MAXITER-step BiCGStab runs), then rescales and recomputes the
+    scalar curvature of e^(f/2) omega as an independent end-to-end check.
+    Iterations count the BiCGStab steps begun, from the matvecs of L P: a
+    full step takes two, a step that converges at its half step (unseen by
+    scipy's callback) one.  A tol that is not finite and positive, and
+    resolutions below MIN_RESOLUTION (at N = 2 every mode lies in the
+    operator's {0, Nyquist} null set) raise DescriptorError before L is
+    built.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DescriptorError(f"solve tolerance must be finite and positive, got {tol!r}")

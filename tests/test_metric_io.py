@@ -247,6 +247,38 @@ def test_a_stored_metric_whose_inverse_overflows_exits_2(tmp_path, capsys, comma
     assert not (tmp_path / "out.f.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["curvature"], ["solve", "scalar-flat"]],
+                         ids=["curvature", "solve"])
+def test_a_stored_metric_whose_curvature_overflows_exits_2(tmp_path, capsys, command):
+    # g22 = 1e-305 at one point: the determinant and the inverse stay in
+    # range, but g^{2 2bar} = 1e305 times a derivative of log det g does not;
+    # curvature printed an integral of -Infinity, and with warnings as
+    # errors both commands crashed on "overflow encountered in multiply"
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    edit_first_value(manifest.parent / "g22.csv", "1e-305")
+    code = run(command + ["--metric", str(manifest), "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert payload["message"] == "scalar curvature entries must be finite"
+    assert not (tmp_path / "out.f.csv").exists()
+
+
+def test_a_solve_whose_defect_norm_overflows_exits_4(tmp_path, capsys):
+    # g11 = 1e-290 at one point: s_G is finite, but the l2 norm of the
+    # defect overflows; that round's correction does not halve the defect,
+    # so the solve stalls, where the norm's "overflow encountered in dot"
+    # once escaped as a warning
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    edit_first_value(manifest.parent / "g11.csv", "1e-290")
+    code = run(["solve", "scalar-flat", "--metric", str(manifest),
+                "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["error"] == "ConvergenceError"
+    assert not (tmp_path / "out.f.csv").exists()
+
+
 MALFORMED_CSVS = {
     "header only": lambda lines: lines[:1],
     "one row": lambda lines: lines[:2],

@@ -297,6 +297,26 @@ def test_a_float32_correction_past_float32_range_ends_in_convergence_error(monke
     assert not all(updates)
 
 
+def test_a_float64_round_that_does_not_halve_the_defect_ends_the_solve(monkeypatch):
+    # the inputs above: a round's float64 correction runs only after its
+    # float32 one fails to halve the defect, and on none of these does the
+    # float64 one halve it, so each solve ends at its first float64 round
+    dtypes = []
+
+    def recording(A, b, **kwargs):
+        dtypes.append(b.dtype)
+        return bicgstab(A, b, **kwargs)
+
+    monkeypatch.setattr(pde, "bicgstab", recording)
+    t = np.arange(8) / 8
+    for c in range(60, 92, 2):
+        dtypes.clear()
+        u = np.broadcast_to(c + 0.2 * np.sin(2 * np.pi * t[:, None, None, None]), (8,) * 4)
+        with pytest.raises(ConvergenceError, match="stalled"):
+            conformal_scalar_flat(MetricModel4T.conformal(u.copy()), tol=1e-60)
+        assert np.dtype(np.float64) not in dtypes[:-1], (c, dtypes)
+
+
 def test_stalled_solve_never_repeats_a_bicgstab_call(monkeypatch):
     # a rejected round leaves the defect unchanged, so another round after it
     # would hand BiCGStab the same right-hand side bit for bit
@@ -672,7 +692,7 @@ def _float64_reference_solve(metric, tol=pde.SOLVE_TOL):
     a_op = LinearOperator((size, size), dtype=float,
                           matvec=lambda v: op._apply_preconditioned(v.reshape(op.shape)).ravel())
     f = np.zeros(op.shape)
-    for _ in range(pde._MAX_ROUNDS):
+    for _ in range(24):
         defect = s_g - op.apply(f)
         if np.max(np.abs(defect)) < tol:
             return f
