@@ -26,7 +26,7 @@ from .classifier import (
 )
 from .curvature import curvature_report, load_metric, save_field4
 from .geom_core import MIN_RESOLUTION, CurveModel
-from .errors import ConvergenceError, ScalarFlatError
+from .errors import ConvergenceError, DescriptorError, ScalarFlatError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -96,8 +96,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload, path=None) -> None:
-    """Print the payload's JSON text, first writing the same text to `path` if given."""
-    text = json.dumps(payload, indent=2) + "\n"
+    """Print the payload's JSON text, first writing the same text to `path` if
+    given.  JSON has no NaN or Infinity, so a payload holding one is a
+    DescriptorError naming its top-level key, raised before anything is written."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        for key, value in payload.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise DescriptorError(f"output {key!r} is not finite") from None
+        raise
     if path:
         Path(path).write_text(text, encoding="utf-8")
     sys.stdout.write(text)

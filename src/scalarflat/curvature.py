@@ -491,40 +491,41 @@ class _SingleTraceOperator(TraceOperator):
         return self._kept_weights
 
 
-def _scalar_from(op: TraceOperator, metric: MetricModel4T) -> np.ndarray:
-    """s = -L(log det g), fresh, with L = op the metric's operator; taken as
-    L(-log det g), so a zero of s is +0.0 (the flat metric prints 0.0), and
-    -log det g is passed as apply's only reference, so it is freed once
-    transformed.  An s that is not finite is a DescriptorError."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = op.apply(np.negative(np.log(metric.det)))
-    return _require_finite(s, "scalar curvature")
-
-
 def _total(metric: MetricModel4T, s: np.ndarray) -> float:
     """The total scalar curvature integral(s omega^2) = 8 mean(s det g) of a
-    scalar field s of the metric."""
-    return 8.0 * float(np.mean(s * metric.det))
+    scalar field s of the metric, formed under np.errstate; a total that is
+    not finite is a DescriptorError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = 8.0 * float(np.mean(s * metric.det))
+    return _require_finite(total, "total scalar curvature")
 
 
 def _total_routes(metric: MetricModel4T, s: np.ndarray) -> tuple[float, float]:
     """(trace route, wedge route) of the total scalar curvature from s =
-    chern_scalar(metric); the wedge route pairs Ric with g, not g^-1."""
+    chern_scalar(metric); the wedge route pairs Ric with g, not g^-1.
+    Either route not finite is a DescriptorError."""
     ric = chern_ricci(metric)
     # the wedge integrand r11 g22 + r22 g11 - 2 Re(r12 conj(g12)); the
     # complex product is taken one x1-slab at a time, so it stays small, and
     # out of place, since numpy's in-place complex multiply may round differently
-    wedge = ric.r11 * metric.g22
-    wedge += ric.r22 * metric.g11
-    for out, r12, g12 in zip(wedge, ric.r12, metric.g12):
-        out -= 2.0 * (r12 * np.conj(g12)).real
-    return _total(metric, s), 8.0 * float(np.mean(wedge))
+    with np.errstate(over="ignore", invalid="ignore"):
+        wedge = ric.r11 * metric.g22
+        wedge += ric.r22 * metric.g11
+        for out, r12, g12 in zip(wedge, ric.r12, metric.g12):
+            out -= 2.0 * (r12 * np.conj(g12)).real
+        wedge_route = 8.0 * float(np.mean(wedge))
+    return _total(metric, s), _require_finite(wedge_route, "wedge-route total scalar curvature")
 
 
 def chern_scalar(metric: MetricModel4T) -> np.ndarray:
     """Chern scalar curvature s = g^{i jbar} ric_{i jbar}, computed as
-    -L(log det g) with L = TraceOperator(metric); a fresh array per call."""
-    return _scalar_from(TraceOperator(metric), metric)
+    -L(log det g) with L = TraceOperator(metric); a fresh array per call.
+    Taken as L(-log det g), so a zero of s is +0.0 (the flat metric prints
+    0.0), and -log det g is passed as apply's only reference, so it is freed
+    once transformed.  An s that is not finite is a DescriptorError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = TraceOperator(metric).apply(np.negative(np.log(metric.det)))
+    return _require_finite(s, "scalar curvature")
 
 
 def total_scalar(metric: MetricModel4T) -> float:
@@ -559,7 +560,8 @@ def curvature_report(metric: MetricModel4T) -> dict:
         "min": float(s.min()),
         "max": float(s.max()),
         "integral": trace_route,
-        "cross_check_residual": abs(trace_route - wedge_route),
+        "cross_check_residual": _require_finite(abs(trace_route - wedge_route),
+                                                "cross-check residual"),
     }
 
 

@@ -7,8 +7,11 @@ The conformal solver runs on honest metrics over the discretized complex
     s_G  =  tr_omega ddbar f      (trace taken with the input metric)
 
 for a zero-mean potential f and verifies that the rescaled metric
-e^(f/2) * omega has pointwise scalar curvature at the roundoff floor.  The
-trace operator L (curvature.TraceOperator) is discretized exactly as
+e^(f/2) * omega has pointwise scalar curvature at the roundoff floor.  In
+complex dimension two e^(f/2) g has determinant e^f det g and inverse
+e^(-f/2) g^-1, so that curvature is e^(-f/2) L(-(log det g + f)): the check
+is one more apply of the input metric's L, and no rescaled metric is built.
+The trace operator L (curvature.TraceOperator) is discretized exactly as
 g^{i jbar} d^2 f / (dz^i dzbar^j) with spectral derivatives and the
 pointwise metric inverse, applied with real-to-complex transforms, and
 s_G = -L(log det g) lies in L's range for every metric.  The paper's
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .curvature import MetricModel4T, TraceOperator, _scalar_from, chern_scalar
+from .curvature import MetricModel4T, TraceOperator, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
 from .geom_core import (DEGREE_INPUT_TOL, LineBundleModel, _freeze, _real, _require_finite,
                         _require_resolution, integrate)
@@ -128,8 +131,10 @@ def is_gauduchon(metric: MetricModel4T) -> tuple[bool, float]:
 class ConformalSolution:
     """Conformal potential with its verification data.
 
-    residual is max |s| of the rescaled metric e^(f/2) omega recomputed from
-    scratch; solve_residual is max |s_G - tr ddbar f| of the linear solve."""
+    residual is max |s| of the rescaled metric e^(f/2) omega, read from
+    log det g + f as max |e^(-f/2) L(-(log det g + f))| with L the input
+    metric's operator; solve_residual is max |s_G - tr ddbar f| of the
+    linear solve."""
 
     f: np.ndarray
     residual: float
@@ -156,9 +161,10 @@ def bicgstab(A, b, **kwargs):
     return scipy_bicgstab(A, b, **kwargs)
 
 
-def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, float, int, int]:
-    """Defect-correction rounds for L f = s_G on one operator L; returns
-    (f, max-norm residual, iterations, rounds).
+def _defect_correction(op: TraceOperator, s_g: np.ndarray,
+                       tol: float) -> tuple[np.ndarray, float, int, int]:
+    """Defect-correction rounds for L f = s_G on the caller's operator op,
+    with s_g = s_G; returns (f, max-norm residual, iterations, rounds).
 
     Every round measures the true defect s_g - L f in float64.  Its
     correction is P y, one precondition of the y that BiCGStab finds for
@@ -176,15 +182,14 @@ def _defect_correction(metric: MetricModel4T, tol: float) -> tuple[np.ndarray, f
     holds its float32 tables while it lives, one BiCGStab and its update P y,
     and is freed before the round's float64 defect; the Krylov vectors live
     for one BiCGStab; the defect starts as s_G itself, and each candidate and
-    its defect are built in place in fresh arrays; s_G, f and the defect live
-    in this frame, as does the operator, which keeps no field but the float64
-    preconditioner of a float64 round, so all are freed before the caller's
-    verification.
+    its defect are built in place in fresh arrays; s_G and the defect live in
+    this frame, so both are freed before the caller's verification, and f is
+    returned.  op is the caller's and lives through the verification; it
+    keeps no field of its own, except the float64 preconditioner once a
+    float64 round has run.
     """
     from scipy.sparse.linalg import LinearOperator
 
-    op = TraceOperator(metric)
-    s_g = _scalar_from(op, metric)
     shape = op.shape
     size = s_g.size
     f = np.zeros(shape)
@@ -259,8 +264,11 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     max-norm residual tol (ConvergenceError after a round in which neither
     precision halves the max-norm defect; so at most
     ceil(log2(max |s_G| / tol)) + 1 rounds, each of at most two
-    _INNER_MAXITER-step BiCGStab runs), then rescales and recomputes the
-    scalar curvature of e^(f/2) omega as an independent end-to-end check.
+    _INNER_MAXITER-step BiCGStab runs), then checks end to end that
+    e^(f/2) omega has max |s| at most VERIFY_TOL (ConvergenceError
+    otherwise, a NaN included).  That s is e^(-f/2) L(-(log det g + f)), one
+    more apply of L, formed from log det g + f and not from the solve's
+    defect.  s_G comes from chern_scalar, which builds its own operator.
     Iterations count the BiCGStab steps begun, from the matvecs of L P: a
     full step takes two, a step that converges at its half step (unseen by
     scipy's callback) one.  A tol that is not finite and positive, and
@@ -271,10 +279,12 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     if not (math.isfinite(tol) and tol > 0.0):
         raise DescriptorError(f"solve tolerance must be finite and positive, got {tol!r}")
     _require_resolution(metric.resolution, "grid resolution")
-    f, solve_residual, iterations, rounds = _defect_correction(metric, tol)
-    rescaled = metric.rescaled(f / 2.0)
-    end_to_end = float(np.max(np.abs(chern_scalar(rescaled))))
-    if end_to_end > VERIFY_TOL:
+    op = TraceOperator(metric)
+    f, solve_residual, iterations, rounds = _defect_correction(op, chern_scalar(metric), tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.exp(-f / 2.0) * op.apply(-(np.log(metric.det) + f))
+    end_to_end = float(np.max(np.abs(s)))
+    if not end_to_end <= VERIFY_TOL:
         raise ConvergenceError(
             f"rescaled metric has max |s| = {end_to_end:.3e}, above the "
             f"verification bound {VERIFY_TOL:.1e}")

@@ -19,7 +19,7 @@ from scalarflat import cli
 from scalarflat.catalog import FLOAT_TOL, CatalogEntry, catalog_entries, check_entry, run_entry
 from scalarflat.classifier import classify_split
 from scalarflat.cli import build_parser, run
-from scalarflat.curvature import save_metric
+from scalarflat.curvature import _write_grid_csv, save_metric
 from scalarflat.positivity import in_certified_range
 
 
@@ -356,13 +356,15 @@ def test_solve_of_a_metric_beyond_float32_range_exits_4(tmp_path, capsys):
     assert not (tmp_path / "solution.f.csv").exists()
 
 
-def test_solve_whose_end_to_end_check_fails_exits_4(tmp_path, capsys, monkeypatch):
-    # the verification reads the scalar curvature of the rescaled metric; an
-    # unrescaled non-Gauduchon metric fails it after the solve has converged
-    t = np.arange(8) / 8
-    u = np.broadcast_to(0.2 * np.sin(2 * np.pi * t[:, None, None, None]), (8,) * 4)
-    manifest = save_metric(MetricModel4T.conformal(u.copy()), tmp_path / "metric")
-    monkeypatch.setattr(MetricModel4T, "rescaled", lambda self, exponent: self)
+def test_solve_whose_end_to_end_check_fails_exits_4(tmp_path, capsys):
+    # g11 = 1e307 at one point, the CSV rewritten so that the binary twin's
+    # digest misses: the solve converges to a defect near 7e-12, but
+    # e^(-f/2) reaches 8e152 at the spike, and the rescaled metric's max |s|
+    # is near 1e142; no patch is needed to reach the raise
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    g11 = np.ones((8,) * 4)
+    g11[0, 0, 0, 0] = 1e307
+    _write_grid_csv(tmp_path / "metric" / "g11.csv", g11, "11")
     code, payload = run_json(capsys, ["solve", "scalar-flat", "--metric", str(manifest),
                                       "--out", str(tmp_path / "solution.json")])
     assert code == 4
@@ -371,6 +373,21 @@ def test_solve_whose_end_to_end_check_fails_exits_4(tmp_path, capsys, monkeypatc
     assert payload["message"].endswith("above the verification bound 1.0e-06")
     assert not (tmp_path / "solution.json").exists()
     assert not (tmp_path / "solution.f.csv").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_a_payload_that_is_not_finite_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                 monkeypatch, value):
+    # JSON has no NaN or Infinity: the output seam refuses one, names its
+    # top-level key, and writes no --out file
+    report = {"min": 0.0, "max": 0.0, "integral": {"trace": value}, "cross_check_residual": 0.0}
+    monkeypatch.setattr(cli, "curvature_report", lambda metric: report)
+    manifest = save_metric(MetricModel4T.flat(8), tmp_path / "metric")
+    code, payload = run_json(capsys, ["curvature", "--metric", str(manifest),
+                                      "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    assert payload == {"error": "DescriptorError", "message": "output 'integral' is not finite"}
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_missing_metric_file_exits_2(capsys):

@@ -45,7 +45,7 @@ GOLDEN_FILES = {
 #: sha256 of exit code and stdout of `curvature` and `solve` on those files
 GOLDEN_STDOUT = {
     "curvature": "2bc6a01fcb246ae96a381c34a0ab5c77baeb01e2103318d3169509a5fad00f0d",
-    "solve": "082bb41e990903cb43ab98e7aa2618bba6a9b399104eec8e5de9c87e1b1c258d",
+    "solve": "debe50969ad4758ad4138073302b8917d1de0eebe0877202171d63279dd41ad2",
 }
 
 

@@ -264,6 +264,27 @@ def test_a_stored_metric_whose_curvature_overflows_exits_2(tmp_path, capsys, com
     assert not (tmp_path / "out.f.csv").exists()
 
 
+@pytest.mark.parametrize("base", ["flat", "mild"])
+def test_a_stored_metric_whose_total_overflows_is_refused(tmp_path, capsys, base):
+    # g11 = 1e307 at one point: det g and s stay finite, but s det g and the
+    # wedge integrand overflow; curvature printed "integral": Infinity and
+    # "cross_check_residual": NaN at exit 0
+    metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
+    if base == "flat":
+        metric = MetricModel4T.flat(8)
+    manifest = save_metric(metric, tmp_path / "metric")
+    edit_first_value(manifest.parent / "g11.csv", "1e307")
+    code = run(["curvature", "--metric", str(manifest), "--out", str(tmp_path / "out.json")])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert payload["error"] == "DescriptorError"
+    assert payload["message"] == "total scalar curvature entries must be finite"
+    assert not (tmp_path / "out.json").exists()
+    for total in (curvature.total_scalar, curvature.total_scalar_routes):
+        with pytest.raises(DescriptorError, match="total scalar curvature"):
+            total(load_metric(manifest))
+
+
 def test_a_solve_whose_defect_norm_overflows_exits_4(tmp_path, capsys):
     # g11 = 1e-290 at one point: s_G is finite, but the l2 norm of the
     # defect overflows; that round's correction does not halve the defect,

@@ -421,9 +421,9 @@ def test_scalar_curvature_is_minus_the_trace_of_log_det(n):
 
 
 def test_one_solve_builds_one_operator_per_metric(monkeypatch):
-    # s_G and the rounds share the input's operator, and the
-    # end-to-end check builds one for the rescaled metric; neither
-    # differentiates log det g through the Ricci components
+    # chern_scalar builds one operator for s_G, and the rounds and the
+    # end-to-end check share the other; neither differentiates log det g
+    # through the Ricci components
     metric = MetricModel4T.from_kahler_potential(kahler_test_potential(8, 0.1 / np.pi ** 2))
     calls = {"ddbar4_components": 0, "TraceOperator": 0}
     ddbar4, init = fourier.ddbar4_components, TraceOperator.__init__

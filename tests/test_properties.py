@@ -10,13 +10,14 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import random_metric, trig_field4
-from hypothesis import example, given
+from conftest import kahler_test_potential, random_metric, trig_field4
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scalarflat import (
@@ -42,6 +43,7 @@ from scalarflat.curvature import (
     HERMITIAN_INPUT_TOL,
     _inverse_entries,
     _trace_weights,
+    _write_grid_csv,
     hermitian_part,
     load_metric,
     save_field4,
@@ -256,6 +258,21 @@ def test_trace_operator_adjoint_is_its_transpose(seed, n):
     lv, ltu = op.apply(v), op.apply_adjoint(u)
     scale = np.linalg.norm(u) * np.linalg.norm(lv) + np.linalg.norm(ltu) * np.linalg.norm(v)
     assert abs(np.vdot(u, lv) - np.vdot(ltu, v)) <= 1e-13 * scale
+
+
+@settings(max_examples=25)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.sampled_from([8, 9, 12]),
+       st.floats(min_value=0.05, max_value=0.45), st.floats(min_value=0.1, max_value=3.0))
+def test_a_rescaled_metric_has_the_one_apply_scalar_curvature(seed, n, amplitude, size):
+    # in complex dimension two e^(f/2) g has det e^f det g and inverse
+    # e^(-f/2) g^-1, so its scalar curvature is e^(-f/2) L(-(log det g + f))
+    # with L the operator of g, the form the solve's end-to-end check reads
+    rng = np.random.default_rng(seed)
+    metric = random_metric(n, rng, amplitude)
+    f = size * trig_field4(n, rng)
+    direct = chern_scalar(metric.rescaled(f / 2))
+    one_apply = np.exp(-f / 2) * TraceOperator(metric).apply(-(np.log(metric.det) + f))
+    assert np.max(np.abs(direct - one_apply)) <= 1e-12 * np.max(np.abs(direct))
 
 
 class _TraceReference:
@@ -637,6 +654,55 @@ def test_a_kahler_potential_is_admitted_or_refused(seed, n, amplitude, offset):
     # |ddbar phi| <= 2 pi^2 |amplitude|, so the metric stays positive
     if abs(amplitude) <= 0.01:
         assert out is not None
+
+
+@pytest.fixture(scope="module")
+def stored_n8_metrics(tmp_path_factory):
+    """base -> directory of a saved N = 8 metric, flat or the mild Kahler one."""
+    root = tmp_path_factory.mktemp("stored_n8")
+    bases = {"flat": MetricModel4T.flat(8),
+             "mild": MetricModel4T.from_kahler_potential(
+                 kahler_test_potential(8, 0.1 / np.pi ** 2))}
+    return {base: save_metric(metric, root / base).parent for base, metric in bases.items()}
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(("flat", "mild")), st.sampled_from(("11", "22", "12re", "12im")),
+       st.integers(min_value=0, max_value=8 ** 4 - 1), st.floats())
+@example("flat", "11", 0, 1e307)    # s det g overflows in the total: exit 2, solve exit 4
+@example("mild", "11", 0, 1e307)
+@example("flat", "11", 0, 1.7e308)
+@example("flat", "11", 0, 1e200)    # det g overflows
+@example("flat", "11", 0, 1e-320)    # det g is subnormal
+@example("flat", "22", 0, 1e-305)    # s overflows
+@example("flat", "11", 0, 1e-290)    # the defect's norm overflows: solve exit 4
+@example("flat", "12re", 0, 5e-324)
+@example("mild", "12im", 0, -0.0)
+@example("mild", "22", 0, -1.7e308)
+def test_a_stored_metric_never_escapes_its_exit_codes(stored_n8_metrics, base, component,
+                                                     point, value):
+    # one entry of one component CSV set to any float, the CSV rewritten so
+    # that the binary twin's digest misses: each command exits 0, 2 or 4,
+    # prints no non-finite JSON, and solve writes a potential only at exit 0
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for path in stored_n8_metrics[base].iterdir():
+            shutil.copyfile(path, directory / path.name)
+        manifest = directory / "metric.json"
+        name = json.loads(manifest.read_text())["components"][component]
+        grid = np.loadtxt(directory / name, delimiter=",", comments="#").reshape((8,) * 4)
+        grid.flat[point] = value
+        _write_grid_csv(directory / name, grid, component)
+        for argv in (["curvature", "--metric", str(manifest)],
+                     ["solve", "scalar-flat", "--metric", str(manifest),
+                      "--out", str(directory / "solution.json")]):
+            out = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+                warnings.simplefilter("error")
+                code = run(argv)
+            assert code in (0, 2, 4), (argv[0], code, out.getvalue())
+            assert "Infinity" not in out.getvalue() and "NaN" not in out.getvalue()
+        assert (directory / "solution.f.csv").exists() == (code == 0)
 
 
 BUNDLE_DESCRIPTOR = {"genus": 2, "resolution": 8,
