@@ -53,12 +53,12 @@ HERMITIAN_INPUT_TOL = 1e-10
 
 def _hermitian_entries(field: np.ndarray, what: str):
     """entry(i, j), the Hermitian part's entry (conj(f_ji) + f_ij) * 0.5 of a
-    field of matrices over its last two axes as a fresh complex C-order
-    array.  Raises DescriptorError naming `what` for a non-finite entry or an
-    asymmetry max |f_ij - conj(f_ji)| above HERMITIAN_INPUT_TOL times the
-    largest |f_ij|, at every scale.  Works one index pair at a time, so no
-    temporary is larger than one entry."""
-    field = _require_finite(np.asarray(field, dtype=complex), what)
+    complex field of matrices over its last two axes as a fresh complex
+    C-order array.  Raises DescriptorError naming `what` for a non-finite
+    entry or an asymmetry max |f_ij - conj(f_ji)| above HERMITIAN_INPUT_TOL
+    times the largest |f_ij|, at every scale.  Works one index pair at a
+    time, so no temporary is larger than one entry."""
+    _require_finite(field, what)
     r = field.shape[-1]
     largest = asym = 0.0
     for i in range(r):
@@ -88,7 +88,8 @@ def _hermitian_entries(field: np.ndarray, what: str):
 def _dense_entries(field: np.ndarray, what: str):
     """(f11, f22, f12) of an (n, n, n, n, 2, 2) field's Hermitian part, fresh,
     the diagonal real; validated as _hermitian_entries validates it."""
-    _require_grid(np.shape(field), (2, 2))
+    field = _real(field, what, complex)
+    _require_grid(field.shape, (2, 2))
     entry = _hermitian_entries(field, what)
     # copies, so no entry is a view of a complex diagonal
     return entry(0, 0).real.copy(), entry(1, 1).real.copy(), entry(0, 1)
@@ -97,8 +98,9 @@ def _dense_entries(field: np.ndarray, what: str):
 def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
     """Hermitian part of a field of matrices over its last two axes, a fresh
     C-order field; validated as _hermitian_entries validates it."""
+    field = _real(field, what, complex)
     entry = _hermitian_entries(field, what)
-    out = np.empty(np.shape(field), dtype=complex)
+    out = np.empty(field.shape, dtype=complex)
     for i, j in np.ndindex(out.shape[-2:]):
         out[..., i, j] = entry(i, j)
     return out
@@ -131,7 +133,7 @@ def chern_curvature_matrix(h: np.ndarray) -> np.ndarray:
     is spectral (fourier.dz, dzbar, ddbar).  The result is Hermitian in
     (a, b) at every grid point.
     """
-    h = np.asarray(h, dtype=complex)
+    h = _real(h, "metric field", complex)
     if h.ndim != 4 or h.shape[2] != h.shape[3] or 0 in h.shape:
         raise DescriptorError(f"expected an (n, n, r, r) matrix field, got shape {h.shape}")
     h = hermitian_part(h, "metric field")

@@ -70,15 +70,27 @@ def _require_grid(shape: tuple, trailing: tuple = (), n=None) -> int:
     return _require_resolution(shape[0], "grid resolution", 1)
 
 
-def _real(values, what="field") -> np.ndarray:
-    """values as a float64 array; DescriptorError naming `what` for a complex
-    (never truncated), ragged or non-numeric one."""
+def _real(values, what="field", dtype=float) -> np.ndarray:
+    """values as a float64 array, or as a complex128 one for dtype=complex
+    (np.asarray, so an array of that dtype is not copied); DescriptorError
+    naming `what` for a ragged or non-numeric one, and for a complex one
+    when the dtype is float (never truncated)."""
     try:    # np.iscomplexobj itself raises on a ragged list
-        if not np.iscomplexobj(values):
-            return np.asarray(values, dtype=float)
+        if dtype is complex or not np.iscomplexobj(values):
+            return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise DescriptorError(f"expected a real {what}: {exc}") from exc
+        kind = "complex" if dtype is complex else "real"
+        raise DescriptorError(f"expected a {kind} {what}: {exc}") from exc
     raise DescriptorError(f"expected a real {what}, got a complex one")
+
+
+def _real_number(value, what: str) -> float:
+    """value as a float; DescriptorError naming `what` for anything _real
+    refuses and for an array that is not 0-d."""
+    number = _real(value, what)
+    if number.ndim != 0:
+        raise DescriptorError(f"expected a real {what}, got shape {number.shape}")
+    return float(number)
 
 
 def _require_finite(values: np.ndarray, what="field") -> np.ndarray:
@@ -305,11 +317,12 @@ class OneOneForm:
         if not np.all((s1 >= 0.0) & (s1 <= 1.0)):    # NaN fails both
             raise DescriptorError("fiber weights must lie in [0, 1]")
         _require_finite(base, "base component")
-        if not np.isfinite(self.fs_multiple):
+        fs_multiple = _real_number(self.fs_multiple, "fiber multiple")
+        if not np.isfinite(fs_multiple):
             raise DescriptorError("fiber multiple must be finite")
         object.__setattr__(self, "base_component", _freeze(base))
         object.__setattr__(self, "s1", _freeze(s1))
-        object.__setattr__(self, "fs_multiple", float(self.fs_multiple))
+        object.__setattr__(self, "fs_multiple", fs_multiple)
 
     @property
     def sample_count(self) -> int:

@@ -47,8 +47,8 @@ import numpy as np
 from . import fourier
 from .curvature import MetricModel4T, TraceOperator, chern_scalar
 from .errors import ConvergenceError, DegreeError, DescriptorError, SolvabilityError
-from .geom_core import (DEGREE_INPUT_TOL, LineBundleModel, _freeze, _real, _require_finite,
-                        _require_resolution, integrate)
+from .geom_core import (DEGREE_INPUT_TOL, LineBundleModel, _freeze, _real, _real_number,
+                        _require_finite, _require_resolution, integrate)
 
 #: compatibility gate on mean(rho) for the Poisson solve
 POISSON_MEAN_TOL = 1e-8
@@ -271,11 +271,12 @@ def conformal_scalar_flat(metric: MetricModel4T, tol: float = SOLVE_TOL) -> Conf
     defect.  s_G comes from chern_scalar, which builds its own operator.
     Iterations count the BiCGStab steps begun, from the matvecs of L P: a
     full step takes two, a step that converges at its half step (unseen by
-    scipy's callback) one.  A tol that is not finite and positive, and
-    resolutions below MIN_RESOLUTION (at N = 2 every mode lies in the
+    scipy's callback) one.  A tol that is not one finite positive real
+    number, and resolutions below MIN_RESOLUTION (at N = 2 every mode lies in the
     operator's {0, Nyquist} null set) raise DescriptorError before L is
     built.
     """
+    tol = _real_number(tol, "solve tolerance")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DescriptorError(f"solve tolerance must be finite and positive, got {tol!r}")
     _require_resolution(metric.resolution, "grid resolution")

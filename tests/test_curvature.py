@@ -347,16 +347,46 @@ def test_complex_fields_are_refused_not_truncated(build, what, tmp_path):
     assert not (tmp_path / "f.csv").exists()
 
 
-@pytest.mark.parametrize("build", [
-    lambda field: CurveModel(2, 8, field),
-    lambda field: integrate(field, CurveModel.flat(2, 8)),
-    lambda field: prescribe_curvature(field,
-                                      make_line_bundle(0, "constant", CurveModel.flat(2, 8))),
-], ids=["CurveModel", "integrate", "prescribe_curvature"])
-def test_ragged_fields_are_descriptor_errors(build):
-    # np.asarray raises a raw ValueError on a ragged list
-    with pytest.raises(DescriptorError, match="expected a real"):
-        build([[1.0], [2.0, 3.0]])
+RAGGED = [[1.0], [2.0, 3.0]]
+TEXT = np.full((8,) * 4 + (2, 2), "x")
+
+
+@pytest.mark.parametrize("build, field, what", [
+    (lambda field: CurveModel(2, 8, field), RAGGED, "real area density"),
+    (lambda field: integrate(field, CurveModel.flat(2, 8)), RAGGED, "real field"),
+    (lambda field: prescribe_curvature(field,
+                                       make_line_bundle(0, "constant", CurveModel.flat(2, 8))),
+     RAGGED, "real target density"),
+    (MetricModel4T, RAGGED, "complex metric"),
+    (MetricModel4T, TEXT, "complex metric"),
+    (RicciField, RAGGED, "complex Ricci field"),
+    (RicciField, TEXT, "complex Ricci field"),
+    (chern_curvature_matrix, RAGGED, "complex metric field"),
+    (chern_curvature_matrix, TEXT[0, 0], "complex metric field"),
+    (lambda field: hermitian_part(field, "frame"), RAGGED, "complex frame"),
+    (lambda field: hermitian_part(field, "frame"), TEXT, "complex frame"),
+], ids=["CurveModel", "integrate", "prescribe_curvature", "MetricModel4T",
+        "MetricModel4T non-numeric", "RicciField", "RicciField non-numeric",
+        "chern_curvature_matrix", "chern_curvature_matrix non-numeric", "hermitian_part",
+        "hermitian_part non-numeric"])
+def test_ragged_fields_are_descriptor_errors(build, field, what):
+    # np.asarray and np.shape raise a raw ValueError on a ragged list, and
+    # np.asarray on text that is not a number
+    with pytest.raises(DescriptorError, match=f"expected a {what}: "):
+        build(field)
+
+
+@pytest.mark.parametrize("value", ["x", None, 1j, np.array([1.0, 2.0])],
+                         ids=["text", "None", "complex", "pair"])
+@pytest.mark.parametrize("build, what", [
+    (lambda value: conformal_scalar_flat(MetricModel4T.flat(8), tol=value), "solve tolerance"),
+    (lambda value: OneOneForm(np.zeros((1, 8, 8)), [0.5], fs_multiple=value), "fiber multiple"),
+], ids=["tol", "fs_multiple"])
+def test_scalar_arguments_are_descriptor_errors(build, what, value):
+    # math.isfinite and np.isfinite raised a raw TypeError or ValueError;
+    # None reads as NaN, which the finiteness check names
+    with pytest.raises(DescriptorError, match=what):
+        build(value)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

@@ -384,3 +384,67 @@ def test_each_model_refusal_names_its_cause(build, message):
         build()
     assert type(refused.value) is DescriptorError
     assert str(refused.value) == message
+
+
+# ---------------------------------------------------------------------------
+# each test below fails when one statement of geom_core is replaced by `pass`
+
+def test_a_curve_model_freezes_a_copy_of_its_density():
+    lam = np.ones((8, 8))
+    curve = CurveModel(2, 8, lam)
+    assert lam.flags.writeable and not np.shares_memory(lam, curve.lam)
+
+
+@pytest.mark.parametrize("degree, kappa, message", [
+    (1.0, np.full((8, 8), np.pi), "line bundle degree must be an integer"),
+    # abs(NaN - degree) > tol is False, so the degree check alone admits it
+    (1, np.where(np.eye(8, dtype=bool), np.nan, np.pi),
+     "curvature density entries must be finite"),
+], ids=["float-degree", "nan-density"])
+def test_a_line_bundle_refuses_a_float_degree_and_a_nan_density(degree, kappa, message):
+    with pytest.raises(DescriptorError, match=message):
+        LineBundleModel(degree, kappa, CurveModel.flat(2, 8))
+
+
+def test_a_split_bundle_stores_its_summands_as_a_tuple():
+    line = _line(1)
+    assert SplitBundle([line]).summands == (line,)
+
+
+def test_a_fiber_simplex_point_is_a_read_only_vector():
+    with pytest.raises(DescriptorError, match="weights must be a nonempty vector"):
+        FiberSimplexPoint([[1.0]])
+    point = FiberSimplexPoint([0.5, 0.5])
+    assert point.rank == 2 and not point.weights.flags.writeable
+
+
+def test_a_one_one_form_stores_read_only_copies_and_a_float_multiple():
+    base, s1 = np.zeros((1, 8, 8)), np.array([0.5])
+    form = OneOneForm(base, s1, -2)
+    for stored, given in ((form.base_component, base), (form.s1, s1)):
+        assert not stored.flags.writeable and not np.shares_memory(stored, given)
+    assert type(form.fs_multiple) is float
+
+
+def test_a_non_square_profile_csv_is_refused_naming_the_file(tmp_path):
+    doc = {"genus": 2, "resolution": 8,
+           "summands": [{"degree": 0, "profile": {"file": "wide.csv"}}]}
+    (tmp_path / "bundle.json").write_text(json.dumps(doc))
+    (tmp_path / "wide.csv").write_text("0,0,0\n0,0,0\n")
+    with pytest.raises(DescriptorError, match=r"wide\.csv is \(2, 3\), expected square"):
+        load_bundle_descriptor(tmp_path / "bundle.json")
+
+
+def test_a_dict_descriptor_reads_its_profile_from_the_working_directory(tmp_path, monkeypatch):
+    np.savetxt(tmp_path / "kappa.csv", np.full((8, 8), np.pi), delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    _, bundle = load_bundle_descriptor(
+        {"genus": 2, "resolution": 8,
+         "summands": [{"degree": 1, "profile": {"file": "kappa.csv"}}]})
+    assert bundle.summands[0].measured_degree() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_a_ragged_field_is_refused_with_numpy_s_reason():
+    with pytest.raises(DescriptorError, match="expected a real area density: setting an array "
+                                              "element with a sequence"):
+        CurveModel(2, 8, [[1.0], [2.0, 3.0]])

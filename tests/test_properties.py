@@ -672,7 +672,8 @@ def stored_n8_metrics(tmp_path_factory):
 @example("flat", "11", 0, 1e307)    # s det g overflows in the total: exit 2, solve exit 4
 @example("mild", "11", 0, 1e307)
 @example("flat", "11", 0, 1.7e308)
-@example("flat", "11", 0, 1e200)    # det g overflows
+@example("flat", "11", 0, 1e200)    # det g = 1e200 is finite: exit 0, solve exit 4 (|s| 9.4e85)
+@example("flat", "12re", 0, 1e200)    # |g12|^2 overflows, so det g = -inf: exit 2
 @example("flat", "11", 0, 1e-320)    # det g is subnormal
 @example("flat", "22", 0, 1e-305)    # s overflows
 @example("flat", "11", 0, 1e-290)    # the defect's norm overflows: solve exit 4
