@@ -97,8 +97,12 @@ def _dense_entries(field: np.ndarray, what: str):
 
 def hermitian_part(field: np.ndarray, what: str) -> np.ndarray:
     """Hermitian part of a field of matrices over its last two axes, a fresh
-    C-order field; validated as _hermitian_entries validates it."""
+    C-order field; validated as _hermitian_entries validates it.  A field
+    that is not a nonempty stack of square matrices is a DescriptorError."""
     field = _real(field, what, complex)
+    if field.ndim < 3 or field.shape[-1] != field.shape[-2] or field.size == 0:
+        raise DescriptorError(
+            f"{what} must be a nonempty stack of square matrices, got shape {field.shape}")
     entry = _hermitian_entries(field, what)
     out = np.empty(field.shape, dtype=complex)
     for i, j in np.ndindex(out.shape[-2:]):
@@ -217,34 +221,43 @@ class _EntryFields:
         return instance
 
 
+def _determinant(g11, g22, g12) -> np.ndarray:
+    """det g = g11 g22 - |g12|^2 of a metric's entries, fresh and writable,
+    formed under np.errstate, so a NaN entry or an overflowing product
+    reaches the caller as NaN or inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = g11 * g22
+        det -= np.abs(g12) ** 2
+    return det
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class MetricModel4T(_EntryFields):
     """Hermitian metric on the periodic 4-grid: a positive 2x2 Hermitian
     matrix at every point, stored as (n, n, n, n) fields over axes
-    (x1, y1, x2, y2) of its entries g11, g22 (real), g12 (complex) and its
-    determinant, 40 bytes per point; _inverse_entries divides out the inverse.
+    (x1, y1, x2, y2) of its entries g11, g22 (real) and g12 (complex), 32
+    bytes per point.  det, g and inverse are derived from them on each
+    access; _inverse_entries divides out the inverse.
 
     Every construction path admits the entries by one test, det g normal
     and positive and 0 < tr g^-1 < inf at every point, which for Hermitian
     entries is positive definite with finite entries and a finite inverse.
+    det is formed for that test by _determinant, as every reader forms it.
 
-    MetricModel4T(g) takes an (n, n, n, n, 2, 2) field, and the g and inverse
-    properties build such fields anew on each access.  Instances are
+    MetricModel4T(g) takes an (n, n, n, n, 2, 2) field.  Instances are
     immutable and keep no derived field."""
 
     g11: np.ndarray
     g22: np.ndarray
     g12: np.ndarray
-    det: np.ndarray
 
     def __init__(self, g: np.ndarray):
         self.__post_init__(*_dense_entries(g, "metric"))
 
     def __post_init__(self, g11, g22, g12):
         _require_grid(g11.shape)
+        det = _determinant(g11, g22, g12)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            det = g11 * g22
-            det -= np.abs(g12) ** 2
             trace_inverse = g11 + g22
             trace_inverse /= det
         # tr g^-1 bounds every inverse entry; a NaN entry leaves it NaN, an overflowing det 0.
@@ -256,9 +269,16 @@ class MetricModel4T(_EntryFields):
                 "metric is not positive definite with a finite inverse (determinant in "
                 f"[{det.min():.3e}, {det.max():.3e}], trace of the inverse in "
                 f"[{trace_inverse.min():.3e}, {trace_inverse.max():.3e}])")
-        for name, field in zip(("g11", "g22", "g12", "det"), (g11, g22, g12, det)):
+        for name, field in zip(("g11", "g22", "g12"), (g11, g22, g12)):
             field.setflags(write=False)
             object.__setattr__(self, name, field)
+
+    @property
+    def det(self) -> np.ndarray:
+        """The (n, n, n, n) determinant g11 g22 - |g12|^2, built anew on each access."""
+        det = _determinant(self.g11, self.g22, self.g12)
+        det.setflags(write=False)
+        return det
 
     @property
     def g(self) -> np.ndarray:
@@ -272,7 +292,7 @@ class MetricModel4T(_EntryFields):
 
     @property
     def resolution(self) -> int:
-        return int(self.det.shape[0])
+        return int(self.g11.shape[0])
 
     @classmethod
     def flat(cls, resolution: int) -> "MetricModel4T":
@@ -335,10 +355,11 @@ def chern_ricci(metric: MetricModel4T) -> RicciField:
 
 def _inverse_entries(metric: MetricModel4T):
     """The inverse's entries inv11, inv22 and upper inv12, fresh, one at a time."""
-    yield metric.g22 / metric.det
-    yield metric.g11 / metric.det
+    det = _determinant(metric.g11, metric.g22, metric.g12)
+    yield metric.g22 / det
+    yield metric.g11 / det
     inv12 = np.negative(metric.g12)
-    inv12 /= metric.det
+    inv12 /= det
     yield inv12
 
 
@@ -347,25 +368,31 @@ def _trace_weights(metric: MetricModel4T):
     (a11, a22, Re a12, Im a12) with g^{i jbar}: fresh float64 fields derived
     from the stored entries one at a time, in the order TraceOperator sums
     the products, so a reader that drops each before taking the next holds
-    one.  No complex inv12 is built: the last two are g12's parts times
-    -2 / det, formed in numpy's own steps for -g12 / det, so each bit, a zero's
-    sign and a subnormal's rounding included, is that of the inverse's
-    entries (_inverse_entries)."""
-    yield from itertools.islice(_inverse_entries(metric), 2)    # inv11, inv22
+    one, and the pass holds det g, formed once.  inv11 and inv22 are divided
+    as _inverse_entries divides them; then 1 / det is formed in det's own
+    buffer, once for both m12 weights.  No complex inv12 is built: the last
+    two are g12's parts times -2 / det, formed in numpy's own steps for
+    -g12 / det, so each bit, a zero's sign and a subnormal's rounding
+    included, is that of the inverse's entries (_inverse_entries)."""
+    det = _determinant(metric.g11, metric.g22, metric.g12)
+    yield metric.g22 / det
+    yield metric.g11 / det
+    reciprocal = np.divide(1.0, det, out=det)
     # g^{1 2bar} = conj(inv12) pairs with a12 and its conjugate with a21 = conj(a12)
     g12 = metric.g12
-    yield _twice_quotient(g12.real, g12.imag, -0.0, metric.det)
-    yield _twice_quotient(g12.imag, g12.real, 0.0, metric.det)
+    yield _twice_quotient(g12.real, g12.imag, -0.0, reciprocal)
+    yield _twice_quotient(g12.imag, g12.real, 0.0, reciprocal)
 
 
-def _twice_quotient(part, cross, zero, det):
+def _twice_quotient(part, cross, zero, reciprocal):
     """2 Re(-g12 / det) from (g12.real, g12.imag, -0.0) and 2 Im(-g12 / det) from
-    (g12.imag, g12.real, 0.0) in numpy's steps: for g12 = a + ib it forms
-    Re = (-a + -b * 0) * (1 / det) and Im = (-b - -a * 0) * (1 / det), whose
-    zero cross terms set the sign of a zero quotient."""
+    (g12.imag, g12.real, 0.0), given reciprocal = 1 / det, in numpy's steps:
+    for g12 = a + ib it forms Re = (-a + -b * 0) * (1 / det) and
+    Im = (-b - -a * 0) * (1 / det), whose zero cross terms set the sign of a
+    zero quotient."""
     twice = cross * zero
     twice -= part
-    twice *= 1.0 / det
+    twice *= reciprocal
     twice *= 2.0
     return twice
 

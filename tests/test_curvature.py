@@ -155,6 +155,15 @@ def test_curvature_matrix_refuses_a_diagonal_whose_average_overflows(value):
         chern_curvature_matrix(h)
 
 
+@pytest.mark.parametrize("field", [np.ones(3), 1.5, np.ones((2, 3)), np.eye(3),
+                                   np.ones((0, 2, 2))],
+                         ids=["vector", "float", "non-square", "bare matrix", "empty stack"])
+def test_hermitian_part_refuses_what_is_not_a_stack_of_square_matrices(field):
+    # the index-pair loop raised a raw IndexError, TypeError or ValueError
+    with pytest.raises(DescriptorError, match="frame must be a nonempty stack of square"):
+        hermitian_part(field, "frame")
+
+
 def _split_bundle(curve, degrees_and_fields):
     return SplitBundle(tuple(make_line_bundle(d, f, curve) for d, f in degrees_and_fields))
 
@@ -435,8 +444,9 @@ def traced(build):
 
 
 def test_public_constructor_peak_stays_near_its_stored_fields():
-    # the metric stores 40 bytes per point (g11 g22 det real, g12 complex)
-    # against g's 64, and its peak is 48 (0.75x); no second 2x2 field is built
+    # the metric stores 32 bytes per point (g11 g22 real, g12 complex)
+    # against g's 64, and its peak is 48 (0.75x): the entries and the
+    # admission's det g and tr g^-1; no second 2x2 field is built
     g = np.array(random_metric(16, np.random.default_rng(4)).g)
     _metric, peak, _current = traced(lambda: MetricModel4T(g))
     assert peak < 1.0 * g.nbytes

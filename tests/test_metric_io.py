@@ -447,8 +447,8 @@ def test_missing_csv_with_the_twin_present_exits_2(saved, capsys):
     assert payload["error"] == "FileNotFoundError"
 
 
-#: the fields a metric stores, 40 bytes per point; its inverse is computed on access
-ENTRIES = ("g11", "g22", "g12", "det")
+#: the fields a metric stores, 32 bytes per point; det and the inverse are computed on access
+ENTRIES = ("g11", "g22", "g12")
 
 
 def test_metric_fields_are_read_only_and_not_the_callers_array():
@@ -456,10 +456,12 @@ def test_metric_fields_are_read_only_and_not_the_callers_array():
     metric = MetricModel4T(g)
     stored = [value for value in vars(metric).values() if isinstance(value, np.ndarray)]
     assert len(stored) == len(ENTRIES) and all(field.ndim == 4 for field in stored)
-    for field in [getattr(metric, name) for name in ENTRIES] + [metric.g, metric.inverse]:
+    derived = [metric.det, metric.g, metric.inverse]
+    for field in [getattr(metric, name) for name in ENTRIES] + derived:
         assert not field.flags.writeable and field.flags.c_contiguous
         assert not np.shares_memory(field, g)
-    # the 2x2 fields are built anew on each access
+    # det and the 2x2 fields are built anew on each access
+    assert not np.shares_memory(metric.det, metric.det)
     assert not np.shares_memory(metric.g, metric.g)
     assert not np.shares_memory(metric.inverse, metric.inverse)
     g[...] = 0.0
@@ -514,7 +516,7 @@ def test_component_paths_match_the_public_constructor_bit_for_bit(path, tmp_path
     }
     metric = build[path]()
     public = MetricModel4T(metric.g)
-    for name in ENTRIES + ("inverse",):
+    for name in ENTRIES + ("det", "inverse"):
         ours, theirs = getattr(metric, name), getattr(public, name)
         assert ours.dtype == theirs.dtype, name
         assert ours.tobytes() == theirs.tobytes(), name

@@ -656,6 +656,34 @@ def test_a_kahler_potential_is_admitted_or_refused(seed, n, amplitude, offset):
         assert out is not None
 
 
+@given(seeds, small_grids, st.floats(min_value=0.0, max_value=0.45), st.booleans(),
+       st.sampled_from(("dense", "components", "flat", "conformal", "rescaled", "loaded")))
+def test_a_metric_stores_three_entries_and_derives_the_admissions_det(seed, n, amplitude,
+                                                                      kahler, path):
+    rng = np.random.default_rng(seed)
+    if kahler:
+        # |ddbar phi| <= 2 pi^2 max |phi|, so every entry of g - 1 is within amplitude
+        phi = amplitude / (2.0 * np.pi ** 2) * trig_field4(n, rng)
+        drawn = MetricModel4T.from_kahler_potential(phi)
+    else:
+        drawn = random_metric(n, rng, amplitude)
+    u = 0.3 * trig_field4(n, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        metric = {
+            "dense": lambda: MetricModel4T(drawn.g),
+            "components": lambda: MetricModel4T._from_components(
+                np.array(drawn.g11), np.array(drawn.g22), np.array(drawn.g12)),
+            "flat": lambda: MetricModel4T.flat(n),
+            "conformal": lambda: MetricModel4T.conformal(u),
+            "rescaled": lambda: drawn.rescaled(u),
+            "loaded": lambda: load_metric(save_metric(drawn, tmp)),
+        }[path]()
+    # the admission's det g, formed here out of place
+    expected = metric.g11 * metric.g22 - np.abs(metric.g12) ** 2
+    assert metric.det.tobytes() == expected.tobytes()
+    assert sum(a.nbytes for a in vars(metric).values()) == 32 * n ** 4
+
+
 @pytest.fixture(scope="module")
 def stored_n8_metrics(tmp_path_factory):
     """base -> directory of a saved N = 8 metric, flat or the mild Kahler one."""
