@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: classify (ruled / split / minimal), rc-check, curvature,
-solve scalar-flat, catalog, report.  All structured output is JSON on
-standard output with fixed key order; exit codes are 0 (computed),
-2 (invalid input), 3 (a catalog --run-all regression), 4 (solver
-non-convergence).
+solve scalar-flat, catalog, report.  Each subcommand's handler returns its
+payload, and `run` emits it once, as JSON on standard output with fixed key
+order (and to --out when the subcommand takes one).  Exit codes are
+0 (computed), 2 (invalid input), 3 (a payload with "all_pass": false, which
+only catalog --run-all emits, on an entry that misses its expectation),
+4 (solver non-convergence).
 """
 
 from __future__ import annotations
@@ -113,16 +115,14 @@ def _emit(payload, path=None) -> None:
     sys.stdout.write(text)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     if args.target == "ruled":
-        _emit(classify_ruled(args.genus, args.m).to_dict())
-    elif args.target == "split":
-        _emit(classify_split(args.genus, args.deg_l, args.n).to_dict())
-    else:
-        descriptor = MinimalSurfaceDescriptor.of_class(
-            args.surface_class, genus=args.genus, m=args.m)
-        _emit(minimal_surface_gate(descriptor).to_dict())
-    return EXIT_OK
+        return classify_ruled(args.genus, args.m).to_dict()
+    if args.target == "split":
+        return classify_split(args.genus, args.deg_l, args.n).to_dict()
+    descriptor = MinimalSurfaceDescriptor.of_class(
+        args.surface_class, genus=args.genus, m=args.m)
+    return minimal_surface_gate(descriptor).to_dict()
 
 
 def _certify(genus: int, deg_l: int, n: int) -> tuple[dict, dict | None]:
@@ -138,42 +138,35 @@ def _certify(genus: int, deg_l: int, n: int) -> tuple[dict, dict | None]:
     return certificate.to_dict(), scan
 
 
-def _cmd_rc_check(args) -> int:
+def _cmd_rc_check(args) -> dict:
     certificate, scan = _certify(args.genus, args.deg_l, args.n)
-    _emit({"certificate": certificate, "rc_scan": scan})
-    return EXIT_OK
+    return {"certificate": certificate, "rc_scan": scan}
 
 
-def _cmd_curvature(args) -> int:
-    metric = load_metric(args.metric)
-    _emit(curvature_report(metric), args.out)
-    return EXIT_OK
+def _cmd_curvature(args) -> dict:
+    return curvature_report(load_metric(args.metric))
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     metric = load_metric(args.metric)
     solution = pde.conformal_scalar_flat(metric, tol=args.tol)
-    out_path = Path(args.out)
-    f_path = out_path.with_suffix(".f.csv")
+    f_path = Path(args.out).with_suffix(".f.csv")
     save_field4(f_path, solution.f)
-    payload = {
+    return {
         "f_csv": f_path.name,
         "solve_residual": solution.solve_residual,
         "end_to_end_residual": solution.residual,
         "iterations": solution.iterations,
         "rounds": solution.rounds,
     }
-    _emit(payload, out_path)
-    return EXIT_OK
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> dict:
     # output ordering is fixed by entry name so parallel runs stay diffable
     entries = sorted(catalog_entries(), key=lambda e: e.name)
     if not args.run_all:
-        _emit({"entries": [{"name": e.name, "kind": e.kind, "source": e.source}
-                           for e in entries]})
-        return EXIT_OK
+        return {"entries": [{"name": e.name, "kind": e.kind, "source": e.source}
+                            for e in entries]}
     results = []
     all_pass = True
     for entry in entries:
@@ -183,18 +176,16 @@ def _cmd_catalog(args) -> int:
         if mismatches:
             record["mismatches"] = mismatches
         results.append(record)
-    _emit({"all_pass": all_pass, "entries": results})
-    return EXIT_OK if all_pass else EXIT_INCONSISTENT
+    return {"all_pass": all_pass, "entries": results}
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> dict:
     classification = classify_split(args.genus, args.deg_l, args.n)
     certificate = scan = None
     if classification.scalar_flat_hermitian == "yes":    # exactly in the certified range
         certificate, scan = _certify(args.genus, abs(args.deg_l), args.n)
-    _emit({"classification": classification.to_dict(),
-           "certificate": certificate, "rc_scan": scan})
-    return EXIT_OK
+    return {"classification": classification.to_dict(),
+            "certificate": certificate, "rc_scan": scan}
 
 
 @functools.cache
@@ -212,10 +203,12 @@ def run(argv) -> int:
         # argparse prints usage to stderr on bad flags and exits 2; --help exits 0
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        payload = args.handler(args)
+        _emit(payload, getattr(args, "out", None))
     except (ScalarFlatError, OSError, ValueError) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return EXIT_NO_CONVERGENCE if isinstance(exc, ConvergenceError) else EXIT_INVALID
+    return EXIT_INCONSISTENT if payload.get("all_pass") is False else EXIT_OK
 
 
 def main() -> None:

@@ -38,8 +38,9 @@ from .geom_core import (
     OneOneForm,
     SplitBundle,
     _freeze,
-    _no_data_row,
     _plain_file_name,
+    _read_csv,
+    _read_json,
     _real,
     _require_finite,
     _require_grid,
@@ -138,7 +139,7 @@ def chern_curvature_matrix(h: np.ndarray) -> np.ndarray:
     (a, b) at every grid point.
     """
     h = _real(h, "metric field", complex)
-    if h.ndim != 4 or h.shape[2] != h.shape[3] or 0 in h.shape:
+    if h.ndim != 4 or h.shape[0] != h.shape[1] or h.shape[2] != h.shape[3] or 0 in h.shape:
         raise DescriptorError(f"expected an (n, n, r, r) matrix field, got shape {h.shape}")
     h = hermitian_part(h, "metric field")
     eigenvalues = np.linalg.eigvalsh(h)
@@ -772,17 +773,9 @@ def _file_sha256(path: Path) -> str:
 def _read_grid_csv(path: Path, component: str, resolution: int) -> np.ndarray:
     """The (n, n, n, n) grid, n = `resolution`, of a CSV written by
     _write_grid_csv; DescriptorError for any other header, text or shape."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            first = handle.readline()
-            empty = _no_data_row(handle)
-        if f"component={component}" not in first:
-            raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
-        if empty:
-            raise DescriptorError(f"{path}: no grid values after the header")
-        flat = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:    # text that is not UTF-8, or a value that is not a float
-        raise DescriptorError(f"{path}: {exc}") from exc
+    first, flat = _read_csv(path, "grid values after the header")
+    if f"component={component}" not in first:
+        raise DescriptorError(f"{path}: expected component={component}, header was {first!r}")
     n = flat.shape[1]
     if flat.shape != (n ** 3, n):
         raise DescriptorError(f"{path}: grid shape {flat.shape} is not a flattened 4-cube")
@@ -856,11 +849,8 @@ def load_metric(manifest_path) -> MetricModel4T:
     equals the digest the twin stores for it (the twin then holds exactly the
     values the CSV parses to); otherwise the CSV is parsed."""
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:    # text that is not UTF-8 or not JSON
-        raise DescriptorError(f"{manifest_path}: not a JSON manifest: {exc}") from exc
-    resolution, files, binary = _manifest_fields(manifest, manifest_path)
+    resolution, files, binary = _manifest_fields(_read_json(manifest_path, "manifest"),
+                                                 manifest_path)
     directory = manifest_path.parent
     twin = _read_twin(directory / binary, resolution) if binary is not None else {}
     parts = {}

@@ -24,6 +24,7 @@ bundle satisfies this quantization exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -374,22 +375,38 @@ class ClassificationReport:
 
 
 # ---------------------------------------------------------------------------
-# external interfaces: JSON bundle descriptors and CSV density grids
+# external interfaces: one reader per input file format (JSON documents and
+# CSV grids, the metric manifest's included), and the bundle descriptor
 
-def _no_data_row(lines) -> bool:
-    """Whether no line holds text outside a '#' comment (np.loadtxt warns then)."""
-    return not any(line.split("#", 1)[0].strip() for line in lines)
+def _read_json(path: Path, what: str):
+    """The document in a JSON file; DescriptorError naming the file for text
+    that is not UTF-8 or not JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DescriptorError(f"{path}: not a JSON {what}: {exc}") from exc
+
+
+def _read_csv(path, what: str) -> tuple[str, np.ndarray]:
+    """(first line, 2-d float array of its rows) of a comma-separated file in
+    which '#' opens a comment; DescriptorError naming the file for text that
+    is not UTF-8, a value that is not a float, or no value outside the
+    comments ("no `what`", on which numpy's loadtxt would warn).  The scan for
+    a value stops at the first line that holds one."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            first = handle.readline()
+            if not any(line.split("#", 1)[0].strip()
+                       for line in itertools.chain([first], handle)):
+                raise DescriptorError(f"{path}: no {what}")
+        return first, np.loadtxt(path, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise DescriptorError(f"{path}: {exc}") from exc
 
 
 def load_field_csv(path) -> np.ndarray:
     """Read an n x n density grid from CSV (row-major, decimal floats)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            if _no_data_row(handle):
-                raise DescriptorError(f"{path}: no density values")
-        values = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:    # text that is not UTF-8, or a value that is not a float
-        raise DescriptorError(f"{path}: {exc}") from exc
+    values = _read_csv(path, "density values")[1]
     if values.shape[0] != values.shape[1]:
         raise DescriptorError(f"field file {path} is {values.shape}, expected square")
     return values
@@ -418,10 +435,7 @@ def load_bundle_descriptor(source) -> tuple[CurveModel, SplitBundle]:
     else:
         path = Path(source)
         base_dir = path.parent
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:    # text that is not UTF-8 or not JSON
-            raise DescriptorError(f"{path}: not a JSON descriptor: {exc}") from exc
+        doc = _read_json(path, "descriptor")
     try:
         genus, resolution, raw_summands = doc["genus"], doc["resolution"], doc["summands"]
     except (KeyError, TypeError) as exc:

@@ -68,6 +68,18 @@ _INNER_MAXITER = 250
 _SINGLE_RTOL = 1e-5
 
 
+def _finite_mean(values, what: str) -> tuple[np.ndarray, float]:
+    """(the real array, its mean) of a nonempty grid whose mean is finite;
+    DescriptorError naming `what` otherwise."""
+    values = _real(values, what)
+    if values.size == 0:    # np.mean would warn before the finiteness check
+        raise DescriptorError(f"{what} must be a nonempty grid, got shape {values.shape}")
+    mean = float(np.mean(values))
+    if not math.isfinite(mean):
+        raise DescriptorError(f"{what} must be finite; its mean is {mean!r}")
+    return values, mean
+
+
 def poisson_periodic(rho: np.ndarray) -> np.ndarray:
     """Solve Laplacian(u) = rho on the periodic unit cube; u has zero mean.
 
@@ -75,15 +87,10 @@ def poisson_periodic(rho: np.ndarray) -> np.ndarray:
     violating it means the problem has no solution and raises
     SolvabilityError rather than silently projecting.
     """
-    rho = _real(rho, "Poisson source")
-    if rho.size == 0:    # np.mean would warn before the finiteness check
-        raise DescriptorError(f"Poisson data must be a nonempty grid, got shape {rho.shape}")
-    mean = float(np.mean(rho))
-    if not math.isfinite(mean):
-        raise DescriptorError(f"Poisson data must be finite; its mean is {mean!r}")
+    rho, mean = _finite_mean(rho, "Poisson source")
     if abs(mean) > POISSON_MEAN_TOL:
         raise SolvabilityError(
-            f"Poisson data has mean {mean!r}; the periodic problem is solvable "
+            f"Poisson source has mean {mean!r}; the periodic problem is solvable "
             f"only for zero-mean sources (tolerance {POISSON_MEAN_TOL})")
     return fourier.poisson_inverse(rho)
 
@@ -143,13 +150,7 @@ class ConformalSolution:
     rounds: int
 
     def __post_init__(self):
-        f = _real(self.f, "conformal potential")
-        if f.size == 0:    # np.mean would warn before the finiteness check
-            raise DescriptorError(
-                f"conformal potential must be a nonempty grid, got shape {f.shape}")
-        mean = float(np.mean(f))
-        if not math.isfinite(mean):
-            raise DescriptorError(f"conformal potential must be finite; its mean is {mean!r}")
+        f, mean = _finite_mean(self.f, "conformal potential")
         if abs(mean) > 1e-12:
             raise DescriptorError("conformal potential must be normalized to zero mean")
         object.__setattr__(self, "f", _freeze(f))

@@ -274,6 +274,7 @@ def test_metric_grid_is_checked_on_every_construction_path(build):
     (lambda: MetricModel4T.from_kahler_potential(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
     (lambda: chern_curvature_matrix(np.ones((8, 8, 0, 0))), r"\(n, n, r, r\)"),
     (lambda: chern_curvature_matrix(np.ones((0, 0, 1, 1))), r"\(n, n, r, r\)"),
+    (lambda: chern_curvature_matrix(np.ones((8, 16, 1, 1))), r"\(n, n, r, r\)"),
     (lambda: fourier.ddbar4_components(np.zeros((0, 0, 0, 0))), "at least 1, got 0"),
     (lambda: RicciField(np.zeros((0, 0, 0, 0, 2, 2))), "at least 1, got 0"),
     (lambda: poisson_periodic(np.zeros((0, 0))), "nonempty grid"),
@@ -281,7 +282,8 @@ def test_metric_grid_is_checked_on_every_construction_path(build):
     (lambda: ConformalSolution(f=np.zeros(0), residual=0.0, solve_residual=0.0,
                                iterations=0, rounds=0), "nonempty grid"),
 ], ids=["flat 0", "flat -1", "flat 2.5", "public empty", "conformal empty",
-        "kahler empty", "curve rank 0", "curve grid 0", "ddbar4 empty", "ricci empty",
+        "kahler empty", "curve rank 0", "curve grid 0", "curve grid not square",
+        "ddbar4 empty", "ricci empty",
         "poisson empty", "ddbar_density empty", "ConformalSolution empty"])
 def test_empty_or_invalid_grid_sizes_are_descriptor_errors(build, message):
     # refused before numpy meets an empty, negative or float size (a raw

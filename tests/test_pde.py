@@ -388,6 +388,17 @@ def test_conformal_solution_requires_zero_mean():
                           iterations=0, rounds=0)
 
 
+def test_conformal_solution_keeps_a_read_only_copy_of_its_potential():
+    f = np.zeros((4, 4, 4, 4))
+    solution = ConformalSolution(f=f, residual=0.0, solve_residual=0.0, iterations=0,
+                                 rounds=0)
+    assert not np.shares_memory(solution.f, f)
+    assert not solution.f.flags.writeable
+    listed = ConformalSolution(f=f.tolist(), residual=0.0, solve_residual=0.0,
+                               iterations=0, rounds=0)
+    assert listed.f.dtype == np.dtype(float) and listed.f.shape == f.shape
+
+
 @pytest.mark.parametrize("build", [
     lambda: poisson_periodic(np.full((16, 16), np.nan)),
     lambda: prescribe_curvature(np.full((16, 16), np.nan),
